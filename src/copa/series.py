@@ -1,84 +1,104 @@
 """Truncated formal power series in q over exact integers.
 
-Coefficients are sparse bivariate polynomials in two marker variables:
-x tracks sky-part counts and y tracks ground-part counts, stored as
-{(x_deg, y_deg): int}.  Univariate series just keep everything on the
-(0, 0) key.  A series of order N knows its coefficients through q^N;
-arithmetic results carry the minimum order of the operands.  There is no
-floating point anywhere.
+Two marker variables ride along with q: x tracks sky-part counts and y
+tracks ground-part counts.  A series of order N stores one dense list
+[c_0, ..., c_N] of q-coefficients per marker monomial x^i y^j, keyed
+(i, j); a scalar series has only the key (0, 0).  Keys whose list is all
+zero are dropped, so equal series store equal layouts.  Arithmetic results
+carry the minimum order of the operands.  There is no floating point
+anywhere.
 
-Infinite Pochhammer products are expanded factor by factor.  A factor
-(1 - c X q^t) multiplies in one linear pass, and its inverse multiplies as
-the geometric recurrence out[n] = in[n] + c X out[n - t], so no general
-series division is needed for them.
+Infinite Pochhammer products are expanded factor by factor, in place, by
+two kernels: times (1 + c X q^t), and divide by (1 - c X q^t), which is the
+geometric recurrence out[n] = in[n] + c X out[n - t].  So no general series
+division is needed for them.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Optional
 
 from .copartitions import ParamsLike, coerce_params
 from .errors import CopaError
-from .reporting import Checker, VerificationReport
 
-Poly = dict[tuple[int, int], int]
-Coeffs = dict[int, Poly]
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for (xa, ya), ca in p.items():
-        for (xb, yb), cb in q.items():
-            key = (xa + xb, ya + yb)
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+Key = tuple[int, int]
+Rows = dict[Key, list[int]]
 
 
-def _poly_add_into(target: Poly, addend: Poly, scale: int = 1) -> None:
-    for key, c in addend.items():
-        v = target.get(key, 0) + scale * c
-        if v:
-            target[key] = v
-        elif key in target:
-            del target[key]
+def _one(order: int) -> Rows:
+    return {(0, 0): [1] + [0] * order}
 
 
-def _clean(coeffs: Coeffs) -> Coeffs:
-    return {n: poly for n, poly in coeffs.items() if poly}
+def _times_binomial(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
+    """rows *= (1 + c x^x_deg y^y_deg q^t), in place.
+
+    Each key adds its list, shifted by t, into the key X above it.  Keys are
+    taken from the top, so each is read before anything is added to it.
+    """
+    for xd, yd in sorted(rows, reverse=True):
+        src = rows[(xd, yd)]
+        if any(src[: len(src) - t]):
+            dst = rows.setdefault((xd + x_deg, yd + y_deg), [0] * len(src))
+            dst[t:] = [u + c * v for u, v in zip(dst[t:], src)]
+
+
+def _divide_geometric(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
+    """rows /= (1 - c x^x_deg y^y_deg q^t) for t >= 1, in place.
+
+    Without a marker, n walks upwards through out[n] += c out[n - t].  With
+    one, keys are taken in increasing order along X, and each key, once
+    final, adds its shifted list into the key above it, which is created
+    when the walk first reaches it.
+    """
+    if not (x_deg or y_deg):
+        for row in rows.values():
+            for n in range(t, len(row)):
+                row[n] += c * row[n - t]
+        return
+    start = set(rows)
+    for key in sorted(start):
+        src = rows[key]
+        while any(src[: len(src) - t]):
+            key = (key[0] + x_deg, key[1] + y_deg)
+            dst = rows.setdefault(key, [0] * len(src))
+            dst[t:] = [u + c * v for u, v in zip(dst[t:], src)]
+            if key in start:
+                break
+            src = dst
 
 
 class TruncatedSeries:
     """Immutable by convention: no public operation mutates coefficients."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "rows")
 
-    def __init__(self, order: int, coeffs: Optional[Coeffs] = None):
+    def __init__(self, order: int, coeffs: Optional[dict[int, dict[Key, int]]] = None):
+        """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order are dropped."""
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
         self.order = order
-        cleaned: Coeffs = {}
-        if coeffs:
-            for n, poly in coeffs.items():
-                if n < 0:
-                    raise ValueError(f"negative exponent {n}")
-                if n <= order:
-                    kept = {key: c for key, c in poly.items() if c}
-                    if kept:
-                        cleaned[n] = kept
-        self.coeffs = cleaned
+        rows: Rows = {}
+        for n, poly in (coeffs or {}).items():
+            if n < 0:
+                raise ValueError(f"negative exponent {n}")
+            if n <= order:
+                for key, c in poly.items():
+                    if c:
+                        rows.setdefault(key, [0] * (order + 1))[n] = c
+        self.rows = rows
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
+    def _of_rows(cls, order: int, rows: Rows) -> "TruncatedSeries":
+        # Adopts rows (each of length order + 1) without copying them.
+        out = cls(order)
+        out.rows = {key: row for key, row in rows.items() if any(row)}
+        return out
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, {0: {(0, 0): 1}})
+        return cls._of_rows(order, _one(order))
 
     @classmethod
     def monomial(
@@ -88,205 +108,170 @@ class TruncatedSeries:
             return cls(order)
         return cls(order, {exponent: {(x_deg, y_deg): coeff}})
 
-    def coefficient(self, n: int) -> Poly:
+    def coefficient(self, n: int) -> dict[Key, int]:
         """Copy of the coefficient polynomial of q^n."""
         if n > self.order:
             raise ValueError(f"coefficient {n} beyond order {self.order}")
-        return dict(self.coeffs.get(n, {}))
+        if n < 0:
+            return {}
+        return {key: row[n] for key, row in self.rows.items() if row[n]}
 
     def coefficient_int(self, n: int) -> int:
         """Scalar coefficient of q^n; raises if marker degrees are present."""
-        poly = self.coeffs.get(n, {})
-        if n > self.order:
-            raise ValueError(f"coefficient {n} beyond order {self.order}")
-        for key in poly:
-            if key != (0, 0):
-                raise ValueError("series carries marker degrees; specialize first")
+        poly = self.coefficient(n)
+        if any(key != (0, 0) for key in poly):
+            raise ValueError("series carries marker degrees; specialize first")
         return poly.get((0, 0), 0)
 
     def refined_coefficient(self, n: int, ground_parts: int, sky_parts: int) -> int:
         """Coefficient of x^sky_parts y^ground_parts q^n."""
-        if n > self.order:
-            raise ValueError(f"coefficient {n} beyond order {self.order}")
-        return self.coeffs.get(n, {}).get((sky_parts, ground_parts), 0)
+        return self.coefficient(n).get((sky_parts, ground_parts), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.rows == other.rows
 
     def __hash__(self):
-        return hash(
-            (self.order, tuple(sorted((n, tuple(sorted(p.items()))) for n, p in self.coeffs.items())))
-        )
+        return hash((self.order, tuple(sorted((k, tuple(row)) for k, row in self.rows.items()))))
 
     def agrees_with(self, other: "TruncatedSeries", up_to: Optional[int] = None) -> bool:
         """Coefficientwise equality through min(orders) or an explicit cap."""
         cap = min(self.order, other.order)
         if up_to is not None:
             cap = min(cap, up_to)
-        for n in range(cap + 1):
-            if self.coeffs.get(n, {}) != other.coeffs.get(n, {}):
-                return False
-        return True
+        size = max(cap + 1, 0)
+        zero = [0] * size
+        return all(
+            self.rows.get(key, zero)[:size] == other.rows.get(key, zero)[:size]
+            for key in self.rows.keys() | other.rows.keys()
+        )
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
-        out: Coeffs = {n: dict(p) for n, p in self.coeffs.items() if n <= order}
-        for n, poly in other.coeffs.items():
-            if n > order:
-                continue
-            target = out.setdefault(n, {})
-            _poly_add_into(target, poly)
-        return TruncatedSeries(order, _clean(out))
+        out = {key: row[: order + 1] for key, row in self.rows.items()}
+        for key, row in other.rows.items():
+            mine = out.get(key)
+            out[key] = row[: order + 1] if mine is None else [u + v for u, v in zip(mine, row)]
+        return TruncatedSeries._of_rows(order, out)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order,
-            {n: {k: -c for k, c in poly.items()} for n, poly in self.coeffs.items()},
-        )
+        return self * -1
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return TruncatedSeries(self.order)
-            return TruncatedSeries(
-                self.order,
-                {n: {k: other * c for k, c in poly.items()} for n, poly in self.coeffs.items()},
+            return TruncatedSeries._of_rows(
+                self.order, {key: [other * c for c in row] for key, row in self.rows.items()}
             )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out: Coeffs = {}
-        left = sorted((n, p) for n, p in self.coeffs.items() if n <= order)
-        right = sorted((n, p) for n, p in other.coeffs.items() if n <= order)
-        for i, pi in left:
-            for j, pj in right:
-                n = i + j
-                if n > order:
-                    break
-                target = out.setdefault(n, {})
-                for (xa, ya), ca in pi.items():
-                    for (xb, yb), cb in pj.items():
-                        key = (xa + xb, ya + yb)
-                        v = target.get(key, 0) + ca * cb
-                        if v:
-                            target[key] = v
-                        elif key in target:
-                            del target[key]
-        return TruncatedSeries(order, _clean(out))
+        out: Rows = {}
+        for (xa, ya), p in self.rows.items():
+            for (xb, yb), q in other.rows.items():
+                acc = out.setdefault((xa + xb, ya + yb), [0] * (order + 1))
+                for i, c in enumerate(p[: order + 1]):
+                    if c:
+                        acc[i:] = [u + c * v for u, v in zip(acc[i:], q)]
+        return TruncatedSeries._of_rows(order, out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
         """Reciprocal via the coefficient recurrence; needs constant term 1 or -1."""
-        c0 = self.coeffs.get(0, {})
-        if list(c0.items()) not in ([((0, 0), 1)], [((0, 0), -1)]):
+        constant = self.coefficient(0)
+        if constant not in ({(0, 0): 1}, {(0, 0): -1}):
             raise CopaError("inverse needs constant coefficient 1 or -1")
-        eps = c0[(0, 0)]
-        inv: Coeffs = {0: {(0, 0): eps}}
-        for n in range(1, self.order + 1):
-            acc: Poly = {}
-            for k in range(1, n + 1):
-                ak = self.coeffs.get(k)
-                bk = inv.get(n - k)
-                if ak and bk:
-                    _poly_add_into(acc, _poly_mul(ak, bk))
-            if acc:
-                inv[n] = {key: -eps * c for key, c in acc.items() if c}
-        return TruncatedSeries(self.order, _clean(inv))
+        eps = constant[(0, 0)]
+        order = self.order
+        terms = sorted(
+            (k, key, c) for key, row in self.rows.items() for k, c in enumerate(row) if k and c
+        )
+        inv = {(0, 0): [eps] + [0] * order}
+        for n in range(1, order + 1):
+            for k, (xa, ya), c in terms:
+                if k > n:
+                    break
+                for (xb, yb), row in list(inv.items()):
+                    if row[n - k]:
+                        target = inv.setdefault((xa + xb, ya + yb), [0] * (order + 1))
+                        target[n] -= eps * c * row[n - k]
+        return TruncatedSeries._of_rows(order, inv)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k, truncating at the same order."""
         if k < 0:
             raise ValueError(f"shift must be non-negative, got {k}")
-        return TruncatedSeries(
-            self.order,
-            {n + k: dict(p) for n, p in self.coeffs.items() if n + k <= self.order},
+        return TruncatedSeries._of_rows(
+            self.order, {key: ([0] * k + row)[: self.order + 1] for key, row in self.rows.items()}
         )
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(order, {n: p for n, p in self.coeffs.items() if n <= order})
+        return TruncatedSeries._of_rows(
+            order, {key: row[: order + 1] for key, row in self.rows.items()}
+        )
 
     def substitute_q_negated(self) -> "TruncatedSeries":
         """q -> -q: negate coefficients at odd exponents."""
-        return TruncatedSeries(
+        return TruncatedSeries._of_rows(
             self.order,
-            {
-                n: ({k: -c for k, c in p.items()} if n % 2 else dict(p))
-                for n, p in self.coeffs.items()
-            },
+            {k: [-c if n % 2 else c for n, c in enumerate(row)] for k, row in self.rows.items()},
         )
 
     def swap_markers(self) -> "TruncatedSeries":
         """Exchange the x and y markers."""
-        return TruncatedSeries(
-            self.order,
-            {n: {(yd, xd): c for (xd, yd), c in p.items()} for n, p in self.coeffs.items()},
+        return TruncatedSeries._of_rows(
+            self.order, {(yd, xd): list(row) for (xd, yd), row in self.rows.items()}
         )
 
     def at_markers_one(self) -> "TruncatedSeries":
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""
-        out: Coeffs = {}
-        for n, poly in self.coeffs.items():
-            total = sum(poly.values())
-            if total:
-                out[n] = {(0, 0): total}
-        return TruncatedSeries(self.order, out)
+        total = [0] * (self.order + 1)
+        for row in self.rows.values():
+            total = [u + v for u, v in zip(total, row)]
+        return TruncatedSeries._of_rows(self.order, {(0, 0): total})
 
     def scalar_coeffs(self) -> list[int]:
         """[c_0, ..., c_N] for a marker-free series."""
         return [self.coefficient_int(n) for n in range(self.order + 1)]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = []
-        for n in sorted(self.coeffs)[:8]:
-            terms.append(f"q^{n}*{self.coeffs[n]}")
+        for n in range(self.order + 1):
+            poly = self.coefficient(n)
+            if poly:
+                terms.append(f"q^{n}*{poly}")
+            if len(terms) == 8:
+                break
         body = " + ".join(terms) if terms else "0"
         return f"TruncatedSeries(N={self.order}, {body} + ...)"
 
 
-def _mul_binomial(coeffs: Coeffs, order: int, t: int, x_deg: int, y_deg: int, scalar: int) -> Coeffs:
-    # coeffs * (1 + scalar * x^x_deg y^y_deg q^t)
-    out: Coeffs = {n: dict(p) for n, p in coeffs.items()}
-    for n, poly in coeffs.items():
-        if n + t > order:
-            continue
-        target = out.setdefault(n + t, {})
-        for (xd, yd), c in poly.items():
-            key = (xd + x_deg, yd + y_deg)
-            v = target.get(key, 0) + scalar * c
-            if v:
-                target[key] = v
-            elif key in target:
-                del target[key]
-    return _clean(out)
-
-
-def _mul_geometric(coeffs: Coeffs, order: int, t: int, x_deg: int, y_deg: int, scalar: int) -> Coeffs:
-    # coeffs / (1 - scalar * x^x_deg y^y_deg q^t)  with t >= 1
-    out: Coeffs = {n: dict(p) for n, p in coeffs.items()}
-    for n in range(t, order + 1):
-        prev = out.get(n - t)
-        if not prev:
-            continue
-        target = out.setdefault(n, {})
-        for (xd, yd), c in prev.items():
-            key = (xd + x_deg, yd + y_deg)
-            v = target.get(key, 0) + scalar * c
-            if v:
-                target[key] = v
-            elif key in target:
-                del target[key]
-    return _clean(out)
+def _apply_pochhammer(
+    rows: Rows,
+    order: int,
+    offset: int,
+    step: int,
+    *,
+    sign: int = 1,
+    x_deg: int = 0,
+    y_deg: int = 0,
+    invert: bool = False,
+) -> None:
+    # rows *= (sign X q^offset; q^step)_infinity, or divides by it, in place
+    for t in range(offset, order + 1, step):
+        if invert:
+            _divide_geometric(rows, t, sign, x_deg, y_deg)
+        else:
+            _times_binomial(rows, t, -sign, x_deg, y_deg)
 
 
 def pochhammer_factor(
@@ -313,32 +298,33 @@ def pochhammer_factor(
         raise ValueError("q_offset and marker degrees must be non-negative")
     if invert and q_offset == 0:
         raise CopaError("cannot invert a factor with constant term != 1")
-    coeffs: Coeffs = {0: {(0, 0): 1}}
-    t = q_offset
-    while t <= order:
-        if invert:
-            coeffs = _mul_geometric(coeffs, order, t, x_deg, y_deg, coeff_sign)
-        else:
-            coeffs = _mul_binomial(coeffs, order, t, x_deg, y_deg, -coeff_sign)
-        t += q_step
-    return TruncatedSeries(order, coeffs)
+    rows = _one(order)
+    _apply_pochhammer(
+        rows, order, q_offset, q_step, sign=coeff_sign, x_deg=x_deg, y_deg=y_deg, invert=invert
+    )
+    return TruncatedSeries._of_rows(order, rows)
 
 
-@lru_cache(maxsize=None)
-def _gf_product_cached(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
-    xd = 1 if markers else 0
-    yd = 1 if markers else 0
-    num = pochhammer_factor(1, xd, yd, a + b, m, False, order=order)
-    den_sky = pochhammer_factor(1, xd, 0, b, m, True, order=order)
-    den_ground = pochhammer_factor(1, 0, yd, a, m, True, order=order)
-    return num * den_sky * den_ground
+def _product(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
+    d = 1 if markers else 0
+    rows = _one(order)
+    # The numerator goes second: the sky denominator times the numerator has
+    # far fewer keys than the two denominators together, and every factor
+    # costs one pass over the keys.
+    _apply_pochhammer(rows, order, b, m, x_deg=d, invert=True)
+    _apply_pochhammer(rows, order, a + b, m, x_deg=d, y_deg=d)
+    _apply_pochhammer(rows, order, a, m, y_deg=d, invert=True)
+    return TruncatedSeries._of_rows(order, rows)
+
+
+_gf_product_cached = lru_cache(maxsize=None)(_product)
 
 
 def gf_product(params: ParamsLike, order: int, markers: bool = True) -> TruncatedSeries:
     """The product generating function; x marks sky parts, y ground parts.
 
     Needs a >= 1 and b >= 1: the degenerate families have no product form
-    here (see gf_degenerate_check for a = 0).
+    here (the verify suites check the a = 0 convolution instead).
     """
     p = coerce_params(params)
     if p.a < 1 or p.b < 1:
@@ -346,52 +332,29 @@ def gf_product(params: ParamsLike, order: int, markers: bool = True) -> Truncate
     return _gf_product_cached(p.a, p.b, p.m, order, markers)
 
 
-def _uni_mul(p: dict[int, int], q: dict[int, int], order: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, a in p.items():
-        if i > order:
-            continue
-        for j, b in q.items():
-            n = i + j
-            if n <= order:
-                out[n] = out.get(n, 0) + a * b
-    return out
-
-
-def _uni_geometric(p: dict[int, int], order: int, t: int) -> dict[int, int]:
-    out = dict(p)
-    for n in range(t, order + 1):
-        c = out.get(n - t)
-        if c:
-            out[n] = out.get(n, 0) + c
-    return out
-
-
 @lru_cache(maxsize=None)
 def _gf_double_sum_cached(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
     # One term per (ground count w, sky count s):
     #   x^s y^w q^(m*w*s + a*w + b*s) / ((q^m;q^m)_w (q^m;q^m)_s)
-    inv: list[dict[int, int]] = [{0: 1}]
-    coeffs: Coeffs = {}
+    # The quotient lives on multiples of m, so it is kept as a list in q^m,
+    # and the geometric kernel adds one factor to it per step in w or s.
+    rows: Rows = {}
+    ground = [1] + [0] * (order // m)
     w = 0
     while a * w <= order:
-        if w >= len(inv):
-            inv.append(_uni_geometric(inv[w - 1], order, m * w))
+        if w:
+            _divide_geometric({(0, 0): ground}, w, 1)
+        term = list(ground)
         s = 0
-        while True:
-            base = m * w * s + a * w + b * s
-            if base > order:
-                break
-            if s >= len(inv):
-                inv.append(_uni_geometric(inv[s - 1], order, m * s))
-            term = _uni_mul(inv[w], inv[s], order - base)
-            key = (s, w) if markers else (0, 0)
-            for n, c in term.items():
-                target = coeffs.setdefault(n + base, {})
-                target[key] = target.get(key, 0) + c
+        while (base := m * w * s + a * w + b * s) <= order:
+            del term[(order - base) // m + 1 :]
+            if s:
+                _divide_geometric({(0, 0): term}, s, 1)
+            row = rows.setdefault((s, w) if markers else (0, 0), [0] * (order + 1))
+            row[base::m] = [u + v for u, v in zip(row[base::m], term)]
             s += 1
         w += 1
-    return TruncatedSeries(order, _clean(coeffs))
+    return TruncatedSeries._of_rows(order, rows)
 
 
 def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> TruncatedSeries:
@@ -402,10 +365,14 @@ def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> Trunc
     return _gf_double_sum_cached(p.a, p.b, p.m, order, markers)
 
 
-@lru_cache(maxsize=None)
-def _count_series_cached(a: int, b: int, m: int, order: int) -> TruncatedSeries:
+# The highest-order counting series built so far, per parameter triple.
+_count_cache: dict[tuple[int, int, int], TruncatedSeries] = {}
+_count_lock = threading.Lock()
+
+
+def _count_series_build(a: int, b: int, m: int, order: int) -> TruncatedSeries:
     if a >= 1 and b >= 1:
-        return _gf_product_cached(a, b, m, order, False)
+        return _product(a, b, m, order, False)
     if a == 0 and b >= 1:
         return _degenerate_series(b, m, order)
     if b == 0 and a >= 1:
@@ -419,21 +386,26 @@ def count_series(params: ParamsLike, n: int) -> int:
     p = coerce_params(params)
     if n < 0:
         return 0
-    # chunked order so sweeps over a range of n share one cached series
-    order = (n // 64 + 1) * 64
-    return _count_series_cached(p.a, p.b, p.m, order).coefficient_int(n)
+    key = p.as_tuple()
+    with _count_lock:
+        series = _count_cache.get(key)
+        if series is None or series.order < n:
+            # chunked order so sweeps over a range of n share one series
+            series = _count_series_build(*key, (n // 64 + 1) * 64)
+            _count_cache[key] = series
+    return series.coefficient_int(n)
 
 
 def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
-    # Partition series in q^m convolved with the Lambert-style series that
-    # counts divisors in the class of b mod m.
-    partitions = pochhammer_factor(1, 0, 0, m, m, True, order=order)
-    lam: Coeffs = {}
+    # Partition series in q^m times the Lambert-style series that counts
+    # divisors in the class of b mod m.
+    lam = [0] * (order + 1)
     for s in range(b, order + 1, m):
         for mult in range(s, order + 1, s):
-            target = lam.setdefault(mult, {})
-            target[(0, 0)] = target.get((0, 0), 0) + 1
-    return partitions * TruncatedSeries(order, lam)
+            lam[mult] += 1
+    rows = {(0, 0): lam}
+    _apply_pochhammer(rows, order, m, m, invert=True)
+    return TruncatedSeries._of_rows(order, rows)
 
 
 @lru_cache(maxsize=None)
@@ -446,27 +418,20 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
     if which not in ("G", "H"):
         raise ValueError(f"which must be G or H, got {which!r}")
     if form == "sum":
-        acc: Coeffs = {}
-        inv: dict[int, int] = {0: 1}
+        acc = [0] * (order + 1)
+        inv = [1] + [0] * order
         n = 0
-        while True:
-            expo = n * n if which == "G" else n * n + n
-            if expo > order:
-                break
+        while (expo := n * n if which == "G" else n * n + n) <= order:
             if n >= 1:
-                inv = _uni_geometric(inv, order, n)
-            for i, c in inv.items():
-                if i + expo <= order:
-                    target = acc.setdefault(i + expo, {})
-                    target[(0, 0)] = target.get((0, 0), 0) + c
+                _divide_geometric({(0, 0): inv}, n, 1)
+            acc[expo:] = [u + v for u, v in zip(acc[expo:], inv)]
             n += 1
-        return TruncatedSeries(order, _clean(acc))
+        return TruncatedSeries._of_rows(order, {(0, 0): acc})
     if form == "product":
-        offsets = (1, 4) if which == "G" else (2, 3)
-        out = TruncatedSeries.one(order)
-        for off in offsets:
-            out = out * pochhammer_factor(1, 0, 0, off, 5, True, order=order)
-        return out
+        rows = _one(order)
+        for off in (1, 4) if which == "G" else (2, 3):
+            _apply_pochhammer(rows, order, off, 5, invert=True)
+        return TruncatedSeries._of_rows(order, rows)
     raise ValueError(f"form must be sum or product, got {form!r}")
 
 
@@ -480,20 +445,19 @@ def theta_sum(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     """Bilateral theta sum: over all integers n, (-1)^n q^(x_exp*n(n+1)/2
     + y_exp*n(n-1)/2)."""
     _check_theta_exponents(x_exp, y_exp)
-    acc: dict[int, int] = {}
+    acc = [0] * (order + 1)
     n = 0
     while True:
         hit = False
         for k in ((n, -n) if n else (0,)):
             expo = x_exp * k * (k + 1) // 2 + y_exp * k * (k - 1) // 2
             if expo <= order:
-                sign = 1 if k % 2 == 0 else -1
-                acc[expo] = acc.get(expo, 0) + sign
+                acc[expo] += 1 if k % 2 == 0 else -1
                 hit = True
         if not hit and n > 0:
             break
         n += 1
-    return TruncatedSeries(order, {k: {(0, 0): v} for k, v in acc.items() if v})
+    return TruncatedSeries._of_rows(order, {(0, 0): acc})
 
 
 @lru_cache(maxsize=None)
@@ -502,10 +466,10 @@ def theta_product(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     step x_exp + y_exp."""
     _check_theta_exponents(x_exp, y_exp)
     total = x_exp + y_exp
-    product = TruncatedSeries.one(order)
+    rows = _one(order)
     for off in (x_exp, y_exp, total):
-        product = product * pochhammer_factor(1, 0, 0, off, total, False, order=order)
-    return product
+        _apply_pochhammer(rows, order, off, total)
+    return TruncatedSeries._of_rows(order, rows)
 
 
 def theta_f(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
@@ -523,34 +487,15 @@ def theta_f(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def mock_theta_nu(order: int) -> TruncatedSeries:
     """Sum over n of q^(n^2+n) / (-q; q^2)_(n+1)."""
-    acc: dict[int, int] = {}
-    inv: dict[int, int] = {0: 1}
+    acc = [0] * (order + 1)
+    inv = [1] + [0] * order
     n = 0
-    while True:
-        expo = n * n + n
-        if expo > order:
-            break
+    while (expo := n * n + n) <= order:
         # extend the finite product (-q;q^2)_(n+1) by its n-th factor
-        inv = _uni_geo_signed(inv, order, 2 * n + 1, -1)
-        for i, c in inv.items():
-            if i + expo <= order:
-                acc[i + expo] = acc.get(i + expo, 0) + c
+        _divide_geometric({(0, 0): inv}, 2 * n + 1, -1)
+        acc[expo:] = [u + v for u, v in zip(acc[expo:], inv)]
         n += 1
-    return TruncatedSeries(order, {k: {(0, 0): v} for k, v in acc.items() if v})
-
-
-def _uni_geo_signed(p: dict[int, int], order: int, t: int, scalar: int) -> dict[int, int]:
-    # p / (1 - scalar * q^t)
-    out = dict(p)
-    for n in range(t, order + 1):
-        c = out.get(n - t)
-        if c:
-            v = out.get(n, 0) + scalar * c
-            if v:
-                out[n] = v
-            elif n in out:
-                del out[n]
-    return out
+    return TruncatedSeries._of_rows(order, {(0, 0): acc})
 
 
 @lru_cache(maxsize=None)
@@ -562,7 +507,7 @@ def eo_star_gf(order: int) -> TruncatedSeries:
     """
     nu = mock_theta_nu(order)
     doubled = nu + nu.substitute_q_negated()
-    out: Coeffs = {}
+    out = [0] * (order + 1)
     for n in range(order + 1):
         c = doubled.coefficient_int(n)
         if n % 2:
@@ -571,66 +516,5 @@ def eo_star_gf(order: int) -> TruncatedSeries:
             continue
         if c % 2:
             raise ArithmeticError(f"coefficient {c} at q^{n} does not halve exactly")
-        if c:
-            out[n] = {(0, 0): c // 2}
-    return TruncatedSeries(order, out)
-
-
-def rr_copartition_check(
-    which: str, order: int = 60, enum_limit: int = 30
-) -> VerificationReport:
-    """Sum form of G or H against the copartition product divided by
-    (q^5;q^5), with enumeration pinning the small coefficients."""
-    from .enumeration import _counts_up_to
-
-    params = (1, 4, 5) if which == "G" else (2, 3, 5)
-    checker = Checker(f"rr-{which}", f"order<={order}, enum n<={enum_limit}")
-    lhs = rr_function(which, "sum", order)
-    cp = gf_product(params, order, markers=False)
-    rhs = pochhammer_factor(1, 0, 0, 5, 5, True, order=order) * cp
-    for n in range(order + 1):
-        checker.equal(
-            lhs.coefficient_int(n), rhs.coefficient_int(n), f"{which} vs product, q^{n}"
-        )
-    enum_counts = _counts_up_to(params, min(enum_limit, order))
-    for n, c in enumerate(enum_counts):
-        checker.equal(cp.coefficient_int(n), c, f"cp{params} series vs enumeration, n={n}")
-    return checker.done()
-
-
-def eta_theta_quotient_check(a: int, m: int, order: int = 60) -> VerificationReport:
-    """(q^m;q^m)^2 over the theta series equals the copartition product.
-
-    Verified in cross-multiplied form so only the pinned factor-by-factor
-    inversions are used.
-    """
-    if not (1 <= a < m):
-        raise ValueError(f"need 1 <= a < m, got ({a},{m})")
-    checker = Checker(f"eta-theta-({a},{m})", f"order<={order}")
-    eta = pochhammer_factor(1, 0, 0, m, m, False, order=order)
-    lhs = eta * eta
-    theta = theta_f(a, m - a, order)
-    cp = gf_product((a, m - a, m), order, markers=False)
-    rhs = theta * cp
-    for n in range(order + 1):
-        checker.equal(lhs.coefficient_int(n), rhs.coefficient_int(n), f"(a,m)=({a},{m}), q^{n}")
-    return checker.done()
-
-
-def gf_degenerate_check(
-    params: ParamsLike, order: int = 30, enum_limit: int = 30
-) -> VerificationReport:
-    """Enumerated counts for a = 0 against the partition-divisor convolution."""
-    from .enumeration import _counts_up_to
-
-    p = coerce_params(params)
-    if p.a != 0 or p.b < 1:
-        raise CopaError(f"degenerate check needs a = 0 and b >= 1, got {p.as_tuple()}")
-    checker = Checker(f"gf-degenerate-{p.as_tuple()}", f"order<={order}, enum n<={enum_limit}")
-    series = _degenerate_series(p.b, p.m, order)
-    checker.equal(series.coefficient_int(0), 0, "q^0 (the sky is nonempty)")
-    cap = min(order, enum_limit)
-    enum_counts = _counts_up_to(p.as_tuple(), cap)
-    for n in range(cap + 1):
-        checker.equal(series.coefficient_int(n), enum_counts[n], f"{p.as_tuple()}, n={n}")
-    return checker.done()
+        out[n] = c // 2
+    return TruncatedSeries._of_rows(order, {(0, 0): out})

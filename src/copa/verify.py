@@ -54,6 +54,55 @@ def _family(base: int, m: int, n: int) -> tuple[Partition, ...]:
     return tuple(enumerate_restricted(n, base, m, min_part=base))
 
 
+def _rr_copartition_check(which: str, order: int, enum_limit: int) -> VerificationReport:
+    """Sum form of G or H against the copartition product divided by
+    (q^5;q^5), with enumeration pinning the small coefficients."""
+    params = (1, 4, 5) if which == "G" else (2, 3, 5)
+    checker = Checker(f"rr-{which}", f"order<={order}, enum n<={enum_limit}")
+    lhs = qs.rr_function(which, "sum", order)
+    cp = qs.gf_product(params, order, markers=False)
+    rhs = qs.pochhammer_factor(1, 0, 0, 5, 5, True, order=order) * cp
+    for n in range(order + 1):
+        checker.equal(
+            lhs.coefficient_int(n), rhs.coefficient_int(n), f"{which} vs product, q^{n}"
+        )
+    enum_counts = _counts_up_to(params, min(enum_limit, order))
+    for n, c in enumerate(enum_counts):
+        checker.equal(cp.coefficient_int(n), c, f"cp{params} series vs enumeration, n={n}")
+    return checker.done()
+
+
+def _eta_theta_quotient_check(a: int, m: int, order: int) -> VerificationReport:
+    """(q^m;q^m)^2 over the theta series equals the copartition product.
+
+    Verified in cross-multiplied form so only the pinned factor-by-factor
+    inversions are used.
+    """
+    if not (1 <= a < m):
+        raise ValueError(f"need 1 <= a < m, got ({a},{m})")
+    checker = Checker(f"eta-theta-({a},{m})", f"order<={order}")
+    eta = qs.pochhammer_factor(1, 0, 0, m, m, False, order=order)
+    lhs = eta * eta
+    theta = qs.theta_f(a, m - a, order)
+    cp = qs.gf_product((a, m - a, m), order, markers=False)
+    rhs = theta * cp
+    for n in range(order + 1):
+        checker.equal(lhs.coefficient_int(n), rhs.coefficient_int(n), f"(a,m)=({a},{m}), q^{n}")
+    return checker.done()
+
+
+def _gf_degenerate_check(b: int, m: int, max_n: int) -> VerificationReport:
+    """Enumerated counts for (0, b, m) against the partition-divisor convolution."""
+    params = (0, b, m)
+    checker = Checker(f"gf-degenerate-{params}", f"order<={max_n}, enum n<={max_n}")
+    series = qs._degenerate_series(b, m, max_n)
+    checker.equal(series.coefficient_int(0), 0, "q^0 (the sky is nonempty)")
+    enum_counts = _counts_up_to(params, max_n)
+    for n in range(max_n + 1):
+        checker.equal(series.coefficient_int(n), enum_counts[n], f"{params}, n={n}")
+    return checker.done()
+
+
 def suite_gf_triple(max_n: int = 30, refined_max: int = 25, classes: int = 4) -> VerificationReport:
     """Enumeration, product series, and double-sum series agree, totals and
     refined (ground count, sky count) tables alike."""
@@ -224,7 +273,7 @@ def suite_cp011(max_n: int = 30) -> VerificationReport:
         ch.equal(counts[n], count_formula((0, 1, 1), n), f"enum vs convolution n={n}")
         ch.equal(counts[n], st.total_parts, f"enum vs total parts n={n}")
         ch.equal(counts[n], st.sum_largest_parts, f"enum vs largest parts n={n}")
-    ch.absorb(qs.gf_degenerate_check((0, 1, 1), order=max_n, enum_limit=max_n))
+    ch.absorb(_gf_degenerate_check(1, 1, max_n))
     return ch.done()
 
 
@@ -279,7 +328,7 @@ def suite_cp0bm(
         for n in range(max_n + 1):
             ch.equal(counts[n], count_formula((0, b, m), n), f"(0,{b},{m}) formula n={n}")
             ch.equal(counts[n], mirror[n], f"(0,{b},{m}) vs ({b},0,{m}) n={n}")
-        ch.absorb(qs.gf_degenerate_check((0, b, m), order=max_n, enum_limit=max_n))
+        ch.absorb(_gf_degenerate_check(b, m, max_n))
     return ch.done()
 
 
@@ -299,7 +348,7 @@ def suite_rr(order: int = 100, connection_order: int = 60, enum_max: int = 30) -
             ),
             f"{which} sum vs product",
         )
-        ch.absorb(qs.rr_copartition_check(which, connection_order, enum_max))
+        ch.absorb(_rr_copartition_check(which, connection_order, enum_max))
     return ch.done()
 
 
@@ -317,7 +366,7 @@ def suite_theta_eta(
             f"sum vs product at ({x},{y})",
         )
     for a, m in quotient_pairs:
-        ch.absorb(qs.eta_theta_quotient_check(a, m, order))
+        ch.absorb(_eta_theta_quotient_check(a, m, order))
     return ch.done()
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from copa import series
 from copa.errors import CopaError
 from copa.partitions import partition_count
 from copa.series import (
@@ -29,9 +30,23 @@ from oracles import (
 
 ORDER = 24
 
-scalar_series = st.dictionaries(
-    st.integers(0, ORDER), st.integers(-9, 9), max_size=10
-).map(lambda d: TruncatedSeries(ORDER, {n: {(0, 0): c} for n, c in d.items() if c}))
+
+def _series(terms: dict[tuple[int, int, int], int]) -> TruncatedSeries:
+    coeffs: dict[int, dict[tuple[int, int], int]] = {}
+    for (n, x, y), c in terms.items():
+        coeffs.setdefault(n, {})[(x, y)] = c
+    return TruncatedSeries(ORDER, coeffs)
+
+
+def _terms(max_deg: int):
+    degree = st.integers(0, max_deg)
+    return st.dictionaries(
+        st.tuples(st.integers(0, ORDER), degree, degree), st.integers(-9, 9), max_size=10
+    )
+
+
+# Scalar series, and series whose terms carry marker degrees up to x^3 y^3.
+any_series = st.one_of(_terms(0), _terms(3)).map(_series)
 
 
 def poly_inverse(p: dict[int, int], order: int) -> dict[int, int]:
@@ -68,7 +83,7 @@ def test_constructor_drops_zeros():
 
 
 @settings(max_examples=60)
-@given(scalar_series, scalar_series, scalar_series)
+@given(any_series, any_series, any_series)
 def test_ring_laws(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
@@ -76,7 +91,7 @@ def test_ring_laws(a, b, c):
 
 
 @settings(max_examples=40)
-@given(scalar_series)
+@given(any_series)
 def test_inverse_of_unit(s):
     u = TruncatedSeries.one(ORDER) + s.shift(1).truncate(ORDER)
     assert (u * u.inverse()).agrees_with(TruncatedSeries.one(ORDER))
@@ -100,6 +115,13 @@ def test_pochhammer_inverse_counts_partitions():
         assert euler.coefficient_int(n) == partition_count(n)
     direct = pochhammer_factor(order=50, q_offset=1, q_step=1)
     assert (euler * direct).agrees_with(TruncatedSeries.one(50))
+
+
+def test_pochhammer_with_markers_inverts():
+    for sign, x_deg, y_deg, offset, step in ((1, 1, 0, 1, 1), (-1, 1, 0, 2, 3), (1, 1, 1, 2, 2)):
+        kw = dict(coeff_sign=sign, x_deg=x_deg, y_deg=y_deg, q_offset=offset, q_step=step)
+        inverted = pochhammer_factor(**kw, invert=True, order=30)
+        assert inverted * pochhammer_factor(**kw, order=30) == TruncatedSeries.one(30)
 
 
 def test_pochhammer_refuses_divergent_inverse():
@@ -145,6 +167,15 @@ def test_count_series_matches_brute_force():
     assert count_series((1, 1, 2), -2) == 0
     with pytest.raises(CopaError):
         count_series((0, 0, 1), 4)
+
+
+def test_count_series_keeps_the_highest_order_series():
+    params = (2, 3, 7)
+    count_series(params, 200)
+    count_series(params, 5)
+    assert series._count_cache[params].order == 256
+    assert count_series(params, 300) == gf_product(params, 300, markers=False).coefficient_int(300)
+    assert series._count_cache[params].order == 320
 
 
 def test_rogers_ramanujan_first_coefficients():
