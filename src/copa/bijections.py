@@ -24,8 +24,8 @@ from .copartitions import (
     split_enlarged_sky,
 )
 from .diagrams import render_ascii
-from .errors import CopaError, NotEOStarError
-from .partitions import Partition, as_partition, conjugate, rim_cells
+from .errors import CopaError, InvalidPartitionError, NotEOStarError
+from .partitions import Partition, _bounded_partitions, as_partition, conjugate, rim_cells
 
 
 def _check_family(parts: Sequence[int], base: int, m: int, label: str) -> Partition:
@@ -167,11 +167,33 @@ def is_eo_star(parts: Sequence[int]) -> bool:
 
 
 def enumerate_eo_star(n: int) -> list[Partition]:
-    """All even-odd partitions of n by filtering; independent of the
-    copartition machinery on purpose."""
-    from .partitions import enumerate_partitions
+    """All even-odd partitions of n, reverse-lexicographic.
 
-    return [lam for lam in enumerate_partitions(n) if is_eo_star(lam)]
+    Built from their shape, largest candidate first, instead of testing
+    every partition of n: pairs (v, v) of odd parts, then optionally the
+    largest even part 2t once, then pairs (2u, 2u) with u <= t.
+    Independent of the copartition machinery on purpose.
+    """
+    if n < 0:
+        raise InvalidPartitionError(f"cannot partition {n}")
+    out: list[Partition] = []
+
+    def extend(prefix: Partition, rest: int, top: int) -> None:
+        # top: the last odd part placed (n at the start); nothing larger follows
+        if rest == 0:
+            out.append(prefix)
+            return
+        for v in range(min(top, rest), 0, -1):
+            if v % 2:
+                if 2 * v <= rest:
+                    extend(prefix + (v, v), rest - 2 * v, v)
+            elif (rest - v) % 4 == 0:
+                quarter = (rest - v) // 4
+                for tail in _bounded_partitions(quarter, quarter, v // 2):
+                    out.append(prefix + (v,) + tuple(x for u in tail for x in (2 * u, 2 * u)))
+
+    extend((), n, n)
+    return out
 
 
 def eo_crank(parts: Sequence[int]) -> int:

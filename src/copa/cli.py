@@ -63,7 +63,7 @@ def _cmd_count(args) -> int:
         return 2
     if args.w is not None:
         value = count_refined(params, args.n).table.get((args.w, args.s), 0)
-        if args.crosscheck and args.a >= 1 and args.b >= 1:
+        if args.crosscheck and args.a >= 1 and args.b >= 1 and args.n >= 0:
             other = qs.gf_product(params, args.n).refined_coefficient(args.n, args.w, args.s)
             if other != value:
                 print(

@@ -122,8 +122,10 @@ def _counts_up_to(key: tuple[int, int, int], max_n: int) -> list[int]:
 
 
 def count_refined(params: ParamsLike, n: int) -> RefinedCount:
-    """Refined count by enumeration."""
+    """Refined count by enumeration; empty for n < 0."""
     p = coerce_params(params)
+    if n < 0:
+        return RefinedCount(p, n, {})
     table = dict(_refined_up_to(p.as_tuple(), n)[n])
     return RefinedCount(p, n, table)
 

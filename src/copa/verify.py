@@ -376,7 +376,7 @@ def suite_mock_theta(order: int = 30) -> VerificationReport:
     ch = Checker("mock-theta", f"order <= {order}")
     gf = qs.eo_star_gf(order)
     for n in range(order + 1):
-        ch.equal(gf.coefficient_int(n), len(enumerate_eo_star(n)), f"series vs filter n={n}")
+        ch.equal(gf.coefficient_int(n), len(enumerate_eo_star(n)), f"series vs listing n={n}")
         if n % 2 == 0:
             ch.equal(
                 gf.coefficient_int(n),

@@ -1,5 +1,7 @@
 """The four structure-preserving maps and their exact inverses."""
 
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 import pytest
 
 from copa.bijections import (
@@ -19,8 +21,9 @@ from copa.bijections import (
 )
 from copa.copartitions import make_copartition
 from copa.enumeration import enumerate_copartitions
-from copa.errors import CopaError, NotEOStarError
+from copa.errors import CopaError, InvalidPartitionError, NotEOStarError
 from copa.partitions import enumerate_partitions, enumerate_restricted, rim_cells
+from copa.series import eo_star_gf
 
 from oracles import brute_eo_star
 
@@ -178,6 +181,23 @@ def test_enumerate_eo_star_against_filter():
     assert all(enumerate_eo_star(n) == [] for n in (1, 3, 5, 7, 9))
 
 
+def test_enumerate_eo_star_matches_filter_in_order():
+    for n in range(41):
+        reference = [lam for lam in enumerate_partitions(n) if is_eo_star(lam)]
+        assert enumerate_eo_star(n) == reference
+
+
+def test_enumerate_eo_star_counts_match_series():
+    gf = eo_star_gf(80)
+    for n in range(81):
+        assert len(enumerate_eo_star(n)) == gf.coefficient_int(n)
+
+
+def test_enumerate_eo_star_rejects_negative_size():
+    with pytest.raises(InvalidPartitionError):
+        enumerate_eo_star(-1)
+
+
 def test_eo_worked_examples():
     c4 = eo_to_copartition((4,))
     assert (c4.ground, c4.sky) == ((1, 1), ())
@@ -200,6 +220,21 @@ def test_eo_round_trips():
             parts = copartition_to_eo(c)
             assert sum(parts) == 2 * half
             assert eo_to_copartition(parts) == c
+
+
+odd_parts = st.lists(st.integers(0, 20).map(lambda k: 2 * k + 1), max_size=10).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(odd_parts, odd_parts)
+def test_eo_round_trip_on_large_copartitions(ground, sky):
+    c = make_copartition((1, 1, 2), ground, sky)
+    assume(100 <= c.size <= 300)
+    parts = copartition_to_eo(c)
+    assert sum(parts) == 2 * c.size
+    assert eo_to_copartition(parts) == c
 
 
 def test_eo_crank_transport():

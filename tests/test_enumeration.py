@@ -65,6 +65,13 @@ def test_count_negative_size_is_zero():
     assert count_copartitions((1, 1, 2), -1) == 0
 
 
+def test_refined_count_negative_size_is_empty():
+    for params in ((1, 1, 2), (0, 0, 1), (2, 3, 5), (0, 2, 3)):
+        rc = count_refined(params, -1)
+        assert rc.table == {}
+        assert rc.total == 0 == count_copartitions(params, -1)
+
+
 def test_closed_forms_against_brute_force():
     for params in ((1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 1, 2), (0, 2, 3), (2, 0, 3)):
         for n in range(16):

@@ -109,6 +109,18 @@ def test_count_refined(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("extra", [[], ["--crosscheck"]])
+@pytest.mark.parametrize("abm", [("1", "1", "2"), ("0", "0", "1"), ("2", "3", "5")])
+def test_count_refined_negative_size_is_zero(capsys, abm, extra):
+    a, b, m = abm
+    rc = main(
+        ["count", "--a", a, "--b", b, "--m", m, "--n", "-1", "--w", "1", "--s", "1"]
+        + extra
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 def test_count_refined_needs_both_flags(capsys):
     rc = main(["count", "--a", "1", "--b", "1", "--m", "2", "--n", "4", "--w", "1"])
     assert rc == 2
