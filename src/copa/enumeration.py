@@ -4,6 +4,13 @@ The generator is the ground truth the series engine and the closed forms
 are tested against.  Output order is deterministic: blocks ascend by
 (ground count, sky count), and inside a block pairs descend
 reverse-lexicographically by ground, then by sky.
+
+Counts do not build objects.  One walk, _blocks, yields the blocks of a
+size; the generator expands each block, and the counters count it from
+the sizes of the partition iterators it would expand.  Those sizes are
+tallied from the partition generator itself (partitions._bounded_counts),
+so the enumerated counts stay independent of the series engine they are
+checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Iterator
 from .copartitions import Copartition, CopartitionParams, ParamsLike, coerce_params
 from .errors import NoClosedFormError
 from .partitions import (
+    _bounded_count,
     _bounded_partitions,
     divisor_count_in_class,
     partition_count,
@@ -34,40 +42,54 @@ def _all_bounded(
     yield ()
 
 
-def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
-    """All copartitions of size n for the given parameters."""
-    p = coerce_params(params)
+def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
+    # The blocks of size n in output order: (ground count w, sky count s,
+    # total), where total is what the shifted parts (part - class) / m sum to.
     a, b, m = p.a, p.b, p.m
-    if n < 0:
-        return
     w = 1 if b == 0 else 0
     s_min = 1 if a == 0 else 0
-    while True:
-        floor_w = a * w + (m * w + b) * s_min
-        if floor_w > n:
-            break
+    while a * w + (m * w + b) * s_min <= n:
         s = s_min
         while True:
             rest = n - a * w - (m * w + b) * s
             if rest < 0:
                 break
             if rest % m == 0:
-                total = rest // m
-                if s == 0:
-                    ground_iter = _bounded_partitions(total, w, total)
-                else:
-                    ground_iter = _all_bounded(total, w)
-                for t in ground_iter:
-                    ground = tuple(a + m * ti for ti in t + (0,) * (w - len(t)))
-                    left = total - sum(t)
-                    if s == 0:
-                        yield Copartition(p, ground, ())
-                        continue
-                    for u in _bounded_partitions(left, s, left):
-                        sky = tuple(b + m * ui for ui in u + (0,) * (s - len(u)))
-                        yield Copartition(p, ground, sky)
+                yield w, s, rest // m
             s += 1
         w += 1
+
+
+def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
+    """All copartitions of size n for the given parameters."""
+    p = coerce_params(params)
+    a, b, m = p.a, p.b, p.m
+    if n < 0:
+        return
+    for w, s, total in _blocks(p, n):
+        if s == 0:
+            ground_iter = _bounded_partitions(total, w, total)
+        else:
+            ground_iter = _all_bounded(total, w)
+        for t in ground_iter:
+            ground = tuple(a + m * ti for ti in t + (0,) * (w - len(t)))
+            left = total - sum(t)
+            if s == 0:
+                yield Copartition(p, ground, ())
+                continue
+            for u in _bounded_partitions(left, s, left):
+                sky = tuple(b + m * ui for ui in u + (0,) * (s - len(u)))
+                yield Copartition(p, ground, sky)
+
+
+def _block_count(w: int, s: int, total: int) -> int:
+    # How many copartitions enumerate_copartitions expands the block to:
+    # the sky iterator depends only on what the ground leaves over.
+    if s == 0:
+        return _bounded_count(total, w)
+    return sum(
+        _bounded_count(k, w) * _bounded_count(total - k, s) for k in range(total + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -103,16 +125,19 @@ def _refined_up_to(
     key: tuple[int, int, int], max_n: int
 ) -> list[dict[tuple[int, int], int]]:
     """Tables [(w,s) -> count] for n = 0..max_n, grown incrementally so
-    every n is enumerated exactly once per parameter triple.  Callers must
-    not mutate the returned dicts."""
+    every n is counted exactly once per parameter triple.  Each block of
+    enumerate_copartitions is counted from the sizes of the iterators it
+    would expand, without building its objects.  Callers must not mutate
+    the returned dicts."""
     with _refined_lock:
         tables = _refined_cache.setdefault(key, [])
         p = CopartitionParams(*key)
         for n in range(len(tables), max_n + 1):
             table: dict[tuple[int, int], int] = {}
-            for c in enumerate_copartitions(p, n):
-                ws = (len(c.ground), len(c.sky))
-                table[ws] = table.get(ws, 0) + 1
+            for w, s, total in _blocks(p, n):
+                count = _block_count(w, s, total)
+                if count:
+                    table[(w, s)] = count
             tables.append(table)
         return tables[: max_n + 1]
 
@@ -122,7 +147,7 @@ def _counts_up_to(key: tuple[int, int, int], max_n: int) -> list[int]:
 
 
 def count_refined(params: ParamsLike, n: int) -> RefinedCount:
-    """Refined count by enumeration; empty for n < 0."""
+    """Refined count from the enumeration blocks; empty for n < 0."""
     p = coerce_params(params)
     if n < 0:
         return RefinedCount(p, n, {})
@@ -173,9 +198,11 @@ _ENUM_THRESHOLD = 40
 def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     """Count copartitions of n.
 
-    method "enum" walks the generator, "series" reads a generating-function
-    coefficient, "formula" uses count_formula, and "auto" enumerates below
-    a size threshold and uses the series engine above it.
+    method "enum" sums the refined table (the generator's blocks, counted
+    without building objects), "series" reads a generating-function
+    coefficient, "formula" uses count_formula, and "auto" takes "enum"
+    below a size threshold, and for a = b = 0, and the series engine
+    otherwise.
     """
     p = coerce_params(params)
     if n < 0:
@@ -186,9 +213,7 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
         else:
             method = "series"
     if method == "enum":
-        if n <= _ENUM_THRESHOLD:
-            return _counts_up_to(p.as_tuple(), n)[n]
-        return sum(1 for _ in enumerate_copartitions(p, n))
+        return count_refined(p, n).total
     if method == "series":
         from . import series
 

@@ -100,6 +100,37 @@ def _bounded_partitions(total: int, max_parts: int, max_part: int) -> Iterator[P
             yield (first,) + rest
 
 
+_by_parts: list[list[int]] = [[1]]
+_by_parts_lock = threading.Lock()
+
+
+def _bounded_counts(max_total: int) -> list[list[int]]:
+    """Row k, for k = 0..max_total at least, holds the number of partitions
+    of k with at most j parts for j = 0..k.
+
+    Each row is tallied by length from _bounded_partitions(k, k, k), not
+    from a recurrence, so counts built on it rest on the generator's
+    output.  Grown once per k and shared: callers must not mutate it.
+    """
+    if max_total >= len(_by_parts):
+        with _by_parts_lock:
+            while len(_by_parts) <= max_total:
+                k = len(_by_parts)
+                row = [0] * (k + 1)
+                for lam in _bounded_partitions(k, k, k):
+                    row[len(lam)] += 1
+                for j in range(1, k + 1):
+                    row[j] += row[j - 1]
+                _by_parts.append(row)
+    return _by_parts
+
+
+def _bounded_count(total: int, max_parts: int) -> int:
+    """len(list(_bounded_partitions(total, max_parts, total))) for
+    total, max_parts >= 0, read from the tallied rows."""
+    return _bounded_counts(total)[total][min(max_parts, total)]
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, reverse-lexicographic."""
     if n < 0:

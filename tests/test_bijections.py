@@ -306,6 +306,36 @@ def test_rim_map_bijective():
         assert len(images) == sum(1 for _ in enumerate_copartitions((0, 0, 1), n))
 
 
+@st.composite
+def large_partitions(draw):
+    """A partition of a random size in 100..300, one part drawn at a time."""
+    left = draw(st.integers(100, 300))
+    parts = []
+    while left:
+        part = draw(st.integers(1, left))
+        parts.append(part)
+        left -= part
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_partitions(), st.integers(0, 60))
+def test_threshold_map_round_trip_on_large_partitions(lam, k):
+    c = partition_to_cp111(lam, k)
+    assert c.size == sum(lam) + k
+    assert len(c.ground) == k
+    assert cp111_to_partition(c) == (lam, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_partitions(), st.data())
+def test_rim_map_round_trip_on_large_partitions(lam, data):
+    cell = data.draw(st.sampled_from(rim_cells(lam)))
+    c = rim_cell_to_cp001(lam, cell)
+    assert c.size == sum(lam)
+    assert cp001_to_rim_cell(c) == (lam, cell)
+
+
 def test_rim_map_rejects_off_rim_cells():
     with pytest.raises(CopaError):
         rim_cell_to_cp001((8, 6, 5, 5, 3, 3), (1, 1))  # interior cell

@@ -1,9 +1,13 @@
 """Enumeration order, refined counts, closed forms, crank tallies."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from copa.copartitions import to_json
 from copa.enumeration import (
+    _all_bounded,
     count_copartitions,
     count_formula,
     count_refined,
@@ -11,7 +15,7 @@ from copa.enumeration import (
     enumerate_copartitions,
 )
 from copa.errors import NoClosedFormError
-from copa.partitions import partition_count
+from copa.partitions import _bounded_count, _bounded_partitions, partition_count
 
 from oracles import brute_copartition_count, brute_copartitions
 
@@ -51,6 +55,38 @@ def test_refined_count_frozen():
     rc = count_refined((1, 1, 2), 4)
     assert rc.table == {(0, 2): 1, (0, 4): 1, (1, 1): 1, (2, 0): 1, (4, 0): 1}
     assert sum(rc.table.values()) == count_copartitions((1, 1, 2), 4) == 5
+
+
+def test_refined_tables_count_the_generator_output():
+    """Block counting gives the (ground count, sky count) tally of the
+    objects the generator yields, degenerate classes included."""
+    for a, b, m in product(range(5), range(5), range(1, 5)):
+        for n in range(17):
+            listed = Counter(
+                (len(c.ground), len(c.sky)) for c in enumerate_copartitions((a, b, m), n)
+            )
+            assert count_refined((a, b, m), n).table == listed, ((a, b, m), n)
+
+
+def test_bounded_count_matches_the_generator():
+    for j in range(26):
+        for k in range(26):
+            assert _bounded_count(k, j) == len(list(_bounded_partitions(k, j, k))), (k, j)
+    for w in range(26):
+        for t in range(26):
+            by_rows = sum(_bounded_count(k, w) for k in range(t + 1))
+            assert by_rows == len(list(_all_bounded(t, w))), (t, w)
+
+
+def test_enum_count_above_threshold():
+    """Past the enumeration threshold "enum" still counts the generator's
+    objects."""
+    for params, sizes in (((0, 0, 2), range(41, 49)), ((0, 0, 3), range(41, 61))):
+        for n in sizes:
+            listed = sum(1 for _ in enumerate_copartitions(params, n))
+            assert count_copartitions(params, n, "enum") == listed, (params, n)
+    for n in range(41):
+        assert count_copartitions((0, 0, 1), n, "enum") == count_formula((0, 0, 1), n)
 
 
 def test_counting_methods_agree():

@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import copa
 from copa import SUITES, run_suite
 from copa.cli import main
 
@@ -356,11 +358,16 @@ def test_crank_distribution(capsys):
 
 
 def test_module_entry_point():
+    # The child does not see pytest's pythonpath setting: point it at the
+    # source tree this copa was imported from.
+    src = os.path.dirname(os.path.dirname(copa.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "copa.cli", "count", "--a", "1", "--b", "3",
          "--m", "4", "--n", "12"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"
