@@ -29,7 +29,6 @@ from .copartitions import (
     CopartitionParams,
     coerce_params,
     conjugate_copartition,
-    crank,
     enlarged_sky,
     from_json,
     from_json_dict,

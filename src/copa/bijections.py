@@ -19,6 +19,7 @@ from .copartitions import (
     Copartition,
     CopartitionParams,
     ParamsLike,
+    _check_component,
     coerce_params,
     enlarged_sky,
     split_enlarged_sky,
@@ -26,18 +27,6 @@ from .copartitions import (
 from .diagrams import render_ascii
 from .errors import CopaError, InvalidPartitionError, NotEOStarError
 from .partitions import Partition, _bounded_partitions, as_partition, conjugate, rim_cells
-
-
-def _check_family(parts: Sequence[int], base: int, m: int, label: str) -> Partition:
-    """Validate membership in the family of partitions with every part
-    congruent to base (mod m) and at least base."""
-    lam = as_partition(parts)
-    for q in lam:
-        if q % m != base % m:
-            raise CopaError(f"{label} part {q} is not {base % m} (mod {m})")
-        if q < base:
-            raise CopaError(f"{label} part {q} is below the minimum {base}")
-    return lam
 
 
 def pair_to_copartition(
@@ -55,8 +44,8 @@ def pair_to_copartition(
     p = coerce_params(params)
     if p.a < 1 or p.b < 1:
         raise CopaError(f"pair merge needs a, b >= 1, got ({p.a},{p.b},{p.m})")
-    pi = _check_family(ground_source, p.a, p.m, "ground source")
-    lam = _check_family(sky_source, p.b, p.m, "sky source")
+    pi = _check_component(ground_source, p.a, p.m, "ground source")
+    lam = _check_component(sky_source, p.b, p.m, "sky source")
     np_, nl = len(pi), len(lam)
     k = nl + 1
     for cand in range(1, nl + 1):
@@ -78,7 +67,7 @@ def pair_to_copartition(
     ground = tuple(q for idx, q in enumerate(pi, start=1) if idx not in taken)
     sky = split_enlarged_sky(lam[: k - 1], len(ground), p)
     c = Copartition(p, ground, sky)
-    out = _check_family(merged, p.a + p.b, p.m, "combined")
+    out = _check_component(merged, p.a + p.b, p.m, "combined")
     if sum(pi) + sum(lam) != sum(out) + c.size:
         raise CopaError("pair merge did not preserve total size")
     return out, c
@@ -121,15 +110,15 @@ def copartition_to_pair(
     p = c.params
     if p.a < 1 or p.b < 1:
         raise CopaError(f"pair split needs a, b >= 1, got ({p.a},{p.b},{p.m})")
-    mu = _check_family(merged, p.a + p.b, p.m, "combined")
+    mu = _check_component(merged, p.a + p.b, p.m, "combined")
     ground_pile = list(c.ground)
     sky_pile = list(enlarged_sky(c))
     for val, jk in _inverse_steps(mu, c):
         piece = p.m * jk + p.b
         sky_pile.append(piece)
         ground_pile.append(val - piece)
-    pi = _check_family(sorted(ground_pile, reverse=True), p.a, p.m, "ground source")
-    lam = _check_family(sorted(sky_pile, reverse=True), p.b, p.m, "sky source")
+    pi = _check_component(sorted(ground_pile, reverse=True), p.a, p.m, "ground source")
+    lam = _check_component(sorted(sky_pile, reverse=True), p.b, p.m, "sky source")
     if sum(pi) + sum(lam) != sum(mu) + c.size:
         raise CopaError("pair split did not preserve total size")
     return pi, lam
@@ -137,7 +126,7 @@ def copartition_to_pair(
 
 def inverse_match_table(merged: Sequence[int], copartition: Copartition) -> list[tuple[int, int]]:
     """The (combined part, offset) trace of copartition_to_pair."""
-    mu = _check_family(merged, copartition.a + copartition.b, copartition.m, "combined")
+    mu = _check_component(merged, copartition.a + copartition.b, copartition.m, "combined")
     return _inverse_steps(mu, copartition)
 
 
@@ -316,8 +305,8 @@ def render_pair_merge(
     rows and the resulting copartition diagram.
     """
     p = coerce_params(params)
-    pi = _check_family(ground_source, p.a, p.m, "ground source")
-    lam = _check_family(sky_source, p.b, p.m, "sky source")
+    pi = _check_component(ground_source, p.a, p.m, "ground source")
+    lam = _check_component(sky_source, p.b, p.m, "sky source")
     np_, nl = len(pi), len(lam)
 
     def sky_row(idx: int, skew: bool) -> list[str]:

@@ -59,11 +59,18 @@ def coerce_params(params: ParamsLike) -> CopartitionParams:
     return CopartitionParams(int(a), int(b), int(m))
 
 
-def _check_component(parts: tuple[int, ...], cls: int, m: int, label: str) -> None:
+def _check_component(parts: Sequence[int], cls: int, m: int, label: str) -> tuple[int, ...]:
+    """The parts as a tuple, checked to be non-increasing, congruent to cls
+    (mod m) and at least cls; zero parts pass only when cls = 0.
+
+    Lists and other sequences (JSON input, say) are coerced to ints; a
+    tuple is checked as it is, which keeps building copartitions cheap.
+    """
+    t = parts if type(parts) is tuple else tuple(map(int, parts))
     prev = None
-    for p in parts:
+    for p in t:
         if prev is not None and p > prev:
-            raise InvalidPartitionError(f"{label} parts not non-increasing: {list(parts)}")
+            raise InvalidPartitionError(f"{label} parts not non-increasing: {list(t)}")
         prev = p
         if p == 0:
             if cls != 0:
@@ -73,6 +80,7 @@ def _check_component(parts: tuple[int, ...], cls: int, m: int, label: str) -> No
             raise ResidueError(f"{label} part {p} not congruent to {cls} (mod {m})")
         if p < cls:
             raise MinimumPartError(f"{label} part {p} below {cls}")
+    return t
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +158,7 @@ def split_enlarged_sky(
                 f"fused part {f} too small for ground count {ground_count}"
             )
         out.append(s)
-    sky = tuple(out)
-    _check_component(sky, p.b, p.m, "sky")
-    return sky
+    return _check_component(out, p.b, p.m, "sky")
 
 
 def conjugate_copartition(c: Copartition) -> Copartition:
@@ -192,11 +198,6 @@ def unscale_copartition(c: Copartition, s: int) -> Copartition:
         tuple(g // s for g in c.ground),
         tuple(k // s for k in c.sky),
     )
-
-
-def crank(c: Copartition) -> int:
-    """Ground count minus sky count."""
-    return c.crank
 
 
 def to_json_dict(c: Copartition) -> dict:

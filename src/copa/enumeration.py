@@ -192,32 +192,23 @@ def count_formula(params: ParamsLike, n: int) -> int:
     raise NoClosedFormError(f"no closed form for ({a},{b},{m})")
 
 
-_ENUM_THRESHOLD = 40
-
-
 def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     """Count copartitions of n.
 
     method "enum" sums the refined table (the generator's blocks, counted
     without building objects), "series" reads a generating-function
-    coefficient, "formula" uses count_formula, and "auto" takes "enum"
-    below a size threshold, and for a = b = 0, and the series engine
-    otherwise.
+    coefficient, "formula" uses count_formula, and "auto" is "series", which
+    covers every family.
     """
     p = coerce_params(params)
     if n < 0:
         return 0
-    if method == "auto":
-        if n <= _ENUM_THRESHOLD or (p.a == 0 and p.b == 0):
-            method = "enum"
-        else:
-            method = "series"
-    if method == "enum":
-        return count_refined(p, n).total
-    if method == "series":
+    if method in ("auto", "series"):
         from . import series
 
         return series.count_series(p, n)
+    if method == "enum":
+        return count_refined(p, n).total
     if method == "formula":
         return count_formula(p, n)
     raise ValueError(f"unknown method {method!r}")

@@ -332,20 +332,21 @@ def gf_product(params: ParamsLike, order: int, markers: bool = True) -> Truncate
     return _gf_product_cached(p.a, p.b, p.m, order, markers)
 
 
-@lru_cache(maxsize=None)
-def _gf_double_sum_cached(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
+def _double_sum(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
     # One term per (ground count w, sky count s):
     #   x^s y^w q^(m*w*s + a*w + b*s) / ((q^m;q^m)_w (q^m;q^m)_s)
-    # The quotient lives on multiples of m, so it is kept as a list in q^m,
-    # and the geometric kernel adds one factor to it per step in w or s.
+    # with the floors of enumeration._blocks: w >= 1 when b = 0, s >= 1 when
+    # a = 0.  The quotient lives on multiples of m, so it is kept as a list
+    # in q^m, and the geometric kernel adds one factor to it per step in w or s.
     rows: Rows = {}
     ground = [1] + [0] * (order // m)
-    w = 0
-    while a * w <= order:
+    w = 1 if b == 0 else 0
+    s_min = 1 if a == 0 else 0
+    while a * w + (m * w + b) * s_min <= order:
         if w:
             _divide_geometric({(0, 0): ground}, w, 1)
         term = list(ground)
-        s = 0
+        s = s_min
         while (base := m * w * s + a * w + b * s) <= order:
             del term[(order - base) // m + 1 :]
             if s:
@@ -357,11 +358,15 @@ def _gf_double_sum_cached(a: int, b: int, m: int, order: int, markers: bool) -> 
     return TruncatedSeries._of_rows(order, rows)
 
 
+_gf_double_sum_cached = lru_cache(maxsize=None)(_double_sum)
+
+
 def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> TruncatedSeries:
-    """The double-sum generating function, term by term over (w, s)."""
+    """The double-sum generating function, term by term over (w, s).
+
+    Holds for every (a, b, m), the degenerate families included.
+    """
     p = coerce_params(params)
-    if p.a < 1 or p.b < 1:
-        raise CopaError(f"double sum needs a, b >= 1, got ({p.a},{p.b},{p.m})")
     return _gf_double_sum_cached(p.a, p.b, p.m, order, markers)
 
 
@@ -373,12 +378,11 @@ _count_lock = threading.Lock()
 def _count_series_build(a: int, b: int, m: int, order: int) -> TruncatedSeries:
     if a >= 1 and b >= 1:
         return _product(a, b, m, order, False)
-    if a == 0 and b >= 1:
-        return _degenerate_series(b, m, order)
-    if b == 0 and a >= 1:
-        # Swapping ground and sky is size-preserving, so counts agree.
-        return _degenerate_series(a, m, order)
-    raise CopaError("no series form for a = b = 0")
+    if a or b:
+        # One class is 0.  Swapping ground and sky is size-preserving, so
+        # (a, 0, m) counts as (0, a, m).
+        return _degenerate_series(a + b, m, order)
+    return _double_sum(a, b, m, order, False)
 
 
 def count_series(params: ParamsLike, n: int) -> int:

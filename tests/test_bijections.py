@@ -21,7 +21,14 @@ from copa.bijections import (
 )
 from copa.copartitions import make_copartition
 from copa.enumeration import enumerate_copartitions
-from copa.errors import CopaError, InvalidPartitionError, NotEOStarError
+from copa.errors import (
+    CopaError,
+    InvalidPartitionError,
+    MinimumPartError,
+    NotEOStarError,
+    ResidueError,
+    ZeroPartError,
+)
 from copa.partitions import enumerate_partitions, enumerate_restricted, rim_cells
 from copa.series import eo_star_gf
 
@@ -74,6 +81,59 @@ def test_pair_merge_round_trips_exhaustive():
                 merged, c = pair_to_copartition(pi, lam, (a, b, m))
                 assert sum(merged) + c.size == total
                 assert copartition_to_pair(merged, c) == (pi, lam)
+
+
+def test_pair_merge_rejections_are_typed():
+    with pytest.raises(InvalidPartitionError):
+        pair_to_copartition((1, 5), (2,), (1, 2, 4))  # out of order
+    with pytest.raises(ZeroPartError):
+        pair_to_copartition((5, 0), (2,), (1, 2, 4))
+    with pytest.raises(MinimumPartError):
+        pair_to_copartition((5, -3), (2,), (1, 2, 4))  # -3 is 1 (mod 4)
+    with pytest.raises(ResidueError):
+        pair_to_copartition((5,), (3,), (1, 2, 4))
+    with pytest.raises(MinimumPartError):
+        pair_to_copartition((1,), (2,), (5, 2, 4))  # 1 is 5 (mod 4)
+    with pytest.raises(ResidueError):
+        copartition_to_pair((4,), make_copartition((1, 2, 4), (), (2,)))
+    # JSON gives lists; they come back as tuples of ints.
+    assert pair_to_copartition([9, 5], [6.0, 2], (1, 2, 4)) == pair_to_copartition(
+        (9, 5), (6, 2), (1, 2, 4)
+    )
+
+
+@st.composite
+def large_pairs(draw):
+    """(a, b, m) with a, b >= 1 and a source pair of combined size 100..300.
+
+    A drawn share splits the size between the sources, which are filled
+    one part at a time from their classes; a drawn cap on the parts varies
+    their number from a handful to a few hundred.
+    """
+    a, b, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cap = draw(st.integers(0, 40))
+    total = draw(st.integers(106, 300))
+    share = draw(st.integers(0, total))
+
+    def source(left: int, base: int) -> tuple[int, ...]:
+        parts = []
+        while left >= base:
+            part = base + m * draw(st.integers(0, min(cap, (left - base) // m)))
+            parts.append(part)
+            left -= part
+        return tuple(sorted(parts, reverse=True))
+
+    return (a, b, m), source(share, a), source(total - share, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_pairs())
+def test_pair_merge_round_trip_on_large_sources(drawn):
+    params, pi, lam = drawn
+    assert 100 <= sum(pi) + sum(lam) <= 300
+    merged, c = pair_to_copartition(pi, lam, params)
+    assert sum(merged) + c.size == sum(pi) + sum(lam)
+    assert copartition_to_pair(merged, c) == (pi, lam)
 
 
 def test_pair_merge_counts_match():

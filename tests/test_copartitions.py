@@ -5,7 +5,6 @@ import pytest
 from copa.copartitions import (
     CopartitionParams,
     conjugate_copartition,
-    crank,
     enlarged_sky,
     from_json,
     make_copartition,
@@ -58,7 +57,7 @@ def test_size_and_rectangle():
     c = make_copartition((1, 2, 4), (13, 9, 9, 1), (14, 10))
     assert c.size == 32 + 4 * 4 * 2 + 24 == 88
     assert c.rectangle() == (16, 16)
-    assert crank(c) == c.crank == 4 - 2 == 2
+    assert c.crank == 4 - 2 == 2
     assert make_copartition((1, 1, 2), (), ()).size == 0
 
 

@@ -79,8 +79,8 @@ def test_bounded_count_matches_the_generator():
 
 
 def test_enum_count_above_threshold():
-    """Past the enumeration threshold "enum" still counts the generator's
-    objects."""
+    """At sizes past 40, where enumeration once stopped being the default,
+    "enum" still counts the generator's objects."""
     for params, sizes in (((0, 0, 2), range(41, 49)), ((0, 0, 3), range(41, 61))):
         for n in sizes:
             listed = sum(1 for _ in enumerate_copartitions(params, n))
@@ -90,7 +90,7 @@ def test_enum_count_above_threshold():
 
 
 def test_counting_methods_agree():
-    for params in ((1, 3, 4), (1, 1, 2), (2, 3, 5)):
+    for params in ((1, 3, 4), (1, 1, 2), (2, 3, 5), (0, 0, 1), (0, 0, 2), (0, 2, 3), (3, 0, 4)):
         for n in range(26):
             by_enum = count_copartitions(params, n, method="enum")
             by_series = count_copartitions(params, n, method="series")

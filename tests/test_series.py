@@ -1,10 +1,13 @@
 """The truncated series engine and the named q-series built on it."""
 
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from copa import series
+from copa.enumeration import _refined_up_to
 from copa.errors import CopaError
 from copa.partitions import partition_count
 from copa.series import (
@@ -153,20 +156,30 @@ def test_markers_track_component_counts():
 def test_gf_rejects_zero_classes():
     with pytest.raises(CopaError):
         gf_product((0, 1, 2), 10)
-    with pytest.raises(CopaError):
-        gf_double_sum((1, 0, 2), 10)
+    # The double sum covers the degenerate families.
+    totals = gf_double_sum((1, 0, 2), 10).at_markers_one()
+    assert totals.scalar_coeffs() == [brute_copartition_count(1, 0, 2, n) for n in range(11)]
+
+
+def test_double_sum_matches_the_block_counted_tables():
+    for a, b, m in iproduct(range(5), range(5), range(1, 5)):
+        dsum = gf_double_sum((a, b, m), 30)
+        tables = _refined_up_to((a, b, m), 30)
+        for n in range(31):
+            swapped = {(s, w): c for (w, s), c in tables[n].items()}
+            assert dsum.coefficient(n) == swapped, ((a, b, m), n)
+        counts = [count_series((a, b, m), n) for n in range(31)]
+        assert dsum.at_markers_one().scalar_coeffs() == counts, (a, b, m)
 
 
 def test_count_series_matches_brute_force():
-    for params in ((1, 1, 2), (1, 3, 4), (0, 1, 2), (0, 2, 3), (3, 0, 4)):
+    for params in ((1, 1, 2), (1, 3, 4), (0, 1, 2), (0, 2, 3), (3, 0, 4), (0, 0, 1), (0, 0, 2)):
         for n in range(14):
             assert count_series(params, n) == brute_copartition_count(*params, n), (
                 params,
                 n,
             )
     assert count_series((1, 1, 2), -2) == 0
-    with pytest.raises(CopaError):
-        count_series((0, 0, 1), 4)
 
 
 def test_count_series_keeps_the_highest_order_series():

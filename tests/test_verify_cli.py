@@ -102,6 +102,26 @@ def test_count_crosscheck(capsys):
     assert capsys.readouterr().out.strip() == "20"
 
 
+def test_count_crosscheck_degenerate(capsys):
+    rc = main(
+        ["count", "--a", "0", "--b", "0", "--m", "1", "--n", "30", "--crosscheck"]
+    )
+    assert rc == 0
+    assert int(capsys.readouterr().out) == copa.count_formula((0, 0, 1), 30)
+
+
+@pytest.mark.parametrize("abm", [("0", "1", "1"), ("0", "0", "1")])
+def test_count_refined_crosscheck_degenerate(capsys, abm):
+    a, b, m = abm
+    rc = main(
+        ["count", "--a", a, "--b", b, "--m", m, "--n", "12", "--w", "2", "--s", "1",
+         "--crosscheck"]
+    )
+    assert rc == 0
+    want = copa.count_refined(tuple(map(int, abm)), 12).table[(2, 1)]
+    assert int(capsys.readouterr().out) == want > 0
+
+
 def test_count_refined(capsys):
     rc = main(
         ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "4",
@@ -283,6 +303,16 @@ def test_series_kinds_agree(capsys):
           "--order", "8"])
     second = json.loads(capsys.readouterr().out)
     assert first == second
+
+
+def test_series_double_sum_degenerate_refined(capsys):
+    rc = main(["series", "--kind", "double-sum", "--a", "0", "--b", "0", "--m", "1",
+               "--order", "10", "--refined"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)
+    for n, row in enumerate(rows):
+        table = copa.count_refined((0, 0, 1), n).table
+        assert {(t["w"], t["s"]): t["coeff"] for t in row["terms"]} == table
 
 
 def test_series_refined_restricted(capsys):
