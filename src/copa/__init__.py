@@ -50,6 +50,7 @@ from .enumeration import (
     enumerate_copartitions,
 )
 from .errors import (
+    BadInputError,
     CopaError,
     EmptyGroundError,
     EmptySkyError,
@@ -58,6 +59,7 @@ from .errors import (
     NoClosedFormError,
     NotEOStarError,
     ResidueError,
+    SeriesError,
     SplitError,
     ZeroPartError,
 )

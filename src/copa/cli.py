@@ -26,7 +26,7 @@ from .bijections import (
     render_pair_merge,
     rim_cell_to_cp001,
 )
-from .copartitions import from_json, to_json, to_json_dict
+from .copartitions import from_json_dict, to_json, to_json_dict
 from .diagrams import render_diagram
 from .enumeration import (
     count_copartitions,
@@ -35,7 +35,7 @@ from .enumeration import (
     crank_tally,
     enumerate_copartitions,
 )
-from .errors import CopaError, NoClosedFormError
+from .errors import BadInputError, CopaError, NoClosedFormError
 from .verify import SUITES
 
 MAX_ORDER_ENV = "COPA_MAX_ORDER"
@@ -174,12 +174,43 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _read_input(raw: str) -> str:
-    return sys.stdin.read() if raw == "-" else raw
+# The fields each JSON input must have: an int, a list of ints (list), or a
+# nested object with fields of its own.
+_COPARTITION_FIELDS = {"a": int, "b": int, "m": int, "ground": list, "sky": list}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_fields(obj, fields: dict, what: str = "input") -> None:
+    if not isinstance(obj, dict):
+        raise BadInputError(f"bad input ({what} must be a JSON object)")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise BadInputError(f"bad input ({key!r})")
+        value = obj[key]
+        if isinstance(kind, dict):
+            _check_fields(value, kind, key)
+        elif kind is int and not _is_int(value):
+            raise BadInputError(f"bad input ({key} must be an integer)")
+        elif kind is list and not (isinstance(value, list) and all(map(_is_int, value))):
+            raise BadInputError(f"bad input ({key} must be a list of integers)")
+
+
+def _read_json(raw: str, fields: dict) -> dict:
+    """The JSON object given as raw (or on stdin for "-"), checked against fields."""
+    text = sys.stdin.read() if raw == "-" else raw
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadInputError(f"bad input ({exc})") from exc
+    _check_fields(obj, fields)
+    return obj
 
 
 def _cmd_render(args) -> int:
-    c = from_json(_read_input(args.input))
+    c = from_json_dict(_read_json(args.input, _COPARTITION_FIELDS))
     out = render_diagram(c, args.format)
     if out and not out.endswith("\n"):
         out += "\n"
@@ -259,7 +290,7 @@ def _bij_pair_to_copartition(obj: dict) -> dict:
 
 
 def _bij_copartition_to_pair(obj: dict) -> dict:
-    c = from_json(json.dumps(obj["copartition"]))
+    c = from_json_dict(obj["copartition"])
     merged = tuple(obj["merged"])
     table = inverse_match_table(merged, c)
     pi, lam = copartition_to_pair(merged, c)
@@ -276,7 +307,7 @@ def _bij_copartition_to_pair(obj: dict) -> dict:
 
 
 def _bij_copartition_to_eo(obj: dict) -> dict:
-    c = from_json(json.dumps(obj))
+    c = from_json_dict(obj)
     e = copartition_to_eo(c)
     return {
         "partition": list(e),
@@ -309,7 +340,7 @@ def _bij_partition_to_cp111(obj: dict) -> dict:
 
 
 def _bij_cp111_to_partition(obj: dict) -> dict:
-    c = from_json(json.dumps(obj))
+    c = from_json_dict(obj)
     lam, k = cp111_to_partition(c)
     return {
         "partition": list(lam),
@@ -332,7 +363,7 @@ def _bij_rim_cell_to_cp001(obj: dict) -> dict:
 
 
 def _bij_cp001_to_rim_cell(obj: dict) -> dict:
-    c = from_json(json.dumps(obj))
+    c = from_json_dict(obj)
     lam, cell = cp001_to_rim_cell(c)
     return {
         "partition": list(lam),
@@ -343,20 +374,28 @@ def _bij_cp001_to_rim_cell(obj: dict) -> dict:
     }
 
 
+# name: (map, fields of its JSON input)
 _BIJECTIONS = {
-    "pair-to-copartition": _bij_pair_to_copartition,
-    "copartition-to-pair": _bij_copartition_to_pair,
-    "copartition-to-eo": _bij_copartition_to_eo,
-    "eo-to-copartition": _bij_eo_to_copartition,
-    "partition-to-cp111": _bij_partition_to_cp111,
-    "cp111-to-partition": _bij_cp111_to_partition,
-    "rim-cell-to-cp001": _bij_rim_cell_to_cp001,
-    "cp001-to-rim-cell": _bij_cp001_to_rim_cell,
+    "pair-to-copartition": (
+        _bij_pair_to_copartition,
+        {"ground_source": list, "sky_source": list, "a": int, "b": int, "m": int},
+    ),
+    "copartition-to-pair": (
+        _bij_copartition_to_pair,
+        {"copartition": _COPARTITION_FIELDS, "merged": list},
+    ),
+    "copartition-to-eo": (_bij_copartition_to_eo, _COPARTITION_FIELDS),
+    "eo-to-copartition": (_bij_eo_to_copartition, {"partition": list}),
+    "partition-to-cp111": (_bij_partition_to_cp111, {"partition": list, "ground_count": int}),
+    "cp111-to-partition": (_bij_cp111_to_partition, _COPARTITION_FIELDS),
+    "rim-cell-to-cp001": (_bij_rim_cell_to_cp001, {"partition": list, "cell": list}),
+    "cp001-to-rim-cell": (_bij_cp001_to_rim_cell, _COPARTITION_FIELDS),
 }
 
 
 def _cmd_bijection(args) -> int:
-    obj = json.loads(_read_input(args.input))
+    bijection, fields = _BIJECTIONS[args.name]
+    obj = _read_json(args.input, fields)
     if args.illustrate:
         if args.name != "pair-to-copartition":
             print("--illustrate only applies to pair-to-copartition", file=sys.stderr)
@@ -367,7 +406,7 @@ def _cmd_bijection(args) -> int:
             )
         )
         return 0
-    print(json.dumps(_BIJECTIONS[args.name](obj)))
+    print(json.dumps(bijection(obj)))
     return 0
 
 
@@ -484,9 +523,6 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: bad input ({exc})", file=sys.stderr)
-        return 2
     except (CopaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

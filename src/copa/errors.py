@@ -43,3 +43,11 @@ class NoClosedFormError(CopaError):
 
 class NotEOStarError(CopaError):
     """A partition fails the even-odd structure required here."""
+
+
+class SeriesError(CopaError):
+    """A series operation got an argument outside its domain."""
+
+
+class BadInputError(CopaError):
+    """A JSON document given on the command line lacks a field or has the wrong types."""

@@ -12,45 +12,76 @@ Infinite Pochhammer products are expanded factor by factor, in place, by
 two kernels: times (1 + c X q^t), and divide by (1 - c X q^t), which is the
 geometric recurrence out[n] = in[n] + c X out[n - t].  So no general series
 division is needed for them.
+
+The marked product form builds on a sparser layout first: key (s, w) only
+ever holds powers q^(b*s + a*w + m*i), so its row keeps just those, and a
+key whose least copartition size m*w*s + a*w + b*s passes the order is
+never made.  The same two kernels run on it, told each new key's length;
+the rows are spread out to the dense layout once, at the end.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Optional
+from operator import add, sub
+from typing import Callable, Optional
 
 from .copartitions import ParamsLike, coerce_params
-from .errors import CopaError
+from .errors import SeriesError
 
 Key = tuple[int, int]
 Rows = dict[Key, list[int]]
+# The length of a key's row, for kernels that create keys of their own length.
+Sizer = Optional[Callable[[Key], int]]
 
 
 def _one(order: int) -> Rows:
     return {(0, 0): [1] + [0] * order}
 
 
-def _times_binomial(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
+# Every factor's coefficient is 1 or -1, so adding c times a row is one map.
+_ADD = {1: add, -1: sub}
+
+
+def _add_shifted(
+    rows: Rows, key: Key, src: list[int], t: int, c: int, size: Sizer
+) -> Optional[list[int]]:
+    # rows[key] += c q^t src; returns the row, or None when nothing lands in
+    # it.  A new key gets size(key) slots (len(src) by default), never more
+    # than len(src) + t, so the shifted source covers the whole slice.
+    n = len(src) if size is None else size(key)
+    if n <= t or not any(src[: n - t]):
+        return None
+    dst = rows.setdefault(key, [0] * n)
+    dst[t:] = map(_ADD[c], dst[t:], src)
+    return dst
+
+
+def _times_binomial(
+    rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0, size: Sizer = None
+) -> None:
     """rows *= (1 + c x^x_deg y^y_deg q^t), in place.
 
     Each key adds its list, shifted by t, into the key X above it.  Keys are
     taken from the top, so each is read before anything is added to it.
+    size gives the length of a newly created key; by default it is the
+    length of the key it comes from.
     """
     for xd, yd in sorted(rows, reverse=True):
-        src = rows[(xd, yd)]
-        if any(src[: len(src) - t]):
-            dst = rows.setdefault((xd + x_deg, yd + y_deg), [0] * len(src))
-            dst[t:] = [u + c * v for u, v in zip(dst[t:], src)]
+        _add_shifted(rows, (xd + x_deg, yd + y_deg), rows[(xd, yd)], t, c, size)
 
 
-def _divide_geometric(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
+def _divide_geometric(
+    rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0, size: Sizer = None
+) -> None:
     """rows /= (1 - c x^x_deg y^y_deg q^t) for t >= 1, in place.
 
     Without a marker, n walks upwards through out[n] += c out[n - t].  With
     one, keys are taken in increasing order along X, and each key, once
     final, adds its shifted list into the key above it, which is created
-    when the walk first reaches it.
+    (with size(key) slots, as in _times_binomial) when the walk first
+    reaches it.  With a marker, t = 0 is allowed too.
     """
     if not (x_deg or y_deg):
         for row in rows.values():
@@ -59,14 +90,12 @@ def _divide_geometric(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0
         return
     start = set(rows)
     for key in sorted(start):
-        src = rows[key]
-        while any(src[: len(src) - t]):
+        src: Optional[list[int]] = rows[key]
+        while src is not None:
             key = (key[0] + x_deg, key[1] + y_deg)
-            dst = rows.setdefault(key, [0] * len(src))
-            dst[t:] = [u + c * v for u, v in zip(dst[t:], src)]
+            src = _add_shifted(rows, key, src, t, c, size)
             if key in start:
                 break
-            src = dst
 
 
 class TruncatedSeries:
@@ -77,12 +106,12 @@ class TruncatedSeries:
     def __init__(self, order: int, coeffs: Optional[dict[int, dict[Key, int]]] = None):
         """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order are dropped."""
         if order < 0:
-            raise ValueError(f"order must be non-negative, got {order}")
+            raise SeriesError(f"order must be non-negative, got {order}")
         self.order = order
         rows: Rows = {}
         for n, poly in (coeffs or {}).items():
             if n < 0:
-                raise ValueError(f"negative exponent {n}")
+                raise SeriesError(f"negative exponent {n}")
             if n <= order:
                 for key, c in poly.items():
                     if c:
@@ -111,7 +140,7 @@ class TruncatedSeries:
     def coefficient(self, n: int) -> dict[Key, int]:
         """Copy of the coefficient polynomial of q^n."""
         if n > self.order:
-            raise ValueError(f"coefficient {n} beyond order {self.order}")
+            raise SeriesError(f"coefficient {n} beyond order {self.order}")
         if n < 0:
             return {}
         return {key: row[n] for key, row in self.rows.items() if row[n]}
@@ -120,7 +149,7 @@ class TruncatedSeries:
         """Scalar coefficient of q^n; raises if marker degrees are present."""
         poly = self.coefficient(n)
         if any(key != (0, 0) for key in poly):
-            raise ValueError("series carries marker degrees; specialize first")
+            raise SeriesError("series carries marker degrees; specialize first")
         return poly.get((0, 0), 0)
 
     def refined_coefficient(self, n: int, ground_parts: int, sky_parts: int) -> int:
@@ -184,7 +213,7 @@ class TruncatedSeries:
         """Reciprocal via the coefficient recurrence; needs constant term 1 or -1."""
         constant = self.coefficient(0)
         if constant not in ({(0, 0): 1}, {(0, 0): -1}):
-            raise CopaError("inverse needs constant coefficient 1 or -1")
+            raise SeriesError("inverse needs constant coefficient 1 or -1")
         eps = constant[(0, 0)]
         order = self.order
         terms = sorted(
@@ -204,14 +233,14 @@ class TruncatedSeries:
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k, truncating at the same order."""
         if k < 0:
-            raise ValueError(f"shift must be non-negative, got {k}")
+            raise SeriesError(f"shift must be non-negative, got {k}")
         return TruncatedSeries._of_rows(
             self.order, {key: ([0] * k + row)[: self.order + 1] for key, row in self.rows.items()}
         )
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
+            raise SeriesError(f"cannot extend order {self.order} to {order}")
         return TruncatedSeries._of_rows(
             order, {key: row[: order + 1] for key, row in self.rows.items()}
         )
@@ -291,13 +320,13 @@ def pochhammer_factor(
     offset >= 1 so every inverted factor has constant term 1.
     """
     if coeff_sign not in (1, -1):
-        raise ValueError(f"coeff_sign must be +1 or -1, got {coeff_sign}")
+        raise SeriesError(f"coeff_sign must be +1 or -1, got {coeff_sign}")
     if q_step < 1:
-        raise ValueError(f"q_step must be positive, got {q_step}")
+        raise SeriesError(f"q_step must be positive, got {q_step}")
     if q_offset < 0 or x_deg < 0 or y_deg < 0:
-        raise ValueError("q_offset and marker degrees must be non-negative")
+        raise SeriesError("q_offset and marker degrees must be non-negative")
     if invert and q_offset == 0:
-        raise CopaError("cannot invert a factor with constant term != 1")
+        raise SeriesError("cannot invert a factor with constant term != 1")
     rows = _one(order)
     _apply_pochhammer(
         rows, order, q_offset, q_step, sign=coeff_sign, x_deg=x_deg, y_deg=y_deg, invert=invert
@@ -306,15 +335,41 @@ def pochhammer_factor(
 
 
 def _product(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
-    d = 1 if markers else 0
-    rows = _one(order)
-    # The numerator goes second: the sky denominator times the numerator has
-    # far fewer keys than the two denominators together, and every factor
-    # costs one pass over the keys.
-    _apply_pochhammer(rows, order, b, m, x_deg=d, invert=True)
-    _apply_pochhammer(rows, order, a + b, m, x_deg=d, y_deg=d)
-    _apply_pochhammer(rows, order, a, m, y_deg=d, invert=True)
-    return TruncatedSeries._of_rows(order, rows)
+    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf), factor by
+    # factor.  The numerator goes second: the sky denominator times the
+    # numerator has far fewer keys than the two denominators together, and
+    # every factor costs one pass over the keys.
+    factors = ((b, 1, 0, True), (a + b, 1, 1, False), (a, 0, 1, True))
+    if not markers:
+        rows = _one(order)
+        for offset, _, _, invert in factors:
+            _apply_pochhammer(rows, order, offset, m, invert=invert)
+        return TruncatedSeries._of_rows(order, rows)
+    # The k-th factor multiplies in x^dx y^dy q^(b*dx + a*dy + k*m), so key
+    # (s, w) only ever holds powers q^(b*s + a*w + m*i).  Its row keeps the
+    # coefficient of that power at index i, for i < (order - b*s - a*w)//m + 1,
+    # and the k-th factor of each Pochhammer shifts the index by exactly k.
+    # A key whose least copartition size m*w*s + a*w + b*s passes the order
+    # is never created: factors only raise s and w, so it could only feed
+    # keys past the order too.
+
+    def size(key: Key) -> int:
+        s, w = key
+        if m * w * s + a * w + b * s > order:
+            return 0
+        return (order - b * s - a * w) // m + 1
+
+    # a negative order is refused by TruncatedSeries below
+    rows = {(0, 0): [1] + [0] * (order // m)} if order >= 0 else {}
+    for offset, x_deg, y_deg, invert in factors:
+        kernel = _divide_geometric if invert else _times_binomial
+        for k in range((order - offset) // m + 1):
+            kernel(rows, k, 1 if invert else -1, x_deg, y_deg, size)
+    dense: Rows = {}
+    for (s, w), row in rows.items():
+        dense[(s, w)] = [0] * (order + 1)
+        dense[(s, w)][b * s + a * w :: m] = row
+    return TruncatedSeries._of_rows(order, dense)
 
 
 _gf_product_cached = lru_cache(maxsize=None)(_product)
@@ -328,7 +383,7 @@ def gf_product(params: ParamsLike, order: int, markers: bool = True) -> Truncate
     """
     p = coerce_params(params)
     if p.a < 1 or p.b < 1:
-        raise CopaError(f"product form needs a, b >= 1, got ({p.a},{p.b},{p.m})")
+        raise SeriesError(f"product form needs a, b >= 1, got ({p.a},{p.b},{p.m})")
     return _gf_product_cached(p.a, p.b, p.m, order, markers)
 
 
@@ -420,7 +475,7 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
     over exponents 1, 4 and 2, 3 mod 5.
     """
     if which not in ("G", "H"):
-        raise ValueError(f"which must be G or H, got {which!r}")
+        raise SeriesError(f"which must be G or H, got {which!r}")
     if form == "sum":
         acc = [0] * (order + 1)
         inv = [1] + [0] * order
@@ -436,12 +491,12 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
         for off in (1, 4) if which == "G" else (2, 3):
             _apply_pochhammer(rows, order, off, 5, invert=True)
         return TruncatedSeries._of_rows(order, rows)
-    raise ValueError(f"form must be sum or product, got {form!r}")
+    raise SeriesError(f"form must be sum or product, got {form!r}")
 
 
 def _check_theta_exponents(x_exp: int, y_exp: int) -> None:
     if x_exp < 0 or y_exp < 0 or x_exp + y_exp < 1:
-        raise ValueError(f"need non-negative exponents summing to >= 1, got ({x_exp},{y_exp})")
+        raise SeriesError(f"need non-negative exponents summing to >= 1, got ({x_exp},{y_exp})")
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """The truncated series engine and the named q-series built on it."""
 
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 
 from copa import series
 from copa.enumeration import _refined_up_to
-from copa.errors import CopaError
+from copa.errors import CopaError, SeriesError
 from copa.partitions import partition_count
 from copa.series import (
     TruncatedSeries,
@@ -151,6 +152,78 @@ def test_markers_track_component_counts():
     assert s.at_markers_one().coefficient_int(12) == 7
     swapped = s.swap_markers()
     assert swapped.coefficient(12)[(12, 0)] == 1
+
+
+def _factor_oracle(a: int, b: int, m: int, order: int) -> TruncatedSeries:
+    # The three Pochhammer series of the product form, each built on its own
+    # dense rows and multiplied through TruncatedSeries.__mul__.
+    sky = pochhammer_factor(x_deg=1, q_offset=b, q_step=m, invert=True, order=order)
+    numerator = pochhammer_factor(x_deg=1, y_deg=1, q_offset=a + b, q_step=m, order=order)
+    ground = pochhammer_factor(y_deg=1, q_offset=a, q_step=m, invert=True, order=order)
+    return sky * numerator * ground
+
+
+def test_marked_product_matches_the_factor_oracle():
+    for a, b, m in iproduct(range(1, 5), range(1, 5), range(1, 5)):
+        oracle = _factor_oracle(a, b, m, 36)
+        for order in (0, 1, 2, m + 1, 17, 35, 36):
+            s = gf_product((a, b, m), order)
+            assert s == oracle.truncate(order), ((a, b, m), order)
+            # no key past its least copartition size
+            assert all(m * w * k + a * w + b * k <= order for k, w in s.rows), ((a, b, m), order)
+
+
+def test_marked_product_truncates_across_row_lengths():
+    # Row (s, w) has (order - b*s - a*w) // m + 1 slots, so every row gains
+    # a slot once in each run of m consecutive orders.
+    for a, b, m in iproduct(range(1, 5), range(1, 5), range(1, 5)):
+        for order in range(24, 24 + m):
+            for j in range(1, m + 1):
+                longer = gf_product((a, b, m), order + j)
+                assert longer.truncate(order) == gf_product((a, b, m), order), ((a, b, m), order, j)
+
+
+def test_marked_product_never_creates_a_key_past_the_order(monkeypatch):
+    created = set()
+    add_shifted = series._add_shifted
+
+    def recording(rows, key, *rest):
+        row = add_shifted(rows, key, *rest)
+        if row is not None:
+            created.add(key)
+        return row
+
+    monkeypatch.setattr(series, "_add_shifted", recording)
+    for (a, b, m), order in (((1, 1, 1), 30), ((1, 1, 2), 40), ((2, 3, 5), 40)):
+        created.clear()
+        series._product(a, b, m, order, True)
+        assert created, (a, b, m)
+        assert all(m * w * k + a * w + b * k <= order for k, w in created), (a, b, m)
+
+
+def test_series_errors_are_typed():
+    unit = TruncatedSeries.one(5)
+    calls = (
+        (lambda: TruncatedSeries(-1), "order must be non-negative, got -1"),
+        (lambda: TruncatedSeries(5, {-2: {(0, 0): 1}}), "negative exponent -2"),
+        (lambda: unit.coefficient(6), "coefficient 6 beyond order 5"),
+        (lambda: gf_product((1, 1, 1), 5).coefficient_int(2), "specialize first"),
+        (lambda: TruncatedSeries.monomial(5, 1).inverse(), "constant coefficient 1 or -1"),
+        (lambda: unit.shift(-1), "shift must be non-negative, got -1"),
+        (lambda: unit.truncate(6), "cannot extend order 5 to 6"),
+        (lambda: pochhammer_factor(2, order=5), "coeff_sign must be +1 or -1, got 2"),
+        (lambda: pochhammer_factor(q_step=0, order=5), "q_step must be positive, got 0"),
+        (lambda: pochhammer_factor(x_deg=-1, order=5), "marker degrees must be non-negative"),
+        (lambda: pochhammer_factor(q_offset=0, invert=True, order=5), "constant term != 1"),
+        (lambda: gf_product((0, 1, 2), 5), "product form needs a, b >= 1, got (0,1,2)"),
+        (lambda: rr_function("F", "sum", 5), "which must be G or H, got 'F'"),
+        (lambda: rr_function("G", "closed", 5), "form must be sum or product, got 'closed'"),
+        (lambda: theta_sum(0, 0, 5), "summing to >= 1, got (0,0)"),
+    )
+    for call, message in calls:
+        with pytest.raises(SeriesError, match=re.escape(message)) as info:
+            call()
+        assert isinstance(info.value, CopaError) and isinstance(info.value, ValueError)
 
 
 def test_gf_rejects_zero_classes():

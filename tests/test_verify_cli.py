@@ -377,6 +377,43 @@ def test_bijection_missing_field_exit_2(capsys):
     assert "bad input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["render", "--input", '{"a":1,"b":2,"m":4,"ground":[9]}'], "bad input ('sky')"),
+        (["render", "--input", "{not json"], "bad input (Expecting property name"),
+        (["render", "--input", '{"a":1,"b":2,"m":4,"ground":"95","sky":[6]}'],
+         "bad input (ground must be a list of integers)"),
+        (["bijection", "eo-to-copartition", "--input", "[4]"],
+         "bad input (input must be a JSON object)"),
+        (["bijection", "eo-to-copartition", "--input", '{"partition":[4, "2"]}'],
+         "bad input (partition must be a list of integers)"),
+        (["bijection", "partition-to-cp111", "--input", '{"partition":[4],"ground_count":1.5}'],
+         "bad input (ground_count must be an integer)"),
+        (["bijection", "copartition-to-pair", "--input", '{"merged":[3],"copartition":[]}'],
+         "bad input (copartition must be a JSON object)"),
+        (["bijection", "copartition-to-pair", "--input", '{"merged":[3],"copartition":{"a":1}}'],
+         "bad input ('b')"),
+    ],
+)
+def test_bad_json_input_exit_2(argv, detail, capsys):
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {detail}")
+
+
+def test_fault_inside_a_map_is_not_bad_input(monkeypatch, capsys):
+    import copa.cli
+
+    def broken(parts):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(copa.cli, "eo_to_copartition", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        main(["bijection", "eo-to-copartition", "--input", '{"partition":[4]}'])
+    assert "bad input" not in capsys.readouterr().err
+
+
 def test_crank_distribution(capsys):
     rc = main(["crank", "--a", "1", "--b", "1", "--m", "2", "--n", "4",
                "--mod", "5"])
