@@ -52,6 +52,7 @@ from .enumeration import (
 from .errors import (
     BadInputError,
     CopaError,
+    DomainError,
     EmptyGroundError,
     EmptySkyError,
     InvalidPartitionError,

@@ -13,11 +13,11 @@ largest first.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from typing import Sequence
 
 from .copartitions import (
     Copartition,
-    CopartitionParams,
     ParamsLike,
     _check_component,
     coerce_params,
@@ -25,8 +25,13 @@ from .copartitions import (
     split_enlarged_sky,
 )
 from .diagrams import render_ascii
-from .errors import CopaError, InvalidPartitionError, NotEOStarError
-from .partitions import Partition, _bounded_partitions, as_partition, conjugate, rim_cells
+from .errors import CopaError, DomainError, InvalidPartitionError, NotEOStarError
+from .partitions import Partition, _bounded_partitions, as_partition, conjugate, is_rim_cell
+
+# The fixed families of the last three maps, shared with every other caller.
+_EO = coerce_params((1, 1, 2))
+_CP111 = coerce_params((1, 1, 1))
+_CP001 = coerce_params((0, 0, 1))
 
 
 def pair_to_copartition(
@@ -138,20 +143,18 @@ def is_eo_star(parts: Sequence[int]) -> bool:
     multiplicity and all other even parts have even multiplicity.  With no
     even parts the multiplicity rule on odd parts is all that remains.
     """
-    lam = as_partition(parts)
-    evens = [q for q in lam if q % 2 == 0]
-    odds = [q for q in lam if q % 2 == 1]
-    if evens and odds and max(evens) > min(odds):
-        return False
-    mult = Counter(lam)
-    if any(mult[q] % 2 for q in set(odds)):
-        return False
-    if evens:
-        top = max(evens)
-        if mult[top] % 2 == 0:
-            return False
-        if any(mult[q] % 2 for q in set(evens) if q != top):
-            return False
+    seen_even = False
+    # One pass over the runs of equal parts, largest first.
+    for q, run in groupby(as_partition(parts)):
+        odd_mult = len(tuple(run)) % 2
+        if q % 2:
+            if seen_even or odd_mult:
+                return False
+        else:
+            # the first even run is the largest even part
+            if odd_mult == seen_even:
+                return False
+            seen_even = True
     return True
 
 
@@ -222,8 +225,8 @@ def eo_to_copartition(parts: Sequence[int]) -> Copartition:
     fused: list[int] = []
     for v in sorted(odd_mult, reverse=True):
         fused += [v] * (odd_mult[v] // 2)
-    sky = split_enlarged_sky(fused, len(ground), (1, 1, 2))
-    return Copartition(CopartitionParams(1, 1, 2), ground, sky)
+    sky = split_enlarged_sky(fused, len(ground), _EO)
+    return Copartition(_EO, ground, sky)
 
 
 def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
@@ -235,13 +238,13 @@ def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
     lam = as_partition(parts)
     k = ground_count
     if k < 0:
-        raise ValueError(f"ground count must be non-negative, got {k}")
+        raise DomainError(f"ground count must be non-negative, got {k}")
     j = next((idx for idx, q in enumerate(lam, start=1) if q <= k), len(lam) + 1)
     fused = lam[: j - 1]
     tail = lam[j - 1 :]
     ground = conjugate((k,) + tail) if k else conjugate(tail)
-    sky = split_enlarged_sky(fused, len(ground), (1, 1, 1))
-    c = Copartition(CopartitionParams(1, 1, 1), ground, sky)
+    sky = split_enlarged_sky(fused, len(ground), _CP111)
+    c = Copartition(_CP111, ground, sky)
     if len(c.ground) != k or c.size != sum(lam) + k:
         raise CopaError(f"threshold split broke on {list(lam)}, k={k}")
     return c
@@ -266,13 +269,13 @@ def rim_cell_to_cp001(parts: Sequence[int], cell: tuple[int, int]) -> Copartitio
     derived rectangle.  Size is preserved.
     """
     lam = as_partition(parts)
-    if tuple(cell) not in rim_cells(lam):
+    if not is_rim_cell(lam, tuple(cell)):
         raise CopaError(f"{tuple(cell)} is not a rim cell of {list(lam)}")
     i, j = cell
     sky = tuple(lam[r] - j for r in range(i))
     cols = conjugate(lam[i:])
     ground = cols + (0,) * (j - len(cols))
-    c = Copartition(CopartitionParams(0, 0, 1), ground, sky)
+    c = Copartition(_CP001, ground, sky)
     if c.size != sum(lam):
         raise CopaError(f"rim map broke on {list(lam)}, cell {tuple(cell)}")
     return c
@@ -287,7 +290,7 @@ def cp001_to_rim_cell(c: Copartition) -> tuple[Partition, tuple[int, int]]:
     upper = tuple(s + j for s in c.sky)
     lower = conjugate(tuple(g for g in c.ground if g))
     lam = as_partition(upper + lower)
-    if (i, j) not in rim_cells(lam):
+    if not is_rim_cell(lam, (i, j)):
         raise CopaError(f"rim map inverse broke on {c!r}")
     return lam, (i, j)
 

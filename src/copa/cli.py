@@ -42,13 +42,17 @@ MAX_ORDER_ENV = "COPA_MAX_ORDER"
 
 
 def _capped_order(order: int) -> int:
-    cap = os.environ.get(MAX_ORDER_ENV)
-    if cap is not None and order > int(cap):
-        print(
-            f"warning: order {order} capped to {int(cap)} by {MAX_ORDER_ENV}",
-            file=sys.stderr,
-        )
-        return int(cap)
+    raw = os.environ.get(MAX_ORDER_ENV)
+    if raw is None:
+        return order
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        detail = f"{MAX_ORDER_ENV} must be an integer, got {raw!r}"
+        raise BadInputError(f"bad input ({detail})") from exc
+    if order > cap:
+        print(f"warning: order {order} capped to {cap} by {MAX_ORDER_ENV}", file=sys.stderr)
+        return cap
     return order
 
 
@@ -523,7 +527,7 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except (CopaError, ValueError) as exc:
+    except CopaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

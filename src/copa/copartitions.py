@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import (
+    DomainError,
     EmptyGroundError,
     EmptySkyError,
     InvalidPartitionError,
@@ -41,9 +43,9 @@ class CopartitionParams:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ValueError(f"modulus must be positive, got {self.m}")
+            raise DomainError(f"modulus must be positive, got {self.m}")
         if self.a < 0 or self.b < 0:
-            raise ValueError(f"classes must be non-negative, got ({self.a}, {self.b})")
+            raise DomainError(f"classes must be non-negative, got ({self.a}, {self.b})")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.m)
@@ -52,11 +54,19 @@ class CopartitionParams:
         return CopartitionParams(self.b, self.a, self.m)
 
 
+@lru_cache(maxsize=256)
+def _shared_params(a: int, b: int, m: int) -> CopartitionParams:
+    # lru_cache keeps no entry for a call that raises, so a bad triple is
+    # refused by __post_init__ every time it is asked for.
+    return CopartitionParams(a, b, m)
+
+
 def coerce_params(params: ParamsLike) -> CopartitionParams:
+    """The params object for a triple, shared by every caller that names it."""
     if isinstance(params, CopartitionParams):
         return params
     a, b, m = params
-    return CopartitionParams(int(a), int(b), int(m))
+    return _shared_params(int(a), int(b), int(m))
 
 
 def _check_component(parts: Sequence[int], cls: int, m: int, label: str) -> tuple[int, ...]:
@@ -168,14 +178,14 @@ def conjugate_copartition(c: Copartition) -> Copartition:
     zero-part and nonemptiness conditions on which side is which.
     """
     if c.a == 0 or c.b == 0:
-        raise ValueError("conjugation needs a >= 1 and b >= 1")
+        raise DomainError("conjugation needs a >= 1 and b >= 1")
     return Copartition(c.params.swapped(), c.sky, c.ground)
 
 
 def scale_copartition(c: Copartition, s: int) -> Copartition:
     """Multiply parameters and every part by s."""
     if s < 1:
-        raise ValueError(f"scale factor must be positive, got {s}")
+        raise DomainError(f"scale factor must be positive, got {s}")
     p = c.params
     return Copartition(
         CopartitionParams(p.a * s, p.b * s, p.m * s),
@@ -187,12 +197,12 @@ def scale_copartition(c: Copartition, s: int) -> Copartition:
 def unscale_copartition(c: Copartition, s: int) -> Copartition:
     """Inverse of scale_copartition; every parameter and part must divide."""
     if s < 1:
-        raise ValueError(f"scale factor must be positive, got {s}")
+        raise DomainError(f"scale factor must be positive, got {s}")
     p = c.params
     values = (p.a, p.b, p.m) + c.ground + c.sky
     for v in values:
         if v % s:
-            raise ValueError(f"{v} not divisible by {s}")
+            raise DomainError(f"{v} not divisible by {s}")
     return Copartition(
         CopartitionParams(p.a // s, p.b // s, p.m // s),
         tuple(g // s for g in c.ground),
@@ -211,17 +221,27 @@ def to_json_dict(c: Copartition) -> dict:
 
 
 def to_json(c: Copartition) -> str:
-    return json.dumps(to_json_dict(c), separators=(",", ":"))
+    """json.dumps(to_json_dict(c), separators=(",", ":")), written directly."""
+    p = c.params
+    ground = ",".join(map(str, c.ground))
+    sky = ",".join(map(str, c.sky))
+    return f'{{"a":{p.a},"b":{p.b},"m":{p.m},"ground":[{ground}],"sky":[{sky}]}}'
 
 
 def from_json_dict(obj: dict) -> Copartition:
+    """The copartition a JSON object names.
+
+    a, b and m must be ints and ground and sky lists of ints; nothing is
+    coerced, so strings, floats, bools and nested lists are refused.
+    """
     try:
-        params = CopartitionParams(int(obj["a"]), int(obj["b"]), int(obj["m"]))
-        ground = tuple(int(g) for g in obj["ground"])
-        sky = tuple(int(s) for s in obj["sky"])
+        a, b, m, ground, sky = obj["a"], obj["b"], obj["m"], obj["ground"], obj["sky"]
+        types = {type(a), type(b), type(m), *map(type, ground), *map(type, sky)}
     except (KeyError, TypeError) as exc:
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}") from exc
-    return Copartition(params, ground, sky)
+    if not (type(ground) is type(sky) is list and types <= {int}):
+        raise InvalidPartitionError(f"malformed copartition object: {obj!r}")
+    return Copartition(coerce_params((a, b, m)), tuple(ground), tuple(sky))
 
 
 def from_json(text: str) -> Copartition:

@@ -15,6 +15,7 @@ between the blocks; the SVG draws the same polyline.
 from __future__ import annotations
 
 from .copartitions import Copartition
+from .errors import DomainError
 
 
 def diagram_cells(c: Copartition) -> tuple[tuple[int, ...], ...]:
@@ -100,4 +101,4 @@ def render_diagram(c: Copartition, format: str = "ascii") -> str:
         return render_ascii(c)
     if format == "svg":
         return render_svg(c)
-    raise ValueError(f"unknown diagram format {format!r}")
+    raise DomainError(f"unknown diagram format {format!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .copartitions import Copartition, CopartitionParams, ParamsLike, coerce_params
-from .errors import NoClosedFormError
+from .errors import DomainError, NoClosedFormError
 from .partitions import (
     _bounded_count,
     _bounded_partitions,
@@ -158,7 +158,7 @@ def count_refined(params: ParamsLike, n: int) -> RefinedCount:
 def crank_tally(params: ParamsLike, n: int, modulus: int) -> CrankTally:
     """Tally crank residues over all copartitions of n."""
     if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+        raise DomainError(f"modulus must be positive, got {modulus}")
     counts = {r: 0 for r in range(modulus)}
     for c in enumerate_copartitions(params, n):
         counts[c.crank % modulus] += 1
@@ -211,4 +211,4 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
         return count_refined(p, n).total
     if method == "formula":
         return count_formula(p, n)
-    raise ValueError(f"unknown method {method!r}")
+    raise DomainError(f"unknown method {method!r}")

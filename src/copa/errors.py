@@ -9,6 +9,11 @@ class CopaError(ValueError):
     """Base class for domain validation failures."""
 
 
+class DomainError(CopaError):
+    """An argument lies outside the domain of the operation: a parameter
+    triple, a scale factor, a modulus, a count, or a method or format name."""
+
+
 class InvalidPartitionError(CopaError):
     """A part sequence is not a valid partition for the requested use."""
 

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidPartitionError
+from .errors import DomainError, InvalidPartitionError
 
 Partition = tuple[int, ...]
 
 
 def as_partition(parts: Sequence[int], allow_zero_parts: bool = False) -> Partition:
     """Coerce a sequence to a validated partition tuple."""
-    t = tuple(int(p) for p in parts)
+    t = tuple(map(int, parts))
     floor = 0 if allow_zero_parts else 1
     prev = None
     for p in t:
@@ -85,6 +85,17 @@ def rim_cells(parts: Sequence[int]) -> list[tuple[int, int]]:
         for j in range(parts[i - 1], max(below, 1) - 1, -1):
             cells.append((i, j))
     return cells
+
+
+def is_rim_cell(parts: Sequence[int], cell: tuple[int, int]) -> bool:
+    """Whether cell is in rim_cells(parts), without listing the rim: row i
+    exists and j runs from the part below it (at least 1) up to its own."""
+    _reject_zero_parts(parts, "rim_cells")
+    if len(cell) != 2:
+        return False
+    i, j = cell
+    n = len(parts)
+    return 1 <= i <= n and max(parts[i] if i < n else 0, 1) <= j <= parts[i - 1]
 
 
 def _bounded_partitions(total: int, max_parts: int, max_part: int) -> Iterator[Partition]:
@@ -163,7 +174,7 @@ def enumerate_restricted(
         if min_part != 0:
             raise InvalidPartitionError("allow_zero_parts requires min_part == 0")
         if exact_num_parts is None:
-            raise ValueError("allow_zero_parts without exact_num_parts is unbounded")
+            raise DomainError("allow_zero_parts without exact_num_parts is unbounded")
     r = residue % modulus
     # Smallest usable part value in the residue class.
     if allow_zero_parts and r == 0:
@@ -242,16 +253,16 @@ def _divisors(n: int) -> list[int]:
 def divisor_count(n: int) -> int:
     """d(n), the number of positive divisors."""
     if n < 1:
-        raise ValueError(f"d({n}) undefined")
+        raise DomainError(f"d({n}) undefined")
     return len(_divisors(n))
 
 
 def divisor_count_in_class(n: int, residue: int, modulus: int) -> int:
     """Number of divisors of n congruent to residue (mod modulus)."""
     if n < 1:
-        raise ValueError(f"divisor count of {n} undefined")
+        raise DomainError(f"divisor count of {n} undefined")
     if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+        raise DomainError(f"modulus must be positive, got {modulus}")
     r = residue % modulus
     return sum(1 for d in _divisors(n) if d % modulus == r)
 

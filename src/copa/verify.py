@@ -34,6 +34,7 @@ from .enumeration import (
     crank_tally,
     enumerate_copartitions,
 )
+from .errors import DomainError
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -79,7 +80,7 @@ def _eta_theta_quotient_check(a: int, m: int, order: int) -> VerificationReport:
     inversions are used.
     """
     if not (1 <= a < m):
-        raise ValueError(f"need 1 <= a < m, got ({a},{m})")
+        raise DomainError(f"need 1 <= a < m, got ({a},{m})")
     checker = Checker(f"eta-theta-({a},{m})", f"order<={order}")
     eta = qs.pochhammer_factor(1, 0, 0, m, m, False, order=order)
     lhs = eta * eta

@@ -7,6 +7,7 @@ two different programs agree on.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 
@@ -128,3 +129,24 @@ def brute_eo_star(n: int) -> list[tuple[int, ...]]:
                 continue
         keep.append(parts)
     return keep
+
+
+def reference_is_eo_star(parts: tuple[int, ...]) -> bool:
+    """The even-odd membership test read off the definition, one rule at a
+    time, for a valid partition: every even part below every odd part,
+    odd parts of even multiplicity, the largest even part of odd
+    multiplicity and every other even part of even multiplicity."""
+    evens = [q for q in parts if q % 2 == 0]
+    odds = [q for q in parts if q % 2 == 1]
+    if evens and odds and max(evens) > min(odds):
+        return False
+    mult = Counter(parts)
+    if any(mult[q] % 2 for q in set(odds)):
+        return False
+    if evens:
+        top = max(evens)
+        if mult[top] % 2 == 0:
+            return False
+        if any(mult[q] % 2 for q in set(evens) if q != top):
+            return False
+    return True

@@ -32,7 +32,7 @@ from copa.errors import (
 from copa.partitions import enumerate_partitions, enumerate_restricted, rim_cells
 from copa.series import eo_star_gf
 
-from oracles import brute_eo_star
+from oracles import brute_eo_star, reference_is_eo_star
 
 
 def pair_families(a, b, m, total):
@@ -231,6 +231,14 @@ def test_is_eo_star_cases():
     assert not is_eo_star((2, 2))  # largest even must appear oddly often
     assert not is_eo_star((2, 1, 1))  # evens must sit below odds
     assert not is_eo_star((6, 6, 4, 4))
+
+
+def test_is_eo_star_matches_reference():
+    for n in range(31):
+        for lam in enumerate_partitions(n):
+            assert is_eo_star(lam) == reference_is_eo_star(lam), lam
+    with pytest.raises(InvalidPartitionError):
+        is_eo_star((1, 2))
 
 
 def test_enumerate_eo_star_against_filter():

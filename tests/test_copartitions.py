@@ -1,9 +1,14 @@
 """Copartition values: validation, size, JSON, conjugation, scaling."""
 
+import json
+
 import pytest
 
+from copa.bijections import partition_to_cp111
 from copa.copartitions import (
     CopartitionParams,
+    _shared_params,
+    coerce_params,
     conjugate_copartition,
     enlarged_sky,
     from_json,
@@ -14,9 +19,11 @@ from copa.copartitions import (
     to_json_dict,
     unscale_copartition,
 )
-from copa.enumeration import enumerate_copartitions
+from copa.diagrams import render_diagram
+from copa.enumeration import count_copartitions, crank_tally, enumerate_copartitions
 from copa.errors import (
     CopaError,
+    DomainError,
     EmptyGroundError,
     EmptySkyError,
     InvalidPartitionError,
@@ -25,6 +32,8 @@ from copa.errors import (
     SplitError,
     ZeroPartError,
 )
+from copa.partitions import divisor_count, divisor_count_in_class, enumerate_restricted
+from copa.verify import _eta_theta_quotient_check
 
 
 def test_params_validation():
@@ -98,6 +107,83 @@ def test_json_rejects_malformed():
         from_json('{"a":1,"b":2,"m":4}')
     with pytest.raises(CopaError):
         from_json('{"a":1,"b":2,"m":4,"ground":[2],"sky":[]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a":1,"b":2,"m":4,"ground":"95","sky":[6]}',  # a string for the ground
+        '{"a":1,"b":2,"m":4,"ground":[9,5],"sky":[6.7]}',  # a float part
+        '{"a":1,"b":2,"m":4,"ground":[9.0],"sky":[]}',  # a float that reads as an int
+        '{"a":1,"b":2,"m":4,"ground":[true],"sky":[]}',  # a bool part
+        '{"a":true,"b":2,"m":4,"ground":[1],"sky":[]}',  # a bool class
+        '{"a":"1","b":2,"m":4,"ground":[1],"sky":[]}',  # a string class
+        '{"a":1,"b":2,"m":4,"ground":[[9],5],"sky":[]}',  # a nested list
+        '{"a":1,"b":2,"m":4,"ground":[9],"sky":{"0":6}}',  # an object for the sky
+        '{"a":1,"b":2,"m":4,"ground":null,"sky":[]}',
+    ],
+)
+def test_from_json_refuses_non_integer_fields(text):
+    with pytest.raises(InvalidPartitionError, match="malformed copartition object"):
+        from_json(text)
+
+
+def test_to_json_matches_json_dumps_and_round_trips():
+    seen = 0
+    for a in range(5):
+        for b in range(5):
+            for m in range(1, 5):
+                for n in range(13):
+                    for c in enumerate_copartitions((a, b, m), n):
+                        text = to_json(c)
+                        assert text == json.dumps(to_json_dict(c), separators=(",", ":"))
+                        assert from_json(text) == c
+                        seen += 1
+    assert seen > 10_000
+
+
+def test_params_are_shared_and_bounded():
+    assert coerce_params((1, 1, 2)) is coerce_params([1, 1, 2])
+    c = from_json('{"a":1,"b":1,"m":2,"ground":[1],"sky":[]}')
+    assert c.params is coerce_params((1, 1, 2))
+    for _ in range(3):
+        with pytest.raises(DomainError, match="modulus must be positive"):
+            coerce_params((1, 1, 0))
+        with pytest.raises(DomainError, match="classes must be non-negative"):
+            coerce_params([-1, 1, 2])
+    assert 0 < _shared_params.cache_info().maxsize < 10_000
+
+
+_C112 = make_copartition((1, 1, 2), (1,), ())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CopartitionParams(1, 1, 0), "modulus must be positive, got 0"),
+        (lambda: CopartitionParams(-1, 1, 2), "classes must be non-negative, got (-1, 1)"),
+        (lambda: conjugate_copartition(make_copartition((0, 1, 2), (2,), (1,))),
+         "conjugation needs a >= 1 and b >= 1"),
+        (lambda: scale_copartition(_C112, 0), "scale factor must be positive, got 0"),
+        (lambda: unscale_copartition(_C112, 0), "scale factor must be positive, got 0"),
+        (lambda: unscale_copartition(_C112, 2), "1 not divisible by 2"),
+        (lambda: render_diagram(_C112, "png"), "unknown diagram format 'png'"),
+        (lambda: crank_tally((1, 1, 2), 4, 0), "modulus must be positive, got 0"),
+        (lambda: count_copartitions((1, 1, 2), 4, "magic"), "unknown method 'magic'"),
+        (lambda: list(enumerate_restricted(4, 0, 1, min_part=0, allow_zero_parts=True)),
+         "allow_zero_parts without exact_num_parts is unbounded"),
+        (lambda: divisor_count(0), "d(0) undefined"),
+        (lambda: divisor_count_in_class(0, 1, 2), "divisor count of 0 undefined"),
+        (lambda: divisor_count_in_class(4, 1, 0), "modulus must be positive, got 0"),
+        (lambda: partition_to_cp111((2, 1), -1), "ground count must be non-negative, got -1"),
+        (lambda: _eta_theta_quotient_check(3, 3, 4), "need 1 <= a < m, got (3,3)"),
+    ],
+)
+def test_domain_errors_are_typed(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert isinstance(exc.value, CopaError) and isinstance(exc.value, ValueError)
 
 
 def test_enlarged_sky_and_split():

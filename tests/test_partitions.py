@@ -14,6 +14,7 @@ from copa.partitions import (
     enumerate_partitions,
     enumerate_restricted,
     format_partition,
+    is_rim_cell,
     parse_partition,
     partition_count,
     partition_statistics,
@@ -92,6 +93,22 @@ def test_rim_length_is_perimeter():
         for parts in enumerate_partitions(n):
             assert perimeter(parts) == parts[0] + len(parts) - 1
             assert len(rim_cells(parts)) == perimeter(parts)
+
+
+def test_is_rim_cell_matches_rim_list():
+    # every cell of the diagram's bounding box, with a border of one cell
+    # (row or column 0, one past the last row or the largest part)
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            rim = set(rim_cells(lam))
+            width = lam[0] if lam else 0
+            for i in range(len(lam) + 2):
+                for j in range(width + 2):
+                    assert is_rim_cell(lam, (i, j)) == ((i, j) in rim), (lam, i, j)
+    assert not is_rim_cell((2, 1), (1,))
+    assert not is_rim_cell((2, 1), (1, 2, 0))
+    with pytest.raises(InvalidPartitionError):
+        is_rim_cell((2, 0), (1, 2))
 
 
 def test_diversity():

@@ -414,6 +414,50 @@ def test_fault_inside_a_map_is_not_bad_input(monkeypatch, capsys):
     assert "bad input" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["crank", "--a", "1", "--b", "1", "--m", "2", "--n", "4", "--mod", "0"],
+         "modulus must be positive, got 0"),
+        (["count", "--a", "-1", "--b", "1", "--m", "2", "--n", "4"],
+         "classes must be non-negative, got (-1, 1)"),
+        (["enumerate", "--a", "1", "--b", "1", "--m", "0", "--n", "4"],
+         "modulus must be positive, got 0"),
+        (["bijection", "partition-to-cp111", "--input", '{"partition":[2],"ground_count":-1}'],
+         "ground count must be non-negative, got -1"),
+        (["bijection", "rim-cell-to-cp001", "--input", '{"partition":[2],"cell":[2,1]}'],
+         "(2, 1) is not a rim cell of [2]"),
+        (["bijection", "cp001-to-rim-cell", "--input",
+          '{"a":0,"b":0,"m":1,"ground":[],"sky":[1]}'],
+         "b = 0 requires a nonempty ground"),
+    ],
+)
+def test_typed_errors_exit_2(argv, detail, capsys):
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {detail}\n"
+
+
+def test_bad_order_cap_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("COPA_MAX_ORDER", "ten")
+    rc = main(["verify", "mock-theta", "--order", "10"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad input (COPA_MAX_ORDER must be")
+
+
+def test_bare_value_error_is_not_bad_input(monkeypatch, capsys):
+    import copa.cli
+
+    def broken(params, n, method="auto"):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(copa.cli, "count_copartitions", broken)
+    with pytest.raises(ValueError, match="internal fault") as exc:
+        main(["count", "--a", "1", "--b", "1", "--m", "2", "--n", "4"])
+    assert type(exc.value) is ValueError
+    assert "error" not in capsys.readouterr().err
+
+
 def test_crank_distribution(capsys):
     rc = main(["crank", "--a", "1", "--b", "1", "--m", "2", "--n", "4",
                "--mod", "5"])
