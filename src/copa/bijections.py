@@ -20,9 +20,9 @@ from .copartitions import (
     Copartition,
     ParamsLike,
     _check_component,
+    _unfuse,
     coerce_params,
     enlarged_sky,
-    split_enlarged_sky,
 )
 from .diagrams import render_ascii
 from .errors import CopaError, DomainError, InvalidPartitionError, NotEOStarError
@@ -70,8 +70,7 @@ def pair_to_copartition(
         merged.append(lam[j - 1] + pi[i - 1])
     taken = set(matched)
     ground = tuple(q for idx, q in enumerate(pi, start=1) if idx not in taken)
-    sky = split_enlarged_sky(lam[: k - 1], len(ground), p)
-    c = Copartition(p, ground, sky)
+    c = Copartition(p, ground, tuple(_unfuse(lam[: k - 1], len(ground), p)))
     out = _check_component(merged, p.a + p.b, p.m, "combined")
     if sum(pi) + sum(lam) != sum(out) + c.size:
         raise CopaError("pair merge did not preserve total size")
@@ -225,8 +224,7 @@ def eo_to_copartition(parts: Sequence[int]) -> Copartition:
     fused: list[int] = []
     for v in sorted(odd_mult, reverse=True):
         fused += [v] * (odd_mult[v] // 2)
-    sky = split_enlarged_sky(fused, len(ground), _EO)
-    return Copartition(_EO, ground, sky)
+    return Copartition(_EO, ground, tuple(_unfuse(fused, len(ground), _EO)))
 
 
 def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
@@ -243,8 +241,7 @@ def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
     fused = lam[: j - 1]
     tail = lam[j - 1 :]
     ground = conjugate((k,) + tail) if k else conjugate(tail)
-    sky = split_enlarged_sky(fused, len(ground), _CP111)
-    c = Copartition(_CP111, ground, sky)
+    c = Copartition(_CP111, ground, tuple(_unfuse(fused, len(ground), _CP111)))
     if len(c.ground) != k or c.size != sum(lam) + k:
         raise CopaError(f"threshold split broke on {list(lam)}, k={k}")
     return c

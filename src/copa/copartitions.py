@@ -154,11 +154,9 @@ def enlarged_sky(c: Copartition) -> tuple[int, ...]:
     return tuple(s + bump for s in c.sky)
 
 
-def split_enlarged_sky(
-    fused: Sequence[int], ground_count: int, params: ParamsLike
-) -> tuple[int, ...]:
-    """Undo the fusion: subtract m * ground_count from each fused part."""
-    p = coerce_params(params)
+def _unfuse(fused: Sequence[int], ground_count: int, p: CopartitionParams) -> list[int]:
+    # The fused parts less m * ground_count each, refused only when one falls
+    # below b; the caller checks them as a sky.
     bump = p.m * ground_count
     out = []
     for f in fused:
@@ -168,7 +166,15 @@ def split_enlarged_sky(
                 f"fused part {f} too small for ground count {ground_count}"
             )
         out.append(s)
-    return _check_component(out, p.b, p.m, "sky")
+    return out
+
+
+def split_enlarged_sky(
+    fused: Sequence[int], ground_count: int, params: ParamsLike
+) -> tuple[int, ...]:
+    """Undo the fusion: subtract m * ground_count from each fused part."""
+    p = coerce_params(params)
+    return _check_component(_unfuse(fused, ground_count, p), p.b, p.m, "sky")
 
 
 def conjugate_copartition(c: Copartition) -> Copartition:

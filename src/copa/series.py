@@ -18,12 +18,22 @@ ever holds powers q^(b*s + a*w + m*i), so its row keeps just those, and a
 key whose least copartition size m*w*s + a*w + b*s passes the order is
 never made.  The same two kernels run on it, told each new key's length;
 the rows are spread out to the dense layout once, at the end.
+
+Every builder below is memoized through one store.  A series of order N is
+the truncation of any higher-order series of the same family, so for each
+builder and each argument tuple without the order the store keeps only the
+highest-order series built so far.  A request at that order gets the stored
+series itself, a lower order gets its truncation, and a higher order is
+built and replaces it.  count_series reads its coefficient straight from the
+stored series, building in 64-wide chunks of n.  The store grows with the
+number of distinct families asked for, not with the number of orders.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
-from functools import lru_cache
+from functools import wraps
 from operator import add, sub
 from typing import Callable, Optional
 
@@ -284,6 +294,35 @@ class TruncatedSeries:
         return f"TruncatedSeries(N={self.order}, {body} + ...)"
 
 
+# (builder name, arguments but the order) -> highest-order series built so far.
+# The lock is reentrant because eo_star_gf builds mock_theta_nu.
+_store: dict[tuple, TruncatedSeries] = {}
+_store_lock = threading.RLock()
+
+
+def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
+    """Memoize build(*key, order) through the store; order is the last argument.
+
+    A builder that raises leaves no entry behind.
+    """
+    signature = inspect.signature(build)
+
+    @wraps(build)
+    def cached(*args, **kwargs) -> TruncatedSeries:
+        if kwargs:
+            args = signature.bind(*args, **kwargs).args
+        *key, order = args
+        store_key = (build.__name__, *key)
+        with _store_lock:
+            series = _store.get(store_key)
+            if series is None or series.order < order:
+                series = _store[store_key] = build(*args)
+        # a negative order is refused by truncate, as by every builder
+        return series if series.order == order else series.truncate(order)
+
+    return cached
+
+
 def _apply_pochhammer(
     rows: Rows,
     order: int,
@@ -334,7 +373,7 @@ def pochhammer_factor(
     return TruncatedSeries._of_rows(order, rows)
 
 
-def _product(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
+def _product(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
     # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf), factor by
     # factor.  The numerator goes second: the sky denominator times the
     # numerator has far fewer keys than the two denominators together, and
@@ -372,7 +411,7 @@ def _product(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeri
     return TruncatedSeries._of_rows(order, dense)
 
 
-_gf_product_cached = lru_cache(maxsize=None)(_product)
+_gf_product_cached = _keep_highest(_product)
 
 
 def gf_product(params: ParamsLike, order: int, markers: bool = True) -> TruncatedSeries:
@@ -384,10 +423,10 @@ def gf_product(params: ParamsLike, order: int, markers: bool = True) -> Truncate
     p = coerce_params(params)
     if p.a < 1 or p.b < 1:
         raise SeriesError(f"product form needs a, b >= 1, got ({p.a},{p.b},{p.m})")
-    return _gf_product_cached(p.a, p.b, p.m, order, markers)
+    return _gf_product_cached(p.a, p.b, p.m, markers, order)
 
 
-def _double_sum(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedSeries:
+def _double_sum(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
     # One term per (ground count w, sky count s):
     #   x^s y^w q^(m*w*s + a*w + b*s) / ((q^m;q^m)_w (q^m;q^m)_s)
     # with the floors of enumeration._blocks: w >= 1 when b = 0, s >= 1 when
@@ -413,7 +452,7 @@ def _double_sum(a: int, b: int, m: int, order: int, markers: bool) -> TruncatedS
     return TruncatedSeries._of_rows(order, rows)
 
 
-_gf_double_sum_cached = lru_cache(maxsize=None)(_double_sum)
+_gf_double_sum_cached = _keep_highest(_double_sum)
 
 
 def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> TruncatedSeries:
@@ -422,22 +461,7 @@ def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> Trunc
     Holds for every (a, b, m), the degenerate families included.
     """
     p = coerce_params(params)
-    return _gf_double_sum_cached(p.a, p.b, p.m, order, markers)
-
-
-# The highest-order counting series built so far, per parameter triple.
-_count_cache: dict[tuple[int, int, int], TruncatedSeries] = {}
-_count_lock = threading.Lock()
-
-
-def _count_series_build(a: int, b: int, m: int, order: int) -> TruncatedSeries:
-    if a >= 1 and b >= 1:
-        return _product(a, b, m, order, False)
-    if a or b:
-        # One class is 0.  Swapping ground and sky is size-preserving, so
-        # (a, 0, m) counts as (0, a, m).
-        return _degenerate_series(a + b, m, order)
-    return _double_sum(a, b, m, order, False)
+    return _gf_double_sum_cached(p.a, p.b, p.m, markers, order)
 
 
 def count_series(params: ParamsLike, n: int) -> int:
@@ -445,13 +469,19 @@ def count_series(params: ParamsLike, n: int) -> int:
     p = coerce_params(params)
     if n < 0:
         return 0
-    key = p.as_tuple()
-    with _count_lock:
-        series = _count_cache.get(key)
-        if series is None or series.order < n:
-            # chunked order so sweeps over a range of n share one series
-            series = _count_series_build(*key, (n // 64 + 1) * 64)
-            _count_cache[key] = series
+    a, b, m = p.as_tuple()
+    if a >= 1 and b >= 1:
+        build, key = _gf_product_cached, (a, b, m, False)
+    elif a or b:
+        # One class is 0.  Swapping ground and sky is size-preserving, so
+        # (a, 0, m) counts as (0, a, m).
+        build, key = _degenerate_cached, (a + b, m)
+    else:
+        build, key = _gf_double_sum_cached, (a, b, m, False)
+    series = _store.get((build.__name__, *key))
+    if series is None or series.order < n:
+        # chunked order so sweeps over a range of n share one series
+        series = build(*key, (n // 64 + 1) * 64)
     return series.coefficient_int(n)
 
 
@@ -467,7 +497,10 @@ def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries._of_rows(order, rows)
 
 
-@lru_cache(maxsize=None)
+_degenerate_cached = _keep_highest(_degenerate_series)
+
+
+@_keep_highest
 def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
     """The two classical sum-product pairs: "G" and "H", "sum" or "product".
 
@@ -499,7 +532,7 @@ def _check_theta_exponents(x_exp: int, y_exp: int) -> None:
         raise SeriesError(f"need non-negative exponents summing to >= 1, got ({x_exp},{y_exp})")
 
 
-@lru_cache(maxsize=None)
+@_keep_highest
 def theta_sum(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     """Bilateral theta sum: over all integers n, (-1)^n q^(x_exp*n(n+1)/2
     + y_exp*n(n-1)/2)."""
@@ -519,7 +552,7 @@ def theta_sum(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     return TruncatedSeries._of_rows(order, {(0, 0): acc})
 
 
-@lru_cache(maxsize=None)
+@_keep_highest
 def theta_product(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     """Triple-product form of theta_sum: three alternating factors with
     step x_exp + y_exp."""
@@ -543,7 +576,7 @@ def theta_f(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     return sum_form
 
 
-@lru_cache(maxsize=None)
+@_keep_highest
 def mock_theta_nu(order: int) -> TruncatedSeries:
     """Sum over n of q^(n^2+n) / (-q; q^2)_(n+1)."""
     acc = [0] * (order + 1)
@@ -557,7 +590,7 @@ def mock_theta_nu(order: int) -> TruncatedSeries:
     return TruncatedSeries._of_rows(order, {(0, 0): acc})
 
 
-@lru_cache(maxsize=None)
+@_keep_highest
 def eo_star_gf(order: int) -> TruncatedSeries:
     """Even-odd partition counts: the even part of the nu series.
 

@@ -1,6 +1,7 @@
 """The truncated series engine and the named q-series built on it."""
 
 import re
+import threading
 from itertools import product as iproduct
 
 import pytest
@@ -196,7 +197,7 @@ def test_marked_product_never_creates_a_key_past_the_order(monkeypatch):
     monkeypatch.setattr(series, "_add_shifted", recording)
     for (a, b, m), order in (((1, 1, 1), 30), ((1, 1, 2), 40), ((2, 3, 5), 40)):
         created.clear()
-        series._product(a, b, m, order, True)
+        series._product(a, b, m, True, order)
         assert created, (a, b, m)
         assert all(m * w * k + a * w + b * k <= order for k, w in created), (a, b, m)
 
@@ -257,11 +258,158 @@ def test_count_series_matches_brute_force():
 
 def test_count_series_keeps_the_highest_order_series():
     params = (2, 3, 7)
+    key = ("_product", *params, False)
+    series._store.pop(key, None)
     count_series(params, 200)
     count_series(params, 5)
-    assert series._count_cache[params].order == 256
+    assert series._store[key].order == 256
     assert count_series(params, 300) == gf_product(params, 300, markers=False).coefficient_int(300)
-    assert series._count_cache[params].order == 320
+    assert series._store[key].order == 320
+
+
+# Every stored builder: (call at an order, the raw build, its store key).
+STORED = {
+    "product": (
+        lambda o: gf_product((1, 1, 2), o),
+        lambda o: series._product(1, 1, 2, True, o),
+        ("_product", 1, 1, 2, True),
+    ),
+    "product-scalar": (
+        lambda o: gf_product((1, 1, 2), o, markers=False),
+        lambda o: series._product(1, 1, 2, False, o),
+        ("_product", 1, 1, 2, False),
+    ),
+    "double-sum": (
+        lambda o: gf_double_sum((1, 1, 1), o),
+        lambda o: series._double_sum(1, 1, 1, True, o),
+        ("_double_sum", 1, 1, 1, True),
+    ),
+    "double-sum-scalar": (
+        lambda o: gf_double_sum((1, 1, 1), o, markers=False),
+        lambda o: series._double_sum(1, 1, 1, False, o),
+        ("_double_sum", 1, 1, 1, False),
+    ),
+    **{
+        f"rr-{which}-{form}": (
+            lambda o, w=which, f=form: rr_function(w, f, o),
+            lambda o, w=which, f=form: rr_function.__wrapped__(w, f, o),
+            ("rr_function", which, form),
+        )
+        for which in "GH"
+        for form in ("sum", "product")
+    },
+    "theta-sum": (
+        lambda o: theta_sum(1, 2, o),
+        lambda o: theta_sum.__wrapped__(1, 2, o),
+        ("theta_sum", 1, 2),
+    ),
+    "theta-product": (
+        lambda o: theta_product(1, 2, o),
+        lambda o: theta_product.__wrapped__(1, 2, o),
+        ("theta_product", 1, 2),
+    ),
+    "nu": (mock_theta_nu, mock_theta_nu.__wrapped__, ("mock_theta_nu",)),
+    "eo-star": (eo_star_gf, eo_star_gf.__wrapped__, ("eo_star_gf",)),
+}
+
+# The three count_series families (the two one-zero-class mirrors share a
+# key) and the store key each one reads.
+COUNT_FAMILIES = {
+    (2, 5, 3): ("_product", 2, 5, 3, False),
+    (0, 2, 3): ("_degenerate_series", 2, 3),
+    (2, 0, 3): ("_degenerate_series", 2, 3),
+    (0, 0, 2): ("_double_sum", 0, 0, 2, False),
+}
+
+
+def test_cold_eo_star_gf_finishes():
+    # eo_star_gf builds mock_theta_nu inside the store's lock.  This test
+    # comes before the other store tests, so a deadlock fails here first.
+    series._store.pop(("eo_star_gf",), None)
+    series._store.pop(("mock_theta_nu",), None)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(eo_star_gf(40)), daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "eo_star_gf deadlocked"
+    assert out == [eo_star_gf.__wrapped__(40)]
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_lower_orders_are_truncations_of_the_stored_series(name):
+    call, build, key = STORED[name]
+    series._store.pop(key, None)
+    top = call(60)
+    assert top == build(60)
+    assert series._store[key] is top
+    assert call(60) is top
+    for order in (0, 1, 17, 40, 59):
+        assert call(order) == build(order), (name, order)
+    assert series._store[key].order == 60
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_an_order_sweep_stores_one_series_per_key(name):
+    call, build, key = STORED[name]
+    series._store.pop(key, None)
+    before = set(series._store)
+    for order in range(61):
+        call(order)
+    assert set(series._store) - before <= {key, ("mock_theta_nu",)}
+    assert key in series._store and series._store[key].order == 60
+    assert call(33) == build(33)
+
+
+@pytest.mark.parametrize("params", COUNT_FAMILIES)
+def test_count_series_shares_the_store(params):
+    key = COUNT_FAMILIES[params]
+    series._store.pop(key, None)
+    before = set(series._store)
+    counts = [count_series(params, n) for n in range(61)]
+    assert set(series._store) - before == {key}
+    stored = series._store[key]
+    assert stored.order == 64
+    assert counts[:15] == [brute_copartition_count(*params, n) for n in range(15)]
+    assert counts == gf_double_sum(params, 60).at_markers_one().scalar_coeffs()
+    if params[0] and params[1]:
+        assert gf_product(params, 64, markers=False) is stored
+    elif params[0] or params[1]:
+        assert series._degenerate_cached(*key[1:], 64) is stored
+    else:
+        assert gf_double_sum(params, 64, markers=False) is stored
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_a_negative_order_is_refused_with_or_without_a_stored_series(name):
+    call, _, key = STORED[name]
+    message = "order must be non-negative, got -1"
+    series._store.pop(key, None)
+    with pytest.raises(SeriesError, match=re.escape(message)):
+        call(-1)
+    assert key not in series._store
+    call(10)
+    with pytest.raises(SeriesError, match=re.escape(message)):
+        call(-1)
+    assert series._store[key].order == 10
+
+
+def test_a_builder_that_raises_stores_nothing():
+    calls = (
+        (lambda: rr_function("F", "sum", 5), ("rr_function", "F", "sum")),
+        (lambda: rr_function("G", "closed", 5), ("rr_function", "G", "closed")),
+        (lambda: theta_sum(0, 0, 5), ("theta_sum", 0, 0)),
+        (lambda: theta_product(-1, 2, 5), ("theta_product", -1, 2)),
+    )
+    for call, key in calls:
+        with pytest.raises(SeriesError):
+            call()
+        assert key not in series._store, key
+
+
+def test_stored_builders_take_the_order_by_keyword():
+    assert theta_sum(1, 2, order=12) == theta_sum(1, 2, 12)
+    assert rr_function("G", form="product", order=9) == rr_function("G", "product", 9)
+    assert eo_star_gf(order=8) == eo_star_gf(8)
 
 
 def test_rogers_ramanujan_first_coefficients():
