@@ -7,10 +7,12 @@ reverse-lexicographically by ground, then by sky.
 
 Counts do not build objects.  One walk, _blocks, yields the blocks of a
 size; the generator expands each block, and the counters count it from
-the sizes of the partition iterators it would expand.  Those sizes are
-tallied from the partition generator itself (partitions._bounded_counts),
-so the enumerated counts stay independent of the series engine they are
-checked against.
+the sizes of the partition iterators it would expand.  Every such iterator
+is the one bounded-partition walker, partitions._bounded_partitions: the
+ground of a block with a sky runs over the sums at most its total, every
+other component over one exact sum.  The sizes are tallied from that
+walker's own output (partitions._bounded_counts), so the enumerated counts
+stay independent of the series engine they are checked against.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ from .partitions import (
     divisor_count_in_class,
     partition_count,
 )
-
-
-def _all_bounded(
-    max_total: int, max_parts: int, max_part: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    # Every partition with sum <= max_total and <= max_parts parts,
-    # reverse-lexicographic, the empty partition last.
-    if max_parts > 0:
-        top = max_total if max_part is None else min(max_total, max_part)
-        for first in range(top, 0, -1):
-            for rest in _all_bounded(max_total - first, max_parts - 1, first):
-                yield (first,) + rest
-    yield ()
 
 
 def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
@@ -70,7 +59,7 @@ def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
         if s == 0:
             ground_iter = _bounded_partitions(total, w, total)
         else:
-            ground_iter = _all_bounded(total, w)
+            ground_iter = _bounded_partitions(total, w, total, at_most=True)
         for t in ground_iter:
             ground = tuple(a + m * ti for ti in t + (0,) * (w - len(t)))
             left = total - sum(t)

@@ -8,6 +8,11 @@ unequal to their stripped forms: (2,) != (2, 0).
 Enumeration order everywhere is reverse-lexicographic on the part
 sequences, so enumerate_partitions(4) yields (4,), (3,1), (2,2), (2,1,1),
 (1,1,1,1).
+
+Partitions with bounded parts come from one iterative walker,
+_bounded_partitions, with an exact or an at-most sum.  Plain and restricted
+enumeration, the tallied "at most j parts" rows, the copartition generator
+and the even-odd shapes all rest on it.
 """
 
 from __future__ import annotations
@@ -98,17 +103,72 @@ def is_rim_cell(parts: Sequence[int], cell: tuple[int, int]) -> bool:
     return 1 <= i <= n and max(parts[i] if i < n else 0, 1) <= j <= parts[i - 1]
 
 
-def _bounded_partitions(total: int, max_parts: int, max_part: int) -> Iterator[Partition]:
-    # Fixed sum, at most max_parts parts, each <= max_part, reverse-lex order.
-    if total == 0:
-        yield ()
+def _fill(parts: list[int], v: int, budget: int, slots: int) -> int:
+    # Append the largest run of at most `slots` parts, each <= v, summing to
+    # at most `budget`; return what is left of the budget.
+    q, r = divmod(budget, v)
+    if q >= slots:
+        parts += [v] * slots
+        return budget - v * slots
+    parts += [v] * q
+    if r:
+        parts.append(r)
+    return 0
+
+
+def _bounded_partitions(
+    total: int, max_parts: int, max_part: int, at_most: bool = False
+) -> Iterator[Partition]:
+    """Partitions with at most max_parts parts, each at most max_part, that
+    sum to total (with at_most: to at most total), in reverse-lex order.
+
+    One list of parts is walked in place and each step yields a tuple of
+    it, so a partition with k parts costs O(k).  An exact sum below 0 has
+    no partition and a sum of 0 has only ().  With at_most every prefix
+    follows its extensions and the walk always ends with ().
+    """
+    if not at_most and (total <= 0 or max_parts <= 0 or max_part <= 0):
+        if total == 0:
+            yield ()
         return
-    if max_parts <= 0 or max_part <= 0:
-        return
-    lo = -(-total // max_parts)  # ceil: smaller first parts cannot reach the total
-    for first in range(min(total, max_part), lo - 1, -1):
-        for rest in _bounded_partitions(total - first, max_parts - 1, first):
-            yield (first,) + rest
+    parts: list[int] = []
+    left = total  # the budget not in parts
+    if total > 0 and max_parts > 0 and max_part > 0:
+        left = _fill(parts, min(total, max_part), total, max_parts)
+    if at_most:
+        while True:
+            yield tuple(parts)
+            if not parts:
+                return
+            # The last part drops by one; a part that reaches 0 is removed
+            # and its prefix, whose extensions all came before, is next.
+            left += 1
+            v = parts.pop() - 1
+            if v:
+                parts.append(v)
+                left = _fill(parts, v, left, max_parts - len(parts))
+    if left:
+        return  # total does not fit in max_parts parts of at most max_part
+    i = 0
+    while True:
+        yield tuple(parts)
+        # Lower the rightmost part that can drop by one, to v, with what
+        # follows it (rest - v) still fitting in the slots after it at
+        # parts of at most v; trailing 1s never can, so start before them.
+        i = (parts.index(1, i) if parts[-1] == 1 else len(parts)) - 1
+        rest = len(parts) - 1 - i
+        while True:
+            if i < 0:
+                return
+            v = parts[i] - 1
+            rest += v + 1
+            if rest - v <= (max_parts - 1 - i) * v:
+                break
+            i -= 1
+        q, r = divmod(rest, v)
+        parts[i:] = [v] * q
+        if r:
+            parts.append(r)
 
 
 _by_parts: list[list[int]] = [[1]]
@@ -279,7 +339,7 @@ class PartitionStatistics:
     spt: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def partition_statistics(n: int) -> PartitionStatistics:
     """One enumeration pass over the partitions of n.
 

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
+
+# A counterexample label, or a function that builds it; a function is called
+# only when its check fails and the counterexample is recorded.
+Label = Union[str, Callable[[], str]]
+
+
+def _text(label: Label) -> str:
+    return label() if callable(label) else label
 
 
 @dataclass
@@ -38,22 +46,22 @@ class Checker:
         self.report = VerificationReport(suite=suite, ranges=ranges)
         self._t0 = time.perf_counter()
 
-    def equal(self, lhs, rhs, label: str) -> bool:
+    def equal(self, lhs, rhs, label: Label) -> bool:
         self.report.attempted += 1
         if lhs == rhs:
             self.report.passed += 1
             return True
         if self.report.counterexample is None:
-            self.report.counterexample = f"{label}: {lhs} != {rhs}"
+            self.report.counterexample = f"{_text(label)}: {lhs} != {rhs}"
         return False
 
-    def check(self, condition: bool, label: str) -> bool:
+    def check(self, condition: bool, label: Label) -> bool:
         self.report.attempted += 1
         if condition:
             self.report.passed += 1
             return True
         if self.report.counterexample is None:
-            self.report.counterexample = label
+            self.report.counterexample = _text(label)
         return False
 
     def count_pass(self, k: int) -> None:

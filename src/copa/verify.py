@@ -48,7 +48,7 @@ from .reporting import Checker, VerificationReport
 PHI_PARAM_SETS = ((1, 2, 4), (1, 1, 2), (2, 3, 5))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _family(base: int, m: int, n: int) -> tuple[Partition, ...]:
     """Partitions of n with all parts congruent to base (mod m), each at
     least base; the domains the pair merge acts on."""
@@ -167,14 +167,16 @@ def suite_phi(max_total: int = 22, cardinality_max: int = 25) -> VerificationRep
                             sum(mu) + cp.size == n
                             and copartition_to_pair(mu, cp) == (pi, lam)
                         )
-                        ch.check(ok, f"round trip ({a},{b},{m}) {list(pi)}|{list(lam)}")
+                        ch.check(
+                            ok, lambda: f"round trip ({a},{b},{m}) {list(pi)}|{list(lam)}"
+                        )
             for j in range(n + 1):
                 for mu in _family(a + b, m, j):
                     for cp in enumerate_copartitions((a, b, m), n - j):
                         pi, lam = copartition_to_pair(mu, cp)
                         ch.check(
                             pair_to_copartition(pi, lam, (a, b, m)) == (mu, cp),
-                            f"reverse trip ({a},{b},{m}) {list(mu)}|{cp!r}",
+                            lambda: f"reverse trip ({a},{b},{m}) {list(mu)}|{cp!r}",
                         )
         counts = _counts_up_to((a, b, m), cardinality_max)
         for n in range(cardinality_max + 1):
@@ -203,12 +205,12 @@ def suite_eo_star(max_half: int = 15, roundtrip_max: int = 24) -> VerificationRe
             cp = eo_to_copartition(e)
             ch.check(
                 2 * cp.size == size and copartition_to_eo(cp) == e,
-                f"round trip from partition {list(e)}",
+                lambda: f"round trip from partition {list(e)}",
             )
         for cp in enumerate_copartitions((1, 1, 2), size // 2):
             ch.check(
                 eo_to_copartition(copartition_to_eo(cp)) == cp,
-                f"round trip from {cp!r}",
+                lambda: f"round trip from {cp!r}",
             )
     return ch.done()
 
@@ -414,7 +416,7 @@ def suite_scaling(
                     d = scale_copartition(c, s)
                     ch.check(
                         d.size == s * c.size and unscale_copartition(d, s) == c,
-                        f"dilate {c!r} by {s}",
+                        lambda: f"dilate {c!r} by {s}",
                     )
     return ch.done()
 
@@ -449,7 +451,7 @@ def suite_conjugation(
                     and d.size == c.size
                     and d.crank == -c.crank
                     and conjugate_copartition(d) == c,
-                    f"involution on {c!r}",
+                    lambda: f"involution on {c!r}",
                 )
     return ch.done()
 
@@ -485,7 +487,7 @@ def suite_crank(
         for c in enumerate_copartitions((1, 1, 2), n):
             ch.check(
                 eo_crank(copartition_to_eo(c)) == 2 * c.crank,
-                f"transport failed on {c!r}",
+                lambda: f"transport failed on {c!r}",
             )
     return ch.done()
 

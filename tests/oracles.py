@@ -34,6 +34,34 @@ def brute_partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def reference_bounded_partitions(total: int, max_parts: int, max_part: int):
+    """Partitions of total with at most max_parts parts, each at most
+    max_part, reverse-lexicographic: one recursive frame per part, each
+    partition rebuilt by tuple concatenation on the way up.  Negative
+    totals are out of its domain (it can yield a negative part there)."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts <= 0 or max_part <= 0:
+        return
+    lo = -(-total // max_parts)  # ceil: smaller first parts cannot reach the total
+    for first in range(min(total, max_part), lo - 1, -1):
+        for rest in reference_bounded_partitions(total - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
+def reference_all_bounded(max_total: int, max_parts: int, max_part: int | None = None):
+    """Every partition with sum at most max_total and at most max_parts
+    parts (each at most max_part, if given), reverse-lexicographic with
+    each prefix after its extensions, so the empty partition comes last."""
+    if max_parts > 0:
+        top = max_total if max_part is None else min(max_total, max_part)
+        for first in range(top, 0, -1):
+            for rest in reference_all_bounded(max_total - first, max_parts - 1, first):
+                yield (first,) + rest
+    yield ()
+
+
 def _class_partitions(total: int, count: int, base: int, m: int):
     """Partitions of `total` into exactly `count` parts, each in
     {base, base+m, base+2m, ...}, weakly decreasing."""

@@ -7,7 +7,6 @@ import pytest
 
 from copa.copartitions import to_json
 from copa.enumeration import (
-    _all_bounded,
     count_copartitions,
     count_formula,
     count_refined,
@@ -75,7 +74,20 @@ def test_bounded_count_matches_the_generator():
     for w in range(26):
         for t in range(26):
             by_rows = sum(_bounded_count(k, w) for k in range(t + 1))
-            assert by_rows == len(list(_all_bounded(t, w))), (t, w)
+            assert by_rows == len(list(_bounded_partitions(t, w, t, at_most=True))), (t, w)
+
+
+def test_tallied_rows_match_the_recurrence():
+    """The rows tallied from the walker's output, past the n = 30 the
+    verify suites read, against p(n, <= j) = p(n, <= j-1) + p(n-j, <= j)."""
+    top = 45
+    p = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(top)]  # p[n][j]
+    for n in range(1, top + 1):
+        for j in range(1, top + 1):
+            p[n][j] = p[n][j - 1] + (p[n - j][j] if j <= n else 0)
+    for n in range(top + 1):
+        for j in range(n + 1):
+            assert _bounded_count(n, j) == p[n][j], (n, j)
 
 
 def test_enum_count_above_threshold():

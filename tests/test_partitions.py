@@ -1,11 +1,12 @@
 """Plain partition machinery: counting, conjugation, rim, statistics."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from copa.errors import InvalidPartitionError
 from copa.partitions import (
+    _bounded_partitions,
     as_partition,
     conjugate,
     diversity,
@@ -22,7 +23,12 @@ from copa.partitions import (
     rim_cells,
 )
 
-from oracles import brute_partition_count, brute_partitions
+from oracles import (
+    brute_partition_count,
+    brute_partitions,
+    reference_all_bounded,
+    reference_bounded_partitions,
+)
 
 partitions = st.lists(st.integers(1, 30), max_size=12).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -47,6 +53,42 @@ def test_enumerate_partitions_complete():
         assert len(listed) == partition_count(n)
         assert set(listed) == set(brute_partitions(n))
         assert len(set(listed)) == len(listed)
+
+
+def test_bounded_walker_matches_the_recursive_reference():
+    """Same partitions in the same order as the recursive generator, for
+    exact sums; a negative total has no partition."""
+    for total in range(-2, 21):
+        for max_parts in range(-1, 22):
+            for max_part in range(-1, 22):
+                expected = (
+                    list(reference_bounded_partitions(total, max_parts, max_part))
+                    if total >= 0
+                    else []
+                )
+                walked = list(_bounded_partitions(total, max_parts, max_part))
+                assert walked == expected, (total, max_parts, max_part)
+
+
+def test_bounded_walker_at_most_matches_the_recursive_reference():
+    for max_total in range(-2, 15):
+        for max_parts in range(-1, 9):
+            for max_part in (None, *range(-1, 9)):
+                cap = max_total if max_part is None else max_part
+                walked = list(_bounded_partitions(max_total, max_parts, cap, at_most=True))
+                expected = list(reference_all_bounded(max_total, max_parts, max_part))
+                assert walked == expected, (max_total, max_parts, max_part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 6), st.integers(0, 60))
+def test_bounded_walker_matches_the_reference_on_larger_inputs(total, max_parts, max_part):
+    assert list(_bounded_partitions(total, max_parts, max_part)) == list(
+        reference_bounded_partitions(total, max_parts, max_part)
+    )
+    assert list(_bounded_partitions(total, max_parts, max_part, at_most=True)) == list(
+        reference_all_bounded(total, max_parts, max_part)
+    )
 
 
 def test_as_partition_validates():

@@ -9,8 +9,13 @@ import sys
 import pytest
 
 import copa
+import copa.verify
 from copa import SUITES, run_suite
+from copa.bijections import copartition_to_pair
 from copa.cli import main
+from copa.enumeration import enumerate_copartitions
+from copa.partitions import partition_statistics
+from copa.reporting import Checker
 
 # Reduced bounds keep the whole registry affordable inside the unit run;
 # the acceptance tests exercise the defaults.
@@ -84,6 +89,100 @@ def test_report_line_mentions_status():
     line = run_suite("mock-theta", order=8).line()
     assert "suite=mock-theta" in line
     assert "status=ok" in line
+
+
+def test_label_function_runs_only_for_the_recorded_counterexample():
+    calls = []
+
+    def label():
+        calls.append(None)
+        return "case [3, 1]"
+
+    eager, lazy = Checker("s", "r"), Checker("s", "r")
+    for ch, lab in ((eager, "case [3, 1]"), (lazy, label)):
+        assert ch.check(True, lab) and ch.equal((1,), (1,), lab)
+        assert not ch.equal({(0, 1): 2}, {}, lab)
+        assert not ch.check(False, lab)
+    assert len(calls) == 1
+    assert lazy.report.counterexample == eager.report.counterexample
+    assert lazy.report.counterexample == "case [3, 1]: {(0, 1): 2} != {}"
+    eager, lazy = Checker("s", "r"), Checker("s", "r")
+    eager.check(False, "case [3, 1]")
+    lazy.check(False, label)
+    assert lazy.done().line() == eager.done().line()
+
+
+def _first(params):
+    return next(iter(enumerate_copartitions(params, 0)))
+
+
+def _break_copartition_to_pair(mu, cp):
+    # right on the worked example only, so the first round trip fails
+    return copartition_to_pair(mu, cp) if mu == (11, 7, 3) else ((cp.params.a,), ())
+
+
+@pytest.mark.parametrize(
+    "name, bounds, target, broken, expected",
+    [
+        (
+            "phi",
+            dict(max_total=1, cardinality_max=1),
+            "copartition_to_pair",
+            _break_copartition_to_pair,
+            lambda: "round trip (1,2,4) []|[]",
+        ),
+        (
+            "eo-star",
+            dict(max_half=1, roundtrip_max=2),
+            "copartition_to_eo",
+            lambda cp: (2,),
+            lambda: f"round trip from partition {list(())}",
+        ),
+        (
+            "scaling",
+            dict(max_n=1, classes=1, scales=(2,), object_max=1),
+            "unscale_copartition",
+            lambda d, s: None,
+            lambda: f"dilate {_first((1, 1, 1))!r} by 2",
+        ),
+        (
+            "conjugation",
+            dict(max_n=1, refined_max=1, classes=1),
+            "conjugate_copartition",
+            lambda c: c,
+            lambda: f"involution on {_first((1, 2, 4))!r}",
+        ),
+        (
+            "crank",
+            dict(points=(4,), transport_max=1),
+            "eo_crank",
+            lambda e: 1,
+            lambda: f"transport failed on {_first((1, 1, 2))!r}",
+        ),
+    ],
+)
+def test_forced_failure_reports_the_eager_label(
+    monkeypatch, name, bounds, target, broken, expected
+):
+    """Object labels are built only on failure, with the same text the
+    eagerly formatted label had."""
+    monkeypatch.setattr(copa.verify, target, broken)
+    report = run_suite(name, **bounds)
+    assert report.counterexample == expected()
+
+
+def test_default_suites_fit_the_bounded_caches():
+    """The partition-statistics and pair-merge domain caches are bounded,
+    and the suites that fill them evict nothing at default bounds."""
+    caches = (partition_statistics, copa.verify._family)
+    for cache in caches:
+        assert 0 < cache.cache_info().maxsize < 10_000
+        cache.cache_clear()
+    for name in ("phi", "cp111", "cp011", "cp001"):
+        assert run_suite(name).ok
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == info.misses > 0
 
 
 # -- CLI: counting ---------------------------------------------------------
