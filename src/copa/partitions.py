@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, InvalidPartitionError
 
@@ -210,50 +210,17 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 def enumerate_restricted(
-    n: int,
-    residue: int,
-    modulus: int,
-    min_part: int = 1,
-    exact_num_parts: Optional[int] = None,
-    allow_zero_parts: bool = False,
+    n: int, residue: int, modulus: int, min_part: int = 1
 ) -> Iterator[Partition]:
     """Partitions of n with every part congruent to residue (mod modulus)
-    and at least min_part.
-
-    With exact_num_parts the output has exactly that many parts; combined
-    with allow_zero_parts (which needs min_part == 0) the padding zeros are
-    explicit parts.  Inconsistent constraints yield nothing.  Zero parts
-    without a fixed part count would make the output infinite, so that
-    combination raises.
-    """
+    and at least min_part."""
     if modulus < 1:
         raise InvalidPartitionError(f"modulus must be positive, got {modulus}")
     if n < 0:
         return
-    if allow_zero_parts:
-        if min_part != 0:
-            raise InvalidPartitionError("allow_zero_parts requires min_part == 0")
-        if exact_num_parts is None:
-            raise DomainError("allow_zero_parts without exact_num_parts is unbounded")
-    r = residue % modulus
     # Smallest usable part value in the residue class.
-    if allow_zero_parts and r == 0:
-        base = 0
-    else:
-        lo = max(min_part, 1)
-        base = lo + ((r - lo) % modulus)
-    if exact_num_parts is not None:
-        k = exact_num_parts
-        if k < 0:
-            return
-        rem = n - base * k
-        if rem < 0 or rem % modulus:
-            return
-        for t in _bounded_partitions(rem // modulus, k, rem // modulus):
-            padded = t + (0,) * (k - len(t))
-            yield tuple(base + modulus * ti for ti in padded)
-        return
-    yield from _progression_partitions(n, base, modulus, n)
+    lo = max(min_part, 1)
+    yield from _progression_partitions(n, lo + (residue - lo) % modulus, modulus, n)
 
 
 def _progression_partitions(n: int, base: int, step: int, max_part: int) -> Iterator[Partition]:

@@ -64,15 +64,6 @@ class Checker:
             self.report.counterexample = _text(label)
         return False
 
-    def count_pass(self, k: int) -> None:
-        self.report.attempted += k
-        self.report.passed += k
-
-    def fail(self, label: str) -> None:
-        self.report.attempted += 1
-        if self.report.counterexample is None:
-            self.report.counterexample = label
-
     def absorb(self, other: VerificationReport) -> None:
         """Fold a sub-report into this one, prefixing its counterexample."""
         self.report.attempted += other.attempted

@@ -139,14 +139,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls._of_rows(order, _one(order))
 
-    @classmethod
-    def monomial(
-        cls, order: int, exponent: int, coeff: int = 1, x_deg: int = 0, y_deg: int = 0
-    ) -> "TruncatedSeries":
-        if exponent > order:
-            return cls(order)
-        return cls(order, {exponent: {(x_deg, y_deg): coeff}})
-
     def coefficient(self, n: int) -> dict[Key, int]:
         """Copy of the coefficient polynomial of q^n."""
         if n > self.order:
@@ -170,9 +162,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.order, tuple(sorted((k, tuple(row)) for k, row in self.rows.items()))))
 
     def agrees_with(self, other: "TruncatedSeries", up_to: Optional[int] = None) -> bool:
         """Coefficientwise equality through min(orders) or an explicit cap."""
@@ -219,35 +208,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TruncatedSeries":
-        """Reciprocal via the coefficient recurrence; needs constant term 1 or -1."""
-        constant = self.coefficient(0)
-        if constant not in ({(0, 0): 1}, {(0, 0): -1}):
-            raise SeriesError("inverse needs constant coefficient 1 or -1")
-        eps = constant[(0, 0)]
-        order = self.order
-        terms = sorted(
-            (k, key, c) for key, row in self.rows.items() for k, c in enumerate(row) if k and c
-        )
-        inv = {(0, 0): [eps] + [0] * order}
-        for n in range(1, order + 1):
-            for k, (xa, ya), c in terms:
-                if k > n:
-                    break
-                for (xb, yb), row in list(inv.items()):
-                    if row[n - k]:
-                        target = inv.setdefault((xa + xb, ya + yb), [0] * (order + 1))
-                        target[n] -= eps * c * row[n - k]
-        return TruncatedSeries._of_rows(order, inv)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by q^k, truncating at the same order."""
-        if k < 0:
-            raise SeriesError(f"shift must be non-negative, got {k}")
-        return TruncatedSeries._of_rows(
-            self.order, {key: ([0] * k + row)[: self.order + 1] for key, row in self.rows.items()}
-        )
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise SeriesError(f"cannot extend order {self.order} to {order}")
@@ -262,12 +222,6 @@ class TruncatedSeries:
             {k: [-c if n % 2 else c for n, c in enumerate(row)] for k, row in self.rows.items()},
         )
 
-    def swap_markers(self) -> "TruncatedSeries":
-        """Exchange the x and y markers."""
-        return TruncatedSeries._of_rows(
-            self.order, {(yd, xd): list(row) for (xd, yd), row in self.rows.items()}
-        )
-
     def at_markers_one(self) -> "TruncatedSeries":
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""
         total = [0] * (self.order + 1)
@@ -278,9 +232,6 @@ class TruncatedSeries:
     def scalar_coeffs(self) -> list[int]:
         """[c_0, ..., c_N] for a marker-free series."""
         return [self.coefficient_int(n) for n in range(self.order + 1)]
-
-    def is_zero(self) -> bool:
-        return not self.rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = []
@@ -564,16 +515,9 @@ def theta_product(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     return TruncatedSeries._of_rows(order, rows)
 
 
-def theta_f(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
-    """The bilateral theta series, sum form, with the triple product
-    recomputed as a guard; a mismatch is an engine bug, not a data
-    condition, so it raises."""
-    sum_form = theta_sum(x_exp, y_exp, order)
-    if not sum_form.agrees_with(theta_product(x_exp, y_exp, order)):
-        raise ArithmeticError(
-            f"theta sum and product disagree for exponents ({x_exp},{y_exp})"
-        )
-    return sum_form
+# The package's name for the bilateral theta series: theta_sum itself, with
+# its store entry.  The theta-eta suite checks the sum against theta_product.
+theta_f = theta_sum
 
 
 @_keep_highest
@@ -592,21 +536,9 @@ def mock_theta_nu(order: int) -> TruncatedSeries:
 
 @_keep_highest
 def eo_star_gf(order: int) -> TruncatedSeries:
-    """Even-odd partition counts: the even part of the nu series.
-
-    Checks that every odd-exponent coefficient of (nu(q) + nu(-q)) / 2
-    vanishes and that the halving is exact.
-    """
+    """Even-odd partition counts: the even part (nu(q) + nu(-q)) / 2 of the
+    nu series.  The mock-theta suite checks that its odd coefficients vanish
+    and that the halving is exact."""
     nu = mock_theta_nu(order)
-    doubled = nu + nu.substitute_q_negated()
-    out = [0] * (order + 1)
-    for n in range(order + 1):
-        c = doubled.coefficient_int(n)
-        if n % 2:
-            if c:
-                raise ArithmeticError(f"odd coefficient {c} at q^{n} in the even projection")
-            continue
-        if c % 2:
-            raise ArithmeticError(f"coefficient {c} at q^{n} does not halve exactly")
-        out[n] = c // 2
-    return TruncatedSeries._of_rows(order, {(0, 0): out})
+    doubled = (nu + nu.substitute_q_negated()).scalar_coeffs()
+    return TruncatedSeries._of_rows(order, {(0, 0): [c // 2 for c in doubled]})

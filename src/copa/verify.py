@@ -84,7 +84,7 @@ def _eta_theta_quotient_check(a: int, m: int, order: int) -> VerificationReport:
     checker = Checker(f"eta-theta-({a},{m})", f"order<={order}")
     eta = qs.pochhammer_factor(1, 0, 0, m, m, False, order=order)
     lhs = eta * eta
-    theta = qs.theta_f(a, m - a, order)
+    theta = qs.theta_sum(a, m - a, order)
     cp = qs.gf_product((a, m - a, m), order, markers=False)
     rhs = theta * cp
     for n in range(order + 1):
@@ -254,11 +254,11 @@ def suite_cp111(
         for k in range(n + 1):
             for lam in enumerate_partitions(n - k):
                 cp = partition_to_cp111(lam, k)
-                if cp111_to_partition(cp) != (lam, k):
-                    ch.fail(f"round trip broke at {list(lam)}, k={k}")
-                    continue
-                ch.count_pass(1)
-                image.add(cp)
+                if ch.check(
+                    cp111_to_partition(cp) == (lam, k),
+                    lambda: f"round trip broke at {list(lam)}, k={k}",
+                ):
+                    image.add(cp)
         ch.check(
             image == set(enumerate_copartitions((1, 1, 1), n)),
             f"bijection image at n={n}",
@@ -304,14 +304,12 @@ def suite_cp001(max_n: int = 30, bijection_max: int = 14) -> VerificationReport:
         for lam in enumerate_partitions(n):
             for cell in rim_cells(lam):
                 cp = rim_cell_to_cp001(lam, cell)
-                if cp001_to_rim_cell(cp) != (lam, cell):
-                    ch.fail(f"round trip broke at {list(lam)}, cell {cell}")
-                    continue
-                if cp in image:
-                    ch.fail(f"collision at {list(lam)}, cell {cell}")
-                    continue
-                ch.count_pass(1)
-                image.add(cp)
+                back = cp001_to_rim_cell(cp) == (lam, cell)
+                fault = "collision" if back else "round trip broke"
+                if ch.check(
+                    back and cp not in image, lambda: f"{fault} at {list(lam)}, cell {cell}"
+                ):
+                    image.add(cp)
         ch.check(
             image == set(enumerate_copartitions((0, 0, 1), n)),
             f"bijection image at n={n}",
@@ -375,16 +373,28 @@ def suite_theta_eta(
 
 def suite_mock_theta(order: int = 30) -> VerificationReport:
     """Even part of the third-order series generates even-odd partitions
-    and, at doubled exponents, the (1,1,2) counts."""
+    and, at doubled exponents, the (1,1,2) counts; it is the exact half of
+    nu(q) + nu(-q)."""
     ch = Checker("mock-theta", f"order <= {order}")
     gf = qs.eo_star_gf(order)
+    nu = qs.mock_theta_nu(order)
+    doubled = nu + nu.substitute_q_negated()
     for n in range(order + 1):
-        ch.equal(gf.coefficient_int(n), len(enumerate_eo_star(n)), f"series vs listing n={n}")
+        got, listed = gf.coefficient_int(n), len(enumerate_eo_star(n))
+        twice = doubled.coefficient_int(n)
+        # The series counts the listing and is the exact half of
+        # nu(q) + nu(-q), whose odd coefficients (empty listings) vanish.
+        ch.check(
+            got == listed and twice == 2 * got,
+            lambda: (
+                f"series vs listing n={n}: {got} != {listed}"
+                if got != listed
+                else f"nu(q) + nu(-q) at q^{n} is {twice}, not 2 * {got}"
+            ),
+        )
         if n % 2 == 0:
             ch.equal(
-                gf.coefficient_int(n),
-                count_copartitions((1, 1, 2), n // 2, "series"),
-                f"series vs count n={n}",
+                got, count_copartitions((1, 1, 2), n // 2, "series"), f"series vs count n={n}"
             )
     return ch.done()
 

@@ -32,7 +32,7 @@ from copa.errors import (
     SplitError,
     ZeroPartError,
 )
-from copa.partitions import divisor_count, divisor_count_in_class, enumerate_restricted
+from copa.partitions import divisor_count, divisor_count_in_class
 from copa.verify import _eta_theta_quotient_check
 
 
@@ -170,8 +170,6 @@ _C112 = make_copartition((1, 1, 2), (1,), ())
         (lambda: render_diagram(_C112, "png"), "unknown diagram format 'png'"),
         (lambda: crank_tally((1, 1, 2), 4, 0), "modulus must be positive, got 0"),
         (lambda: count_copartitions((1, 1, 2), 4, "magic"), "unknown method 'magic'"),
-        (lambda: list(enumerate_restricted(4, 0, 1, min_part=0, allow_zero_parts=True)),
-         "allow_zero_parts without exact_num_parts is unbounded"),
         (lambda: divisor_count(0), "d(0) undefined"),
         (lambda: divisor_count_in_class(0, 1, 2), "divisor count of 0 undefined"),
         (lambda: divisor_count_in_class(4, 1, 0), "modulus must be positive, got 0"),

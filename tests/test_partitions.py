@@ -194,13 +194,6 @@ def test_enumerate_restricted_congruence_class():
     assert set(enumerate_restricted(12, 3, 4, min_part=3)) == {(3, 3, 3, 3)}
     assert list(enumerate_restricted(0, 1, 2)) == [()]
     assert list(enumerate_restricted(2, 1, 2)) == [(1, 1)]
-
-
-def test_enumerate_restricted_fixed_length_with_zeros():
-    listed = set(
-        enumerate_restricted(2, 0, 1, min_part=0, exact_num_parts=3, allow_zero_parts=True)
-    )
-    assert listed == {(2, 0, 0), (1, 1, 0)}
     # residue equal to the modulus names the class of multiples
     assert set(enumerate_restricted(6, 2, 2, min_part=2)) == {(6,), (4, 2), (2, 2, 2)}
 

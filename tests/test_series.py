@@ -65,18 +65,18 @@ def poly_inverse(p: dict[int, int], order: int) -> dict[int, int]:
 
 def test_monomial_basics():
     one = TruncatedSeries.one(10)
-    q = TruncatedSeries.monomial(10, 1)
+    q = TruncatedSeries(10, {1: {(0, 0): 1}})
     assert (one + q).coefficient_int(1) == 1
     assert (q * q).coefficient_int(2) == 1
     assert (q * q * q).coefficient_int(3) == 1
-    assert (one - one).is_zero()
-    assert q.shift(3).coefficient_int(4) == 1
-    assert (3 * q - q * 3).is_zero()
+    assert one - one == TruncatedSeries(10)
+    assert (q * TruncatedSeries(10, {3: {(0, 0): 1}})).coefficient_int(4) == 1
+    assert 3 * q - q * 3 == TruncatedSeries(10)
 
 
 def test_truncation_and_min_order():
-    a = TruncatedSeries.monomial(20, 0)
-    b = TruncatedSeries.monomial(8, 1)
+    a = TruncatedSeries(20, {0: {(0, 0): 1}})
+    b = TruncatedSeries(8, {1: {(0, 0): 1}})
     assert (a * b).order == 8
     assert a.truncate(5).order == 5
 
@@ -93,18 +93,6 @@ def test_ring_laws(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-
-
-@settings(max_examples=40)
-@given(any_series)
-def test_inverse_of_unit(s):
-    u = TruncatedSeries.one(ORDER) + s.shift(1).truncate(ORDER)
-    assert (u * u.inverse()).agrees_with(TruncatedSeries.one(ORDER))
-
-
-def test_inverse_requires_unit_constant():
-    with pytest.raises(CopaError):
-        TruncatedSeries.monomial(10, 1).inverse()
 
 
 def test_pochhammer_against_naive():
@@ -151,8 +139,6 @@ def test_markers_track_component_counts():
     }
     assert s.refined_coefficient(12, ground_parts=0, sky_parts=4) == 1
     assert s.at_markers_one().coefficient_int(12) == 7
-    swapped = s.swap_markers()
-    assert swapped.coefficient(12)[(12, 0)] == 1
 
 
 def _factor_oracle(a: int, b: int, m: int, order: int) -> TruncatedSeries:
@@ -209,8 +195,6 @@ def test_series_errors_are_typed():
         (lambda: TruncatedSeries(5, {-2: {(0, 0): 1}}), "negative exponent -2"),
         (lambda: unit.coefficient(6), "coefficient 6 beyond order 5"),
         (lambda: gf_product((1, 1, 1), 5).coefficient_int(2), "specialize first"),
-        (lambda: TruncatedSeries.monomial(5, 1).inverse(), "constant coefficient 1 or -1"),
-        (lambda: unit.shift(-1), "shift must be non-negative, got -1"),
         (lambda: unit.truncate(6), "cannot extend order 5 to 6"),
         (lambda: pochhammer_factor(2, order=5), "coeff_sign must be +1 or -1, got 2"),
         (lambda: pochhammer_factor(q_step=0, order=5), "q_step must be positive, got 0"),
@@ -425,11 +409,12 @@ def test_theta_sum_equals_product():
     for x, y in ((1, 2), (1, 4), (2, 3), (1, 1), (3, 4)):
         assert theta_sum(x, y, 40).agrees_with(theta_product(x, y, 40))
         assert theta_f(x, y, 40) == theta_sum(x, y, 40)
+    assert theta_f is theta_sum
 
 
 def test_theta_zero_exponent_vanishes():
-    assert theta_sum(0, 3, 20).is_zero()
-    assert theta_product(0, 3, 20).is_zero()
+    assert theta_sum(0, 3, 20) == TruncatedSeries(20)
+    assert theta_product(0, 3, 20) == TruncatedSeries(20)
     with pytest.raises(ValueError):
         theta_sum(0, 0, 20)
 

@@ -1,0 +1,31 @@
+"""Checks over the package source itself."""
+
+import ast
+from pathlib import Path
+
+import copa
+from copa import errors
+
+ERROR_CLASSES = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.CopaError)
+}
+
+
+def _raised(path: Path):
+    """(line, name) for every raise in the file; a bare raise names nothing."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, exc.id if isinstance(exc, ast.Name) else ast.dump(exc)
+
+
+def test_every_raise_names_a_copa_error():
+    sources = sorted(Path(copa.__file__).parent.glob("*.py"))
+    raised = [(path.name, line, name) for path in sources for line, name in _raised(path)]
+    assert len(raised) > 50
+    stray = [
+        f"{file}:{line} raises {name}" for file, line, name in raised if name not in ERROR_CLASSES
+    ]
+    assert not stray, stray

@@ -11,7 +11,14 @@ import pytest
 import copa
 import copa.verify
 from copa import SUITES, run_suite
-from copa.bijections import copartition_to_pair
+from copa import series as qs
+from copa.bijections import (
+    copartition_to_pair,
+    cp001_to_rim_cell,
+    cp111_to_partition,
+    partition_to_cp111,
+    rim_cell_to_cp001,
+)
 from copa.cli import main
 from copa.enumeration import enumerate_copartitions
 from copa.partitions import partition_statistics
@@ -169,6 +176,93 @@ def test_forced_failure_reports_the_eager_label(
     monkeypatch.setattr(copa.verify, target, broken)
     report = run_suite(name, **bounds)
     assert report.counterexample == expected()
+
+
+# Maps broken on inputs of total size 2 only, past the suites' worked examples.
+def _broken_partition_to_cp111(lam, k):
+    if sum(lam) + k == 2:
+        lam, k = (1, 1), 0
+    return partition_to_cp111(lam, k)
+
+
+def _broken_cp111_to_partition(cp):
+    lam, k = cp111_to_partition(cp)
+    return (lam, k + 1) if cp.size == 2 else (lam, k)
+
+
+def _broken_rim_cell_to_cp001(lam, cell):
+    return rim_cell_to_cp001((1, 1), (1, 1)) if sum(lam) == 2 else rim_cell_to_cp001(lam, cell)
+
+
+def _broken_cp001_to_rim_cell(cp):
+    lam, cell = cp001_to_rim_cell(cp)
+    return (lam, cell[::-1]) if cp.size == 2 else (lam, cell)
+
+
+def _colliding_rim_maps():
+    # Every rim cell of size 2 goes to one copartition and the inverse
+    # answers with the last input, so the round trip holds and the image
+    # collides.
+    last = []
+
+    def forward(lam, cell):
+        last[:] = [(lam, cell)]
+        return _broken_rim_cell_to_cp001(lam, cell)
+
+    def inverse(cp):
+        return last[0] if cp.size == 2 else cp001_to_rim_cell(cp)
+
+    return {"rim_cell_to_cp001": forward, "cp001_to_rim_cell": inverse}
+
+
+_CP111 = dict(formula_max=1, enum_max=1, corollary_max=1, bound_max=1, bijection_max=4)
+_CP001 = dict(max_n=1, bijection_max=4)
+
+
+@pytest.mark.parametrize(
+    "name, bounds, patches, counts, expected",
+    [
+        ("cp111", _CP111, {"partition_to_cp111": _broken_partition_to_cp111},
+         (41, 37), "round trip broke at [2], k=0"),
+        ("cp111", _CP111, {"cp111_to_partition": _broken_cp111_to_partition},
+         (41, 36), "round trip broke at [2], k=0"),
+        ("cp001", _CP001, {"rim_cell_to_cp001": _broken_rim_cell_to_cp001},
+         (46, 42), "round trip broke at [2], cell (1, 2)"),
+        ("cp001", _CP001, {"cp001_to_rim_cell": _broken_cp001_to_rim_cell},
+         (46, 43), "round trip broke at [2], cell (1, 2)"),
+        ("cp001", _CP001, _colliding_rim_maps(), (46, 42), "collision at [2], cell (1, 1)"),
+    ],
+)
+def test_broken_bijection_reports_its_counterexample(
+    monkeypatch, name, bounds, patches, counts, expected
+):
+    """A map broken at size 2 fails one check of the bijection loop per bad
+    input, and the counterexample says whether the round trip broke or the
+    image collided."""
+    for target, broken in patches.items():
+        monkeypatch.setattr(copa.verify, target, broken)
+    report = run_suite(name, **bounds)
+    assert (report.attempted, report.passed) == counts
+    assert report.counterexample == expected
+
+
+def test_mock_theta_checks_the_even_part_and_its_halving(monkeypatch):
+    """eo_star_gf does not check its own halving; the suite does, in the
+    same per-n check as the listing, and says which of the two failed."""
+    real_nu, real_gf = qs.mock_theta_nu, qs.eo_star_gf
+    real_gf(12)  # stored, so the patched nu below does not reach it
+    g2, g4 = real_gf(12).coefficient_int(2), real_gf(12).coefficient_int(4)
+
+    def plus(real, n):
+        return lambda order: real(order) + qs.TruncatedSeries(order, {n: {(0, 0): 1}})
+
+    monkeypatch.setattr(qs, "mock_theta_nu", plus(real_nu, 4))
+    report = run_suite("mock-theta", order=12)
+    assert (report.attempted, report.passed) == (20, 19)
+    assert report.counterexample == f"nu(q) + nu(-q) at q^4 is {2 * g4 + 2}, not 2 * {g4}"
+    monkeypatch.setattr(qs, "eo_star_gf", plus(real_gf, 2))
+    report = run_suite("mock-theta", order=12)
+    assert report.counterexample == f"series vs listing n=2: {g2 + 1} != {g2}"
 
 
 def test_default_suites_fit_the_bounded_caches():
@@ -479,10 +573,11 @@ def test_bijection_missing_field_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv, detail",
     [
-        (["render", "--input", '{"a":1,"b":2,"m":4,"ground":[9]}'], "bad input ('sky')"),
+        (["render", "--input", '{"a":1,"b":2,"m":4,"ground":[9]}'],
+         "malformed copartition object: {'a': 1, 'b': 2, 'm': 4, 'ground': [9]}"),
         (["render", "--input", "{not json"], "bad input (Expecting property name"),
         (["render", "--input", '{"a":1,"b":2,"m":4,"ground":"95","sky":[6]}'],
-         "bad input (ground must be a list of integers)"),
+         "malformed copartition object: {'a': 1, 'b': 2, 'm': 4, 'ground': '95', 'sky': [6]}"),
         (["bijection", "eo-to-copartition", "--input", "[4]"],
          "bad input (input must be a JSON object)"),
         (["bijection", "eo-to-copartition", "--input", '{"partition":[4, "2"]}'],
@@ -490,9 +585,14 @@ def test_bijection_missing_field_exit_2(capsys):
         (["bijection", "partition-to-cp111", "--input", '{"partition":[4],"ground_count":1.5}'],
          "bad input (ground_count must be an integer)"),
         (["bijection", "copartition-to-pair", "--input", '{"merged":[3],"copartition":[]}'],
-         "bad input (copartition must be a JSON object)"),
+         "malformed copartition object: []"),
         (["bijection", "copartition-to-pair", "--input", '{"merged":[3],"copartition":{"a":1}}'],
-         "bad input ('b')"),
+         "malformed copartition object: {'a': 1}"),
+        (["bijection", "copartition-to-pair", "--input", '{"merged":[3]}'],
+         "bad input ('copartition')"),
+        (["bijection", "copartition-to-pair", "--input", '{"merged":[3],"copartition":5}'],
+         "malformed copartition object: 5"),
+        (["render", "--input", "[1]"], "bad input (input must be a JSON object)"),
     ],
 )
 def test_bad_json_input_exit_2(argv, detail, capsys):
