@@ -17,14 +17,14 @@ stay independent of the series engine they are checked against.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .copartitions import Copartition, CopartitionParams, ParamsLike, coerce_params
 from .errors import DomainError, NoClosedFormError
 from .partitions import (
-    _bounded_count,
+    _bounded_counts,
     _bounded_partitions,
     divisor_count_in_class,
     partition_count,
@@ -73,12 +73,12 @@ def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
 
 def _block_count(w: int, s: int, total: int) -> int:
     # How many copartitions enumerate_copartitions expands the block to:
-    # the sky iterator depends only on what the ground leaves over.
+    # the sky iterator depends only on what the ground leaves over.  Row k
+    # of the tallied rows counts the partitions of k by number of parts.
+    rows = _bounded_counts(total)
     if s == 0:
-        return _bounded_count(total, w)
-    return sum(
-        _bounded_count(k, w) * _bounded_count(total - k, s) for k in range(total + 1)
-    )
+        return rows[total][min(w, total)]
+    return sum(rows[k][min(w, k)] * rows[total - k][min(s, total - k)] for k in range(total + 1))
 
 
 @dataclass(frozen=True)
@@ -106,29 +106,24 @@ class CrankTally:
         return sum(self.counts.values())
 
 
-_refined_cache: dict[tuple[int, int, int], list[dict[tuple[int, int], int]]] = {}
-_refined_lock = threading.Lock()
+@lru_cache(maxsize=8192)
+def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], int]:
+    """Table (w,s) -> count at n.  Each block of enumerate_copartitions is
+    counted from the sizes of the iterators it would expand, without
+    building its objects.  Callers must not mutate the returned dict."""
+    table: dict[tuple[int, int], int] = {}
+    for w, s, total in _blocks(CopartitionParams(*key), n):
+        count = _block_count(w, s, total)
+        if count:
+            table[(w, s)] = count
+    return table
 
 
 def _refined_up_to(
     key: tuple[int, int, int], max_n: int
 ) -> list[dict[tuple[int, int], int]]:
-    """Tables [(w,s) -> count] for n = 0..max_n, grown incrementally so
-    every n is counted exactly once per parameter triple.  Each block of
-    enumerate_copartitions is counted from the sizes of the iterators it
-    would expand, without building its objects.  Callers must not mutate
-    the returned dicts."""
-    with _refined_lock:
-        tables = _refined_cache.setdefault(key, [])
-        p = CopartitionParams(*key)
-        for n in range(len(tables), max_n + 1):
-            table: dict[tuple[int, int], int] = {}
-            for w, s, total in _blocks(p, n):
-                count = _block_count(w, s, total)
-                if count:
-                    table[(w, s)] = count
-            tables.append(table)
-        return tables[: max_n + 1]
+    """Tables for n = 0..max_n; callers must not mutate them."""
+    return [_refined_table(key, n) for n in range(max_n + 1)]
 
 
 def _counts_up_to(key: tuple[int, int, int], max_n: int) -> list[int]:
@@ -140,7 +135,7 @@ def count_refined(params: ParamsLike, n: int) -> RefinedCount:
     p = coerce_params(params)
     if n < 0:
         return RefinedCount(p, n, {})
-    table = dict(_refined_up_to(p.as_tuple(), n)[n])
+    table = dict(_refined_table(p.as_tuple(), n))
     return RefinedCount(p, n, table)
 
 

@@ -17,6 +17,7 @@ and the even-odd shapes all rest on it.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -196,12 +197,6 @@ def _bounded_counts(max_total: int) -> list[list[int]]:
     return _by_parts
 
 
-def _bounded_count(total: int, max_parts: int) -> int:
-    """len(list(_bounded_partitions(total, max_parts, total))) for
-    total, max_parts >= 0, read from the tallied rows."""
-    return _bounded_counts(total)[total][min(max_parts, total)]
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, reverse-lexicographic."""
     if n < 0:
@@ -213,27 +208,28 @@ def enumerate_restricted(
     n: int, residue: int, modulus: int, min_part: int = 1
 ) -> Iterator[Partition]:
     """Partitions of n with every part congruent to residue (mod modulus)
-    and at least min_part."""
+    and at least min_part, reverse-lexicographic."""
     if modulus < 1:
         raise InvalidPartitionError(f"modulus must be positive, got {modulus}")
-    if n < 0:
-        return
-    # Smallest usable part value in the residue class.
+    # base is the smallest usable part value in the residue class.  Parts
+    # base + modulus*t sum to n with k parts when the t's, padded with zeros,
+    # partition (n - k*base)/modulus; each k's list is reverse-lex, and the
+    # merge keeps that order.  n < 0 leaves no k.
     lo = max(min_part, 1)
-    yield from _progression_partitions(n, lo + (residue - lo) % modulus, modulus, n)
+    base = lo + (residue - lo) % modulus
+    per_count = [
+        _progression_parts((n - k * base) // modulus, k, base, modulus)
+        for k in range(n // base + 1)
+        if (n - k * base) % modulus == 0
+    ]
+    return heapq.merge(*per_count, reverse=True)
 
 
-def _progression_partitions(n: int, base: int, step: int, max_part: int) -> Iterator[Partition]:
-    # Parts drawn from {base, base+step, ...}, reverse-lex order.
-    if n == 0:
-        yield ()
-        return
-    if base > max_part or base > n or base <= 0:
-        return
-    top = base + ((min(n, max_part) - base) // step) * step
-    for v in range(top, base - 1, -step):
-        for rest in _progression_partitions(n - v, base, step, v):
-            yield (v,) + rest
+def _progression_parts(total: int, k: int, base: int, modulus: int) -> Iterator[Partition]:
+    # The k-part partitions base + modulus*t for t a partition of total.
+    part = [base + modulus * t for t in range(total + 1)].__getitem__
+    for t in _bounded_partitions(total, k, total):
+        yield tuple(map(part, t + (0,) * (k - len(t))))
 
 
 _p_cache = [1]

@@ -64,13 +64,6 @@ class Checker:
             self.report.counterexample = _text(label)
         return False
 
-    def absorb(self, other: VerificationReport) -> None:
-        """Fold a sub-report into this one, prefixing its counterexample."""
-        self.report.attempted += other.attempted
-        self.report.passed += other.passed
-        if self.report.counterexample is None and other.counterexample is not None:
-            self.report.counterexample = f"{other.suite}: {other.counterexample}"
-
     def done(self) -> VerificationReport:
         self.report.wall_time = time.perf_counter() - self._t0
         return self.report

@@ -215,13 +215,6 @@ class TruncatedSeries:
             order, {key: row[: order + 1] for key, row in self.rows.items()}
         )
 
-    def substitute_q_negated(self) -> "TruncatedSeries":
-        """q -> -q: negate coefficients at odd exponents."""
-        return TruncatedSeries._of_rows(
-            self.order,
-            {k: [-c if n % 2 else c for n, c in enumerate(row)] for k, row in self.rows.items()},
-        )
-
     def at_markers_one(self) -> "TruncatedSeries":
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""
         total = [0] * (self.order + 1)
@@ -537,8 +530,7 @@ def mock_theta_nu(order: int) -> TruncatedSeries:
 @_keep_highest
 def eo_star_gf(order: int) -> TruncatedSeries:
     """Even-odd partition counts: the even part (nu(q) + nu(-q)) / 2 of the
-    nu series.  The mock-theta suite checks that its odd coefficients vanish
-    and that the halving is exact."""
-    nu = mock_theta_nu(order)
-    doubled = (nu + nu.substitute_q_negated()).scalar_coeffs()
-    return TruncatedSeries._of_rows(order, {(0, 0): [c // 2 for c in doubled]})
+    nu series, that is nu's coefficients at even exponents and 0 at odd
+    ones."""
+    nu = mock_theta_nu(order).scalar_coeffs()
+    return TruncatedSeries._of_rows(order, {(0, 0): [0 if n % 2 else c for n, c in enumerate(nu)]})

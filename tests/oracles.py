@@ -50,6 +50,21 @@ def reference_bounded_partitions(total: int, max_parts: int, max_part: int):
             yield (first,) + rest
 
 
+def reference_progression_partitions(n: int, base: int, step: int, max_part: int):
+    """Partitions of n with parts drawn from {base, base+step, ...}, each at
+    most max_part, reverse-lexicographic: one recursive frame per part,
+    largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    if base > max_part or base > n or base <= 0:
+        return
+    top = base + ((min(n, max_part) - base) // step) * step
+    for first in range(top, base - 1, -step):
+        for rest in reference_progression_partitions(n - first, base, step, first):
+            yield (first,) + rest
+
+
 def reference_all_bounded(max_total: int, max_parts: int, max_part: int | None = None):
     """Every partition with sum at most max_total and at most max_parts
     parts (each at most max_part, if given), reverse-lexicographic with

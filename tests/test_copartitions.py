@@ -33,6 +33,7 @@ from copa.errors import (
     ZeroPartError,
 )
 from copa.partitions import divisor_count, divisor_count_in_class
+from copa.reporting import Checker
 from copa.verify import _eta_theta_quotient_check
 
 
@@ -174,7 +175,10 @@ _C112 = make_copartition((1, 1, 2), (1,), ())
         (lambda: divisor_count_in_class(0, 1, 2), "divisor count of 0 undefined"),
         (lambda: divisor_count_in_class(4, 1, 0), "modulus must be positive, got 0"),
         (lambda: partition_to_cp111((2, 1), -1), "ground count must be non-negative, got -1"),
-        (lambda: _eta_theta_quotient_check(3, 3, 4), "need 1 <= a < m, got (3,3)"),
+        (
+            lambda: _eta_theta_quotient_check(Checker("theta-eta", ""), 3, 3, 4),
+            "need 1 <= a < m, got (3,3)",
+        ),
     ],
 )
 def test_domain_errors_are_typed(call, message):

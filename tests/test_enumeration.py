@@ -14,7 +14,7 @@ from copa.enumeration import (
     enumerate_copartitions,
 )
 from copa.errors import NoClosedFormError
-from copa.partitions import _bounded_count, _bounded_partitions, partition_count
+from copa.partitions import _bounded_counts, _bounded_partitions, partition_count
 
 from oracles import brute_copartition_count, brute_copartitions
 
@@ -68,12 +68,13 @@ def test_refined_tables_count_the_generator_output():
 
 
 def test_bounded_count_matches_the_generator():
+    rows = _bounded_counts(25)
     for j in range(26):
         for k in range(26):
-            assert _bounded_count(k, j) == len(list(_bounded_partitions(k, j, k))), (k, j)
+            assert rows[k][min(j, k)] == len(list(_bounded_partitions(k, j, k))), (k, j)
     for w in range(26):
         for t in range(26):
-            by_rows = sum(_bounded_count(k, w) for k in range(t + 1))
+            by_rows = sum(rows[k][min(w, k)] for k in range(t + 1))
             assert by_rows == len(list(_bounded_partitions(t, w, t, at_most=True))), (t, w)
 
 
@@ -85,9 +86,10 @@ def test_tallied_rows_match_the_recurrence():
     for n in range(1, top + 1):
         for j in range(1, top + 1):
             p[n][j] = p[n][j - 1] + (p[n - j][j] if j <= n else 0)
+    rows = _bounded_counts(top)
     for n in range(top + 1):
         for j in range(n + 1):
-            assert _bounded_count(n, j) == p[n][j], (n, j)
+            assert rows[n][j] == p[n][j], (n, j)
 
 
 def test_enum_count_above_threshold():

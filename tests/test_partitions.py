@@ -28,6 +28,7 @@ from oracles import (
     brute_partitions,
     reference_all_bounded,
     reference_bounded_partitions,
+    reference_progression_partitions,
 )
 
 partitions = st.lists(st.integers(1, 30), max_size=12).map(
@@ -196,6 +197,23 @@ def test_enumerate_restricted_congruence_class():
     assert list(enumerate_restricted(2, 1, 2)) == [(1, 1)]
     # residue equal to the modulus names the class of multiples
     assert set(enumerate_restricted(6, 2, 2, min_part=2)) == {(6,), (4, 2), (2, 2, 2)}
+
+
+def test_enumerate_restricted_matches_the_recursive_reference_in_order():
+    """Same tuples in the same (reverse-lex) order as the recursive
+    generator over parts base, base + m, base + 2m, ..."""
+    reference = {}
+    for m in range(1, 7):
+        for r in range(9):
+            for min_part in {1, r, r + m}:
+                lo = max(min_part, 1)
+                base = lo + (r - lo) % m
+                for n in range(36):
+                    if (n, base, m) not in reference:
+                        listed = list(reference_progression_partitions(n, base, m, n))
+                        reference[(n, base, m)] = listed
+                    got = list(enumerate_restricted(n, r, m, min_part=min_part))
+                    assert got == reference[(n, base, m)], (n, r, m, min_part)
 
 
 def test_divisor_counts():

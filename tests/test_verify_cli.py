@@ -246,22 +246,15 @@ def test_broken_bijection_reports_its_counterexample(
     assert report.counterexample == expected
 
 
-def test_mock_theta_checks_the_even_part_and_its_halving(monkeypatch):
-    """eo_star_gf does not check its own halving; the suite does, in the
-    same per-n check as the listing, and says which of the two failed."""
-    real_nu, real_gf = qs.mock_theta_nu, qs.eo_star_gf
-    real_gf(12)  # stored, so the patched nu below does not reach it
-    g2, g4 = real_gf(12).coefficient_int(2), real_gf(12).coefficient_int(4)
-
-    def plus(real, n):
-        return lambda order: real(order) + qs.TruncatedSeries(order, {n: {(0, 0): 1}})
-
-    monkeypatch.setattr(qs, "mock_theta_nu", plus(real_nu, 4))
+def test_mock_theta_checks_the_even_part_against_the_listing(monkeypatch):
+    """A wrong even-part coefficient fails the per-n listing check."""
+    real_gf = qs.eo_star_gf
+    g2 = real_gf(12).coefficient_int(2)
+    monkeypatch.setattr(
+        qs, "eo_star_gf", lambda order: real_gf(order) + qs.TruncatedSeries(order, {2: {(0, 0): 1}})
+    )
     report = run_suite("mock-theta", order=12)
-    assert (report.attempted, report.passed) == (20, 19)
-    assert report.counterexample == f"nu(q) + nu(-q) at q^4 is {2 * g4 + 2}, not 2 * {g4}"
-    monkeypatch.setattr(qs, "eo_star_gf", plus(real_gf, 2))
-    report = run_suite("mock-theta", order=12)
+    assert (report.attempted, report.passed) == (20, 18)
     assert report.counterexample == f"series vs listing n=2: {g2 + 1} != {g2}"
 
 
@@ -277,6 +270,24 @@ def test_default_suites_fit_the_bounded_caches():
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize == info.misses > 0
+
+
+def test_default_pass_counts_match_the_benchmark_and_fit_the_table_memo():
+    """One default verify pass: every suite attempts and passes the count
+    the benchmark pins (a drift shows here, not only as a failed benchmark
+    pass), and the enumeration table memo is bounded and evicts nothing."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
+    with open(path) as f:
+        expected = json.load(f)["verify"]
+    memo = copa.enumeration._refined_table
+    memo.cache_clear()
+    reports = copa.verify.run_all()
+    assert {r.suite: (r.attempted, r.passed) for r in reports} == {
+        name: (count, count) for name, count in expected.items()
+    }
+    info = memo.cache_info()
+    assert info.currsize == info.misses > 0
+    assert info.maxsize < 10_000
 
 
 # -- CLI: counting ---------------------------------------------------------
