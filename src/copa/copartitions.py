@@ -141,6 +141,25 @@ class Copartition:
         )
 
 
+_new = object.__new__
+_set_params = Copartition.params.__set__
+_set_ground = Copartition.ground.__set__
+_set_sky = Copartition.sky.__set__
+
+
+def _built_valid(
+    p: CopartitionParams, ground: tuple[int, ...], sky: tuple[int, ...]
+) -> Copartition:
+    """A Copartition from components its caller built valid, set slot by
+    slot without __post_init__.  Only the enumeration walker calls it; every
+    public path validates."""
+    c = _new(Copartition)
+    _set_params(c, p)
+    _set_ground(c, ground)
+    _set_sky(c, sky)
+    return c
+
+
 def make_copartition(
     params: ParamsLike, ground: Sequence[int], sky: Sequence[int]
 ) -> Copartition:

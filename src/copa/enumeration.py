@@ -13,6 +13,13 @@ ground of a block with a sky runs over the sums at most its total, every
 other component over one exact sum.  The sizes are tallied from that
 walker's own output (partitions._bounded_counts), so the enumerated counts
 stay independent of the series engine they are checked against.
+
+The walker's components are valid by construction: non-increasing, in
+their class and at least its least part, and nonempty where a degenerate
+class needs it.  So the generator builds its objects without re-checking
+them (copartitions._built_valid); every public constructor still checks.
+A block's count depends only on its shape (ground and sky counts capped at
+the total, and the total), so one bounded memo serves every family.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .copartitions import Copartition, CopartitionParams, ParamsLike, coerce_params
+from .copartitions import Copartition, CopartitionParams, ParamsLike, _built_valid, coerce_params
 from .errors import DomainError, NoClosedFormError
 from .partitions import (
     _bounded_counts,
@@ -29,6 +36,7 @@ from .partitions import (
     divisor_count_in_class,
     partition_count,
 )
+from .series import count_series
 
 
 def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
@@ -64,17 +72,19 @@ def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
             ground = tuple(a + m * ti for ti in t + (0,) * (w - len(t)))
             left = total - sum(t)
             if s == 0:
-                yield Copartition(p, ground, ())
+                yield _built_valid(p, ground, ())
                 continue
             for u in _bounded_partitions(left, s, left):
                 sky = tuple(b + m * ui for ui in u + (0,) * (s - len(u)))
-                yield Copartition(p, ground, sky)
+                yield _built_valid(p, ground, sky)
 
 
+@lru_cache(maxsize=4096)
 def _block_count(w: int, s: int, total: int) -> int:
     # How many copartitions enumerate_copartitions expands the block to:
     # the sky iterator depends only on what the ground leaves over.  Row k
     # of the tallied rows counts the partitions of k by number of parts.
+    # Callers pass the shape key, w and s capped at total (s = 0 stays 0).
     rows = _bounded_counts(total)
     if s == 0:
         return rows[total][min(w, total)]
@@ -113,7 +123,7 @@ def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], i
     building its objects.  Callers must not mutate the returned dict."""
     table: dict[tuple[int, int], int] = {}
     for w, s, total in _blocks(CopartitionParams(*key), n):
-        count = _block_count(w, s, total)
+        count = _block_count(min(w, total), min(s, total) if s else 0, total)
         if count:
             table[(w, s)] = count
     return table
@@ -188,9 +198,7 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     if n < 0:
         return 0
     if method in ("auto", "series"):
-        from . import series
-
-        return series.count_series(p, n)
+        return count_series(p, n)
     if method == "enum":
         return count_refined(p, n).total
     if method == "formula":

@@ -26,13 +26,15 @@ highest-order series built so far.  A request at that order gets the stored
 series itself, a lower order gets its truncation, and a higher order is
 built and replaces it.  count_series reads its coefficient straight from the
 stored series, building in 64-wide chunks of n.  The store grows with the
-number of distinct families asked for, not with the number of orders.
+number of distinct families asked for, not with the number of orders, and
+drops the least recently used family past a fixed number of them.
 """
 
 from __future__ import annotations
 
 import inspect
 import threading
+from collections import OrderedDict
 from functools import wraps
 from operator import add, sub
 from typing import Callable, Optional
@@ -238,10 +240,22 @@ class TruncatedSeries:
         return f"TruncatedSeries(N={self.order}, {body} + ...)"
 
 
-# (builder name, arguments but the order) -> highest-order series built so far.
-# The lock is reentrant because eo_star_gf builds mock_theta_nu.
-_store: dict[tuple, TruncatedSeries] = {}
+# (builder name, arguments but the order) -> highest-order series built so far,
+# least recently used first; past _STORE_MAX keys the oldest is dropped.  A
+# default verify pass stores 275.  The lock is reentrant because eo_star_gf
+# builds mock_theta_nu.
+_STORE_MAX = 1024
+_store: OrderedDict[tuple, TruncatedSeries] = OrderedDict()
 _store_lock = threading.RLock()
+
+
+def _touch(store_key: tuple) -> Optional[TruncatedSeries]:
+    """The stored series for a key, now the most recently used; None if
+    absent.  The caller holds _store_lock."""
+    series = _store.get(store_key)
+    if series is not None:
+        _store.move_to_end(store_key)
+    return series
 
 
 def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
@@ -258,9 +272,11 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
         *key, order = args
         store_key = (build.__name__, *key)
         with _store_lock:
-            series = _store.get(store_key)
+            series = _touch(store_key)
             if series is None or series.order < order:
                 series = _store[store_key] = build(*args)
+                if len(_store) > _STORE_MAX:
+                    _store.popitem(last=False)
         # a negative order is refused by truncate, as by every builder
         return series if series.order == order else series.truncate(order)
 
@@ -422,7 +438,8 @@ def count_series(params: ParamsLike, n: int) -> int:
         build, key = _degenerate_cached, (a + b, m)
     else:
         build, key = _gf_double_sum_cached, (a, b, m, False)
-    series = _store.get((build.__name__, *key))
+    with _store_lock:
+        series = _touch((build.__name__, *key))
     if series is None or series.order < n:
         # chunked order so sweeps over a range of n share one series
         series = build(*key, (n // 64 + 1) * 64)

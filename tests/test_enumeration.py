@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from copa.copartitions import to_json
+from copa.copartitions import coerce_params, make_copartition, to_json
 from copa.enumeration import (
+    _blocks,
     count_copartitions,
     count_formula,
     count_refined,
@@ -65,6 +66,37 @@ def test_refined_tables_count_the_generator_output():
                 (len(c.ground), len(c.sky)) for c in enumerate_copartitions((a, b, m), n)
             )
             assert count_refined((a, b, m), n).table == listed, ((a, b, m), n)
+
+
+def test_walker_built_objects_pass_the_public_check():
+    """The generator builds its objects without re-checking them; each one
+    is the object the validating constructor builds from the same parts,
+    degenerate classes included."""
+    for a, b, m in product(range(5), range(5), range(1, 5)):
+        for n in range(17):
+            for c in enumerate_copartitions((a, b, m), n):
+                assert c == make_copartition(c.params, c.ground, c.sky), c
+                assert type(c.ground) is tuple and type(c.sky) is tuple, c
+                assert all(type(part) is int for part in c.ground + c.sky), c
+
+
+def test_block_counts_by_shape_match_the_direct_convolution():
+    """Block counts are memoized on the block's shape, shared by every
+    family; each table entry is the convolution of the block's own rows."""
+    rows = _bounded_counts(30)
+
+    def direct(w, s, total):
+        if s == 0:
+            return rows[total][min(w, total)]
+        return sum(
+            rows[k][min(w, k)] * rows[total - k][min(s, total - k)] for k in range(total + 1)
+        )
+
+    for a, b, m in product(range(5), range(5), range(1, 5)):
+        for n in range(31):
+            blocks = _blocks(coerce_params((a, b, m)), n)
+            expected = {(w, s): direct(w, s, t) for w, s, t in blocks if direct(w, s, t)}
+            assert count_refined((a, b, m), n).table == expected, ((a, b, m), n)
 
 
 def test_bounded_count_matches_the_generator():

@@ -363,6 +363,26 @@ def test_count_series_shares_the_store(params):
         assert gf_double_sum(params, 64, markers=False) is stored
 
 
+def test_the_store_keeps_the_most_recently_used_families_within_its_bound():
+    """A sweep over more families than the store holds drops the least
+    recently used ones; a count_series read counts as a use."""
+    with series._store_lock:
+        series._store.clear()
+    triples = list(iproduct(range(1, 12), range(1, 12), range(1, 11)))
+    assert len(triples) > series._STORE_MAX
+    kept = triples[0]
+    for i, params in enumerate(triples):
+        count_series(params, 3)
+        if i % 100 == 0:
+            count_series(kept, 3)
+        assert len(series._store) <= series._STORE_MAX
+    assert len(series._store) == series._STORE_MAX
+    assert ("_product", *kept, False) in series._store
+    assert ("_product", *triples[1], False) not in series._store
+    assert ("_product", *triples[-1], False) in series._store
+    assert count_series(triples[1], 3) == brute_copartition_count(*triples[1], 3)
+
+
 @pytest.mark.parametrize("name", STORED)
 def test_a_negative_order_is_refused_with_or_without_a_stored_series(name):
     call, _, key = STORED[name]

@@ -16,6 +16,7 @@ from copa.bijections import (
     copartition_to_pair,
     cp001_to_rim_cell,
     cp111_to_partition,
+    pair_to_copartition,
     partition_to_cp111,
     rim_cell_to_cp001,
 )
@@ -272,22 +273,47 @@ def test_default_suites_fit_the_bounded_caches():
         assert info.currsize == info.misses > 0
 
 
+def _merge_one_pair_wrongly(pi, lam, params):
+    # (1,) | (1,) in the (1,1,2) family takes the valid image of () | (1, 1)
+    if (pi, lam, params) == ((1,), (1,), (1, 1, 2)):
+        pi, lam = (), (1, 1)
+    return pair_to_copartition(pi, lam, params)
+
+
+def test_phi_catches_a_merge_that_sends_one_pair_to_another_image(monkeypatch):
+    """A merge that sends one pair to another pair's image fails twice: the
+    pair's round trip, and the reverse trip of the image nothing reaches."""
+    attempted = run_suite("phi", max_total=8).attempted
+    monkeypatch.setattr(copa.verify, "pair_to_copartition", _merge_one_pair_wrongly)
+    report = run_suite("phi", max_total=8)
+    assert report.attempted == attempted
+    assert report.passed == attempted - 2
+    assert report.counterexample == "round trip (1,1,2) [1]|[1]"
+
+
 def test_default_pass_counts_match_the_benchmark_and_fit_the_table_memo():
     """One default verify pass: every suite attempts and passes the count
     the benchmark pins (a drift shows here, not only as a failed benchmark
-    pass), and the enumeration table memo is bounded and evicts nothing."""
+    pass), and the enumeration memos (tables and block counts) and the
+    series store are bounded and evict nothing."""
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
     with open(path) as f:
         expected = json.load(f)["verify"]
-    memo = copa.enumeration._refined_table
-    memo.cache_clear()
+    memos = (copa.enumeration._refined_table, copa.enumeration._block_count)
+    for memo in memos:
+        memo.cache_clear()
+    with qs._store_lock:
+        qs._store.clear()
     reports = copa.verify.run_all()
     assert {r.suite: (r.attempted, r.passed) for r in reports} == {
         name: (count, count) for name, count in expected.items()
     }
-    info = memo.cache_info()
-    assert info.currsize == info.misses > 0
-    assert info.maxsize < 10_000
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize == info.misses > 0
+        assert info.maxsize < 10_000
+    # the store drops a family only to stay at its bound
+    assert 0 < len(qs._store) < qs._STORE_MAX
 
 
 # -- CLI: counting ---------------------------------------------------------
