@@ -66,12 +66,14 @@ def _cmd_count(args) -> int:
         print("--w and --s must be given together", file=sys.stderr)
         return 2
     if args.w is not None:
-        value = count_refined(params, args.n).table.get((args.w, args.s), 0)
-        if args.crosscheck and args.n >= 0:
-            other = qs.gf_double_sum(params, args.n).refined_coefficient(args.n, args.w, args.s)
+        cell = (args.w, args.s)
+        value = count_refined(params, args.n, args.method).table.get(cell, 0)
+        if args.crosscheck:
+            other = count_refined(params, args.n, "enum").table.get(cell, 0)
             if other != value:
                 print(
-                    f"crosscheck failed: enum {value} vs series {other}", file=sys.stderr
+                    f"crosscheck failed: {args.method} {value} vs enum {other}",
+                    file=sys.stderr,
                 )
                 return 1
         print(value)

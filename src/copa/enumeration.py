@@ -5,14 +5,22 @@ are tested against.  Output order is deterministic: blocks ascend by
 (ground count, sky count), and inside a block pairs descend
 reverse-lexicographically by ground, then by sky.
 
-Counts do not build objects.  One walk, _blocks, yields the blocks of a
-size; the generator expands each block, and the counters count it from
-the sizes of the partition iterators it would expand.  Every such iterator
-is the one bounded-partition walker, partitions._bounded_partitions: the
-ground of a block with a sky runs over the sums at most its total, every
-other component over one exact sum.  The sizes are tallied from that
-walker's own output (partitions._bounded_counts), so the enumerated counts
-stay independent of the series engine they are checked against.
+By default, counts, refined tables and crank tallies come from the series
+engine: the (w, s) term of the marked double sum is exactly the block of
+ground count w and sky count s, so one column of the stored double sum is
+the refined table, and its entries summed by w - s mod k are the crank
+tally.  method="enum" counts from the enumeration instead; it is the
+independent side the verify suites check the series against.
+
+Enumerated counts do not build objects.  One walk, _blocks, yields the
+blocks of a size; the generator expands each block, and the counters count
+it from the sizes of the partition iterators it would expand.  Every such
+iterator is the one bounded-partition walker,
+partitions._bounded_partitions: the ground of a block with a sky runs over
+the sums at most its total, every other component over one exact sum.  The
+sizes are tallied from that walker's own output
+(partitions._bounded_counts), so the enumerated counts stay independent of
+the series engine they are checked against.
 
 The walker's components are valid by construction: non-increasing, in
 their class and at least its least part, and nonempty where a degenerate
@@ -36,7 +44,7 @@ from .partitions import (
     divisor_count_in_class,
     partition_count,
 )
-from .series import count_series
+from .series import _double_sum, _stored, count_series
 
 
 def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
@@ -140,22 +148,50 @@ def _counts_up_to(key: tuple[int, int, int], max_n: int) -> list[int]:
     return [sum(t.values()) for t in _refined_up_to(key, max_n)]
 
 
-def count_refined(params: ParamsLike, n: int) -> RefinedCount:
-    """Refined count from the enumeration blocks; empty for n < 0."""
+def _series_table(p: CopartitionParams, n: int) -> dict[tuple[int, int], int]:
+    # Column q^n of the stored marked double sum, whose key (s, w) is the
+    # block of w ground and s sky parts; read in place, never truncated.
+    rows = _stored(_double_sum, (p.a, p.b, p.m, True), n).rows
+    return dict(sorted(((w, s), row[n]) for (s, w), row in rows.items() if row[n]))
+
+
+def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCount:
+    """Counts of copartitions of n by (ground count, sky count), nonzero
+    entries only; empty for n < 0.
+
+    method "auto" or "series" reads the marked double sum, "enum" counts the
+    enumeration blocks without building objects.
+    """
     p = coerce_params(params)
     if n < 0:
         return RefinedCount(p, n, {})
-    table = dict(_refined_table(p.as_tuple(), n))
-    return RefinedCount(p, n, table)
+    if method in ("auto", "series"):
+        return RefinedCount(p, n, _series_table(p, n))
+    if method == "enum":
+        return RefinedCount(p, n, dict(_refined_table(p.as_tuple(), n)))
+    raise DomainError(f"unknown method {method!r}")
 
 
-def crank_tally(params: ParamsLike, n: int, modulus: int) -> CrankTally:
-    """Tally crank residues over all copartitions of n."""
+def crank_tally(params: ParamsLike, n: int, modulus: int, method: str = "auto") -> CrankTally:
+    """Tally crank residues over all copartitions of n.
+
+    method "auto" or "series" sums the refined table by w - s (the crank is
+    the ground count minus the sky count), "enum" lists every copartition.
+    """
     if modulus < 1:
         raise DomainError(f"modulus must be positive, got {modulus}")
     counts = {r: 0 for r in range(modulus)}
-    for c in enumerate_copartitions(params, n):
-        counts[c.crank % modulus] += 1
+    p = coerce_params(params)
+    if n < 0:
+        return CrankTally(modulus, counts)
+    if method in ("auto", "series"):
+        for (w, s), c in _series_table(p, n).items():
+            counts[(w - s) % modulus] += c
+    elif method == "enum":
+        for cp in enumerate_copartitions(p, n):
+            counts[cp.crank % modulus] += 1
+    else:
+        raise DomainError(f"unknown method {method!r}")
     return CrankTally(modulus, counts)
 
 
@@ -200,7 +236,7 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     if method in ("auto", "series"):
         return count_series(p, n)
     if method == "enum":
-        return count_refined(p, n).total
+        return count_refined(p, n, "enum").total
     if method == "formula":
         return count_formula(p, n)
     raise DomainError(f"unknown method {method!r}")

@@ -22,12 +22,16 @@ the rows are spread out to the dense layout once, at the end.
 Every builder below is memoized through one store.  A series of order N is
 the truncation of any higher-order series of the same family, so for each
 builder and each argument tuple without the order the store keeps only the
-highest-order series built so far.  A request at that order gets the stored
-series itself, a lower order gets its truncation, and a higher order is
-built and replaces it.  count_series reads its coefficient straight from the
-stored series, building in 64-wide chunks of n.  The store grows with the
-number of distinct families asked for, not with the number of orders, and
-drops the least recently used family past a fixed number of them.
+highest-order series built so far.  A request at or below that order gets
+the stored series' truncation (the series itself at its own order); a
+higher order N > 0 is built at N rounded up to a multiple of 16 and
+replaces it, so an ascending sweep of orders builds once per 16 of them.
+Orders <= 0 are built as asked.  _stored hands out the stored series
+itself, untruncated: count_series reads its coefficient there, building in
+64-wide chunks of n, and the refined counts read one column of the marked
+double sum there.  The store grows with the number of distinct families
+asked for, not with the number of orders, and drops the least recently
+used family past a fixed number of them.
 """
 
 from __future__ import annotations
@@ -141,24 +145,36 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls._of_rows(order, _one(order))
 
-    def coefficient(self, n: int) -> dict[Key, int]:
-        """Copy of the coefficient polynomial of q^n."""
+    def _within(self, n: int) -> None:
         if n > self.order:
             raise SeriesError(f"coefficient {n} beyond order {self.order}")
+
+    def coefficient(self, n: int) -> dict[Key, int]:
+        """Copy of the coefficient polynomial of q^n."""
+        self._within(n)
         if n < 0:
             return {}
         return {key: row[n] for key, row in self.rows.items() if row[n]}
 
     def coefficient_int(self, n: int) -> int:
-        """Scalar coefficient of q^n; raises if marker degrees are present."""
-        poly = self.coefficient(n)
-        if any(key != (0, 0) for key in poly):
+        """Scalar coefficient of q^n; raises if a marker key has a nonzero
+        coefficient there."""
+        self._within(n)
+        if n < 0:
+            return 0
+        rows = self.rows
+        if len(rows) > ((0, 0) in rows) and any(
+            row[n] for key, row in rows.items() if key != (0, 0)
+        ):
             raise SeriesError("series carries marker degrees; specialize first")
-        return poly.get((0, 0), 0)
+        row = rows.get((0, 0))
+        return 0 if row is None else row[n]
 
     def refined_coefficient(self, n: int, ground_parts: int, sky_parts: int) -> int:
         """Coefficient of x^sky_parts y^ground_parts q^n."""
-        return self.coefficient(n).get((sky_parts, ground_parts), 0)
+        self._within(n)
+        row = self.rows.get((sky_parts, ground_parts))
+        return 0 if row is None or n < 0 else row[n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -213,9 +229,10 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise SeriesError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries._of_rows(
-            order, {key: row[: order + 1] for key, row in self.rows.items()}
-        )
+        out = TruncatedSeries(order)
+        end = order + 1
+        out.rows = {key: cut for key, row in self.rows.items() if any(cut := row[:end])}
+        return out
 
     def at_markers_one(self) -> "TruncatedSeries":
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""
@@ -258,11 +275,34 @@ def _touch(store_key: tuple) -> Optional[TruncatedSeries]:
     return series
 
 
-def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
-    """Memoize build(*key, order) through the store; order is the last argument.
+# Orders above 0 are built at the next multiple of this.
+_CHUNK = 16
 
-    A builder that raises leaves no entry behind.
+
+def _stored(
+    build: Callable[..., TruncatedSeries], key: tuple, n: int, order: Optional[int] = None
+) -> TruncatedSeries:
+    """The stored series of build(*key, order) for some order >= n, untruncated
+    and now the most recently used.
+
+    Without one, it is built at order (by default n rounded up to a multiple
+    of _CHUNK, or n itself if n <= 0) and replaces the stored series.  A
+    builder that raises leaves no entry behind.
     """
+    store_key = (build.__name__, *key)
+    with _store_lock:
+        series = _touch(store_key)
+        if series is None or series.order < n:
+            if order is None:
+                order = -(-n // _CHUNK) * _CHUNK if n > 0 else n
+            series = _store[store_key] = build(*key, order)
+            if len(_store) > _STORE_MAX:
+                _store.popitem(last=False)
+    return series
+
+
+def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
+    """Memoize build(*key, order) through the store; order is the last argument."""
     signature = inspect.signature(build)
 
     @wraps(build)
@@ -270,13 +310,7 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
         if kwargs:
             args = signature.bind(*args, **kwargs).args
         *key, order = args
-        store_key = (build.__name__, *key)
-        with _store_lock:
-            series = _touch(store_key)
-            if series is None or series.order < order:
-                series = _store[store_key] = build(*args)
-                if len(_store) > _STORE_MAX:
-                    _store.popitem(last=False)
+        series = _stored(build, key, order)
         # a negative order is refused by truncate, as by every builder
         return series if series.order == order else series.truncate(order)
 
@@ -431,19 +465,15 @@ def count_series(params: ParamsLike, n: int) -> int:
         return 0
     a, b, m = p.as_tuple()
     if a >= 1 and b >= 1:
-        build, key = _gf_product_cached, (a, b, m, False)
+        build, key = _product, (a, b, m, False)
     elif a or b:
         # One class is 0.  Swapping ground and sky is size-preserving, so
         # (a, 0, m) counts as (0, a, m).
-        build, key = _degenerate_cached, (a + b, m)
+        build, key = _degenerate_series, (a + b, m)
     else:
-        build, key = _gf_double_sum_cached, (a, b, m, False)
-    with _store_lock:
-        series = _touch((build.__name__, *key))
-    if series is None or series.order < n:
-        # chunked order so sweeps over a range of n share one series
-        series = build(*key, (n // 64 + 1) * 64)
-    return series.coefficient_int(n)
+        build, key = _double_sum, (a, b, m, False)
+    # 64-wide chunks of n, so sweeps over a range of n share one series
+    return _stored(build, key, n, (n // 64 + 1) * 64).coefficient_int(n)
 
 
 def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
@@ -456,9 +486,6 @@ def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
     rows = {(0, 0): lam}
     _apply_pochhammer(rows, order, m, m, invert=True)
     return TruncatedSeries._of_rows(order, rows)
-
-
-_degenerate_cached = _keep_highest(_degenerate_series)
 
 
 @_keep_highest

@@ -1,5 +1,6 @@
 """Enumeration order, refined counts, closed forms, crank tallies."""
 
+import re
 from collections import Counter
 from itertools import product
 
@@ -14,7 +15,7 @@ from copa.enumeration import (
     crank_tally,
     enumerate_copartitions,
 )
-from copa.errors import NoClosedFormError
+from copa.errors import DomainError, NoClosedFormError
 from copa.partitions import _bounded_counts, _bounded_partitions, partition_count
 
 from oracles import brute_copartition_count, brute_copartitions
@@ -185,6 +186,35 @@ def test_no_closed_form():
         count_formula((1, 2, 4), 10)
     with pytest.raises(NoClosedFormError):
         count_formula((0, 0, 2), 10)
+
+
+def test_series_and_enumeration_agree_on_refined_tables_totals_and_cranks():
+    """The series path against the enumeration blocks: the tables, their
+    totals, and the mod-5 crank tally (the crank is w - s) for n <= 40; the
+    listing's own tally for n <= 10."""
+    for a, b, m in product(range(5), range(5), range(1, 5)):
+        for n in range(41):
+            table = count_refined((a, b, m), n, "enum").table
+            assert count_refined((a, b, m), n).table == table, ((a, b, m), n)
+            assert count_refined((a, b, m), n, "series").total == count_copartitions(
+                (a, b, m), n, "enum"
+            )
+            tally = {r: 0 for r in range(5)}
+            for (w, s), c in table.items():
+                tally[(w - s) % 5] += c
+            assert crank_tally((a, b, m), n, 5).counts == tally, ((a, b, m), n)
+            if n <= 10:
+                assert crank_tally((a, b, m), n, 5, "enum").counts == tally, ((a, b, m), n)
+
+
+def test_refined_methods_mirror_count_copartitions():
+    for method in ("formula", "exhaustive"):
+        with pytest.raises(DomainError, match=re.escape(f"unknown method {method!r}")):
+            count_refined((1, 1, 2), 4, method)
+        with pytest.raises(DomainError, match=re.escape(f"unknown method {method!r}")):
+            crank_tally((1, 1, 2), 4, 5, method)
+    assert crank_tally((1, 1, 2), -1, 5).counts == {r: 0 for r in range(5)}
+    assert list(count_refined((1, 1, 2), 9).table) == sorted(count_refined((1, 1, 2), 9).table)
 
 
 def test_crank_tally_examples():

@@ -1,5 +1,6 @@
 """The truncated series engine and the named q-series built on it."""
 
+import functools
 import re
 import threading
 from itertools import product as iproduct
@@ -211,6 +212,28 @@ def test_series_errors_are_typed():
         assert isinstance(info.value, CopaError) and isinstance(info.value, ValueError)
 
 
+def test_scalar_reads_raise_only_on_a_nonzero_marker_coefficient():
+    s = TruncatedSeries(5, {0: {(0, 0): 1}, 2: {(0, 0): 4}, 3: {(1, 0): 2, (0, 0): 7}})
+    assert [s.coefficient_int(n) for n in (0, 1, 2, 4, 5)] == [1, 0, 4, 0, 0]
+    with pytest.raises(SeriesError, match="specialize first"):
+        s.coefficient_int(3)
+    marked_only = TruncatedSeries(5, {2: {(1, 1): 3}})
+    assert marked_only.coefficient_int(1) == 0
+    with pytest.raises(SeriesError, match="specialize first"):
+        marked_only.coefficient_int(2)
+
+
+def test_scalar_and_refined_reads_past_the_order_raise_and_below_zero_read_zero():
+    s = TruncatedSeries(5, {0: {(0, 0): 1}, 3: {(1, 2): 2}})
+    for read in (s.coefficient_int, lambda n: s.refined_coefficient(n, 2, 1)):
+        with pytest.raises(SeriesError, match=re.escape("coefficient 6 beyond order 5")):
+            read(6)
+        assert read(-1) == 0
+    assert s.refined_coefficient(3, ground_parts=2, sky_parts=1) == 2
+    assert s.refined_coefficient(3, ground_parts=1, sky_parts=2) == 0
+    assert s.refined_coefficient(2, ground_parts=2, sky_parts=1) == 0
+
+
 def test_gf_rejects_zero_classes():
     with pytest.raises(CopaError):
         gf_product((0, 1, 2), 10)
@@ -323,13 +346,13 @@ def test_cold_eo_star_gf_finishes():
 def test_lower_orders_are_truncations_of_the_stored_series(name):
     call, build, key = STORED[name]
     series._store.pop(key, None)
-    top = call(60)
-    assert top == build(60)
-    assert series._store[key] is top
-    assert call(60) is top
-    for order in (0, 1, 17, 40, 59):
+    assert call(60) == build(60)
+    top = series._store[key]
+    assert top.order == 64 and top == build(64)
+    assert call(64) is top
+    for order in (0, 1, 17, 40, 59, 60):
         assert call(order) == build(order), (name, order)
-    assert series._store[key].order == 60
+    assert series._store[key] is top
 
 
 @pytest.mark.parametrize("name", STORED)
@@ -340,8 +363,23 @@ def test_an_order_sweep_stores_one_series_per_key(name):
     for order in range(61):
         call(order)
     assert set(series._store) - before <= {key, ("mock_theta_nu",)}
-    assert key in series._store and series._store[key].order == 60
+    assert key in series._store and series._store[key].order == 64
     assert call(33) == build(33)
+
+
+def test_an_ascending_sweep_builds_once_per_chunk(monkeypatch):
+    orders = []
+
+    @functools.wraps(series._product)
+    def counted(*args):
+        orders.append(args[-1])
+        return series._product(*args)
+
+    monkeypatch.setattr(series, "_gf_product_cached", series._keep_highest(counted))
+    series._store.pop(("_product", 1, 1, 2, True), None)
+    for order in range(40, 64):
+        assert gf_product((1, 1, 2), order) == series._product(1, 1, 2, True, order)
+    assert orders == [48, 64]
 
 
 @pytest.mark.parametrize("params", COUNT_FAMILIES)
@@ -358,7 +396,7 @@ def test_count_series_shares_the_store(params):
     if params[0] and params[1]:
         assert gf_product(params, 64, markers=False) is stored
     elif params[0] or params[1]:
-        assert series._degenerate_cached(*key[1:], 64) is stored
+        assert series._stored(series._degenerate_series, key[1:], 64) is stored
     else:
         assert gf_double_sum(params, 64, markers=False) is stored
 
@@ -394,7 +432,7 @@ def test_a_negative_order_is_refused_with_or_without_a_stored_series(name):
     call(10)
     with pytest.raises(SeriesError, match=re.escape(message)):
         call(-1)
-    assert series._store[key].order == 10
+    assert series._store[key].order == 16
 
 
 def test_a_builder_that_raises_stores_nothing():

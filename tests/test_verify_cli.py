@@ -316,6 +316,24 @@ def test_default_pass_counts_match_the_benchmark_and_fit_the_table_memo():
     assert 0 < len(qs._store) < qs._STORE_MAX
 
 
+def test_the_suites_enumerate_their_refined_side_without_the_series(monkeypatch):
+    """The refined tables and crank tallies the suites check the series
+    against come from the enumeration: reading the stored double sum for a
+    refined column fails the run, and every suite still passes its count."""
+
+    def no_column(*args):
+        raise AssertionError("a suite read the refined series column")
+
+    monkeypatch.setattr(copa.enumeration, "_stored", no_column)
+    for name, bounds, attempted in (
+        ("crank", dict(points=(4, 9), transport_max=8), 61),
+        ("conjugation", dict(max_n=12, refined_max=10, classes=3), 886),
+        ("gf-triple", dict(max_n=12, refined_max=10, classes=3), 678),
+    ):
+        report = run_suite(name, **bounds)
+        assert (report.attempted, report.passed) == (attempted, attempted), name
+
+
 # -- CLI: counting ---------------------------------------------------------
 
 
@@ -377,6 +395,25 @@ def test_count_refined_needs_both_flags(capsys):
     rc = main(["count", "--a", "1", "--b", "1", "--m", "2", "--n", "4", "--w", "1"])
     assert rc == 2
     assert "together" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["auto", "series", "enum"])
+def test_count_refined_passes_the_method_through(capsys, method):
+    rc = main(
+        ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "9", "--w", "2", "--s", "1",
+         "--method", method, "--crosscheck"]
+    )
+    assert rc == 0
+    assert int(capsys.readouterr().out) == copa.count_refined((1, 1, 2), 9, "enum").table[(2, 1)]
+
+
+def test_count_refined_has_no_formula(capsys):
+    rc = main(
+        ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "9", "--w", "2", "--s", "1",
+         "--method", "formula"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown method 'formula'\n"
 
 
 def test_count_invalid_params_exit_2(capsys):
