@@ -12,6 +12,7 @@ import inspect
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import series as qs
 from .bijections import (
@@ -433,6 +434,9 @@ def _add_params(sp, with_n: bool = True) -> None:
         sp.add_argument("--n", type=int, required=True, help="size")
 
 
+# Built once per process: parse_args leaves the parser as it was, and it
+# writes usage errors to the sys.stderr of the moment.
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="copa",

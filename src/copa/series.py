@@ -11,7 +11,8 @@ anywhere.
 Infinite Pochhammer products are expanded factor by factor, in place, by
 two kernels: times (1 + c X q^t), and divide by (1 - c X q^t), which is the
 geometric recurrence out[n] = in[n] + c X out[n - t].  So no general series
-division is needed for them.
+division is needed for them.  Every factor's c is 1 or -1, so the kernels
+add or subtract and never multiply a coefficient; any other c raises.
 
 The marked product form builds on a sparser layout first: key (s, w) only
 ever holds powers q^(b*s + a*w + m*i), so its row keeps just those, and a
@@ -93,16 +94,25 @@ def _divide_geometric(
 ) -> None:
     """rows /= (1 - c x^x_deg y^y_deg q^t) for t >= 1, in place.
 
-    Without a marker, n walks upwards through out[n] += c out[n - t].  With
+    Without a marker, n walks upwards through out[n] = in[n] + c out[n - t],
+    one loop per sign of c, so no coefficient is multiplied by c.  With
     one, keys are taken in increasing order along X, and each key, once
     final, adds its shifted list into the key above it, which is created
     (with size(key) slots, as in _times_binomial) when the walk first
-    reaches it.  With a marker, t = 0 is allowed too.
+    reaches it.  With a marker, t = 0 is allowed too.  A c other than 1 or
+    -1 raises: a SeriesError here, a KeyError from _ADD on the marked path.
     """
     if not (x_deg or y_deg):
-        for row in rows.values():
-            for n in range(t, len(row)):
-                row[n] += c * row[n - t]
+        if c == 1:
+            for row in rows.values():
+                for n in range(t, len(row)):
+                    row[n] += row[n - t]
+        elif c == -1:
+            for row in rows.values():
+                for n in range(t, len(row)):
+                    row[n] -= row[n - t]
+        else:
+            raise SeriesError(f"factor coefficient must be +1 or -1, got {c}")
         return
     start = set(rows)
     for key in sorted(start):

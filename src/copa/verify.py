@@ -113,8 +113,9 @@ def suite_gf_triple(max_n: int = 30, refined_max: int = 25, classes: int = 4) ->
         "(1,3,4) count at 12, double sum",
     )
     for a, b, m in iproduct(range(1, classes + 1), repeat=3):
-        prod = qs.gf_product((a, b, m), max_n)
-        dsum = qs.gf_double_sum((a, b, m), max_n)
+        # the stored series, at order max_n rounded up to the store's chunk
+        prod = qs._stored(qs._product, (a, b, m, True), max_n)
+        dsum = qs._stored(qs._double_sum, (a, b, m, True), max_n)
         ch.check(prod.agrees_with(dsum), f"product vs double sum ({a},{b},{m})")
         totals = prod.at_markers_one()
         tables = _refined_up_to((a, b, m), max_n)

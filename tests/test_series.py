@@ -123,6 +123,42 @@ def test_pochhammer_refuses_divergent_inverse():
         pochhammer_factor(order=10, q_offset=0, q_step=2, invert=True)
 
 
+def _geometric_reference(row: list[int], t: int, c: int) -> list[int]:
+    out = list(row)
+    for n in range(t, len(out)):
+        out[n] = row[n] + c * out[n - t]
+    return out
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(-(2**200), 2**200), max_size=40),
+    st.integers(1, 41),
+    st.sampled_from((1, -1)),
+)
+def test_scalar_divide_matches_the_recurrence(row, t, c):
+    t = min(t, len(row) + 1)
+    rows = {(0, 0): list(row)}
+    series._divide_geometric(rows, t, c)
+    assert rows == {(0, 0): _geometric_reference(row, t, c)}
+
+
+def test_scalar_inverse_with_negative_sign():
+    # 1 / (-q; q)_inf: the scalar kernel's c = -1 loop, as mock_theta_nu runs it
+    inverted = pochhammer_factor(coeff_sign=-1, invert=True, order=200)
+    direct = pochhammer_factor(coeff_sign=-1, order=200)
+    assert inverted * direct == TruncatedSeries.one(200)
+    assert inverted != pochhammer_factor(invert=True, order=200)
+
+
+@pytest.mark.parametrize("c", (0, 2, -2))
+def test_scalar_divide_refuses_other_coefficients(c):
+    rows = {(0, 0): [1, 2, 3, 4]}
+    with pytest.raises(SeriesError, match=f"got {c}"):
+        series._divide_geometric(rows, 1, c)
+    assert rows == {(0, 0): [1, 2, 3, 4]}
+
+
 def test_product_and_double_sum_agree():
     for params in ((1, 1, 1), (1, 3, 4), (2, 3, 5), (4, 4, 4)):
         assert gf_product(params, 25).agrees_with(gf_double_sum(params, 25))

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -741,17 +742,54 @@ def test_crank_distribution(capsys):
     assert set(payload["counts"].values()) == {1}
 
 
-def test_module_entry_point():
+def _fresh_call(argv: list[str]) -> subprocess.CompletedProcess:
     # The child does not see pytest's pythonpath setting: point it at the
     # source tree this copa was imported from.
     src = os.path.dirname(os.path.dirname(copa.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "copa.cli", "count", "--a", "1", "--b", "3",
-         "--m", "4", "--n", "12"],
+    return subprocess.run(
+        [sys.executable, "-m", "copa.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _fresh_call(["count", "--a", "1", "--b", "3", "--m", "4", "--n", "12"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"
+
+
+# A count, an argparse error, a CopaError, a listing and a suite.
+_MIXED_CALLS = (
+    ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "300"],
+    ["count", "--a", "1", "--b", "1", "--m", "2"],
+    ["count", "--a", "1", "--b", "1", "--m", "0", "--n", "4"],
+    ["enumerate", "--a", "1", "--b", "3", "--m", "4", "--n", "12"],
+    ["verify", "rr"],
+)
+
+
+def _untimed(err: str) -> str:
+    # verify's "<suite>: 0.00s" lines on stderr are wall times
+    return re.sub(r"(?m)^([\w-]+): \d+\.\d\ds$", r"\1: <time>", err)
+
+
+def test_one_process_answers_every_call_as_a_fresh_process_does(capsys):
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return out, _untimed(err), code
+
+    # twice through, on the one parser the process builds
+    got = [in_process(argv) for argv in _MIXED_CALLS * 2]
+    assert copa.cli._build_parser.cache_info().currsize == 1
+    fresh = [_fresh_call(argv) for argv in _MIXED_CALLS]
+    want = [(p.stdout, _untimed(p.stderr), p.returncode) for p in fresh]
+    assert got == want * 2
+    assert [code for *_, code in want] == [0, 2, 2, 0, 0]
+    assert "required: --n" in want[1][1] and want[2][1].startswith("error: ")
