@@ -72,7 +72,6 @@ from .partitions import (
     divisor_count,
     divisor_count_in_class,
     enumerate_partitions,
-    enumerate_restricted,
     format_partition,
     parse_partition,
     partition_count,

@@ -10,14 +10,13 @@ sequences, so enumerate_partitions(4) yields (4,), (3,1), (2,2), (2,1,1),
 (1,1,1,1).
 
 Partitions with bounded parts come from one iterative walker,
-_bounded_partitions, with an exact or an at-most sum.  Plain and restricted
-enumeration, the tallied "at most j parts" rows, the copartition generator
-and the even-odd shapes all rest on it.
+_bounded_partitions, with an exact or an at-most sum.  Plain enumeration,
+the tallied "at most j parts" rows, the copartition generator and the
+even-odd shapes all rest on it.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -202,34 +201,6 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n < 0:
         raise InvalidPartitionError(f"cannot partition {n}")
     return _bounded_partitions(n, n, n)
-
-
-def enumerate_restricted(
-    n: int, residue: int, modulus: int, min_part: int = 1
-) -> Iterator[Partition]:
-    """Partitions of n with every part congruent to residue (mod modulus)
-    and at least min_part, reverse-lexicographic."""
-    if modulus < 1:
-        raise InvalidPartitionError(f"modulus must be positive, got {modulus}")
-    # base is the smallest usable part value in the residue class.  Parts
-    # base + modulus*t sum to n with k parts when the t's, padded with zeros,
-    # partition (n - k*base)/modulus; each k's list is reverse-lex, and the
-    # merge keeps that order.  n < 0 leaves no k.
-    lo = max(min_part, 1)
-    base = lo + (residue - lo) % modulus
-    per_count = [
-        _progression_parts((n - k * base) // modulus, k, base, modulus)
-        for k in range(n // base + 1)
-        if (n - k * base) % modulus == 0
-    ]
-    return heapq.merge(*per_count, reverse=True)
-
-
-def _progression_parts(total: int, k: int, base: int, modulus: int) -> Iterator[Partition]:
-    # The k-part partitions base + modulus*t for t a partition of total.
-    part = [base + modulus * t for t in range(total + 1)].__getitem__
-    for t in _bounded_partitions(total, k, total):
-        yield tuple(map(part, t + (0,) * (k - len(t))))
 
 
 _p_cache = [1]

@@ -38,7 +38,6 @@ from .errors import DomainError
 from .partitions import (
     Partition,
     enumerate_partitions,
-    enumerate_restricted,
     partition_count,
     partition_statistics,
     rim_cells,
@@ -51,8 +50,9 @@ PHI_PARAM_SETS = ((1, 2, 4), (1, 1, 2), (2, 3, 5))
 @lru_cache(maxsize=256)
 def _family(base: int, m: int, n: int) -> tuple[Partition, ...]:
     """Partitions of n with all parts congruent to base (mod m), each at
-    least base; the domains the pair merge acts on."""
-    return tuple(enumerate_restricted(n, base, m, min_part=base))
+    least base; the domains the pair merge acts on.  They are the grounds of
+    the sky-free (base, n + 1, m)-copartitions of n: no sky part fits."""
+    return tuple(c.ground for c in enumerate_copartitions((base, n + 1, m), n))
 
 
 def _rr_copartition_check(checker: Checker, which: str, order: int, enum_limit: int) -> None:
@@ -396,6 +396,9 @@ def suite_scaling(
 ) -> VerificationReport:
     """Dilation invariance: scaled parameters at scaled size count the
     same, and the part-by-part dilation round-trips."""
+    for s in scales:
+        if s < 1:
+            raise DomainError(f"scale factor must be positive, got {s}")
     ch = Checker("scaling", f"scales {scales}, (a,b,m) in 1..{classes}^3, n <= {max_n}")
     for a, b, m in iproduct(range(1, classes + 1), repeat=3):
         counts = _counts_up_to((a, b, m), max_n)

@@ -29,17 +29,17 @@ from copa.errors import (
     ResidueError,
     ZeroPartError,
 )
-from copa.partitions import enumerate_partitions, enumerate_restricted, rim_cells
+from copa.partitions import enumerate_partitions, rim_cells
 from copa.series import eo_star_gf
 
-from oracles import brute_eo_star, reference_is_eo_star
+from oracles import brute_eo_star, reference_is_eo_star, reference_progression_partitions
 
 
 def pair_families(a, b, m, total):
     """All (ground_source, sky_source) pairs with combined size total."""
     for i in range(total + 1):
-        for pi in enumerate_restricted(i, a, m, min_part=a):
-            for lam in enumerate_restricted(total - i, b, m, min_part=b):
+        for pi in reference_progression_partitions(i, a, m, i):
+            for lam in reference_progression_partitions(total - i, b, m, total - i):
                 yield pi, lam
 
 
@@ -146,7 +146,7 @@ def test_pair_merge_counts_match():
         images.add((merged, c))
     targets = set()
     for j in range(n + 1):
-        for merged in enumerate_restricted(j, a + b, m, min_part=a + b):
+        for merged in reference_progression_partitions(j, a + b, m, j):
             for c in enumerate_copartitions((a, b, m), n - j):
                 targets.add((merged, c))
     assert images == targets

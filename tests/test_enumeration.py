@@ -229,3 +229,19 @@ def test_crank_tally_examples():
 def test_crank_values_frozen():
     cranks = sorted(c.crank for c in enumerate_copartitions((1, 1, 2), 4))
     assert cranks == [-4, -2, 0, 2, 4]
+
+
+def test_far_congruences_through_the_series():
+    """Past the suites' default ranges: every (1,1,2) count at n = 5k + 4,
+    k < 100, is divisible by 5, and for k < 60 the series crank tally mod 5
+    puts a fifth of that count in every residue class.  At the crank
+    suite's points (k < 3) the series tally equals the listing's."""
+    for k in range(100):
+        n = 5 * k + 4
+        count = count_copartitions((1, 1, 2), n)
+        assert count % 5 == 0, n
+        if k < 60:
+            tally = crank_tally((1, 1, 2), n, 5).counts
+            assert set(tally.values()) == {count // 5}, n
+        if k < 3:
+            assert tally == crank_tally((1, 1, 2), n, 5, "enum").counts, n

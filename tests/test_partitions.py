@@ -13,7 +13,6 @@ from copa.partitions import (
     divisor_count,
     divisor_count_in_class,
     enumerate_partitions,
-    enumerate_restricted,
     format_partition,
     is_rim_cell,
     parse_partition,
@@ -22,6 +21,7 @@ from copa.partitions import (
     perimeter,
     rim_cells,
 )
+from copa.verify import PHI_PARAM_SETS, _family
 
 from oracles import (
     brute_partition_count,
@@ -186,34 +186,22 @@ def test_ones_count_equals_diversity_sum():
         assert s.parts_of_size_one == s.diversity_sum
 
 
-def test_enumerate_restricted_congruence_class():
-    listed = list(enumerate_restricted(12, 1, 4))
-    assert sorted(listed) == sorted(
-        [(9, 1, 1, 1), (5, 5, 1, 1), (5, 1, 1, 1, 1, 1, 1, 1), (1,) * 12]
-    )
-    # parts congruent to 3 mod 4 and at least 3
-    assert set(enumerate_restricted(12, 3, 4, min_part=3)) == {(3, 3, 3, 3)}
-    assert list(enumerate_restricted(0, 1, 2)) == [()]
-    assert list(enumerate_restricted(2, 1, 2)) == [(1, 1)]
-    # residue equal to the modulus names the class of multiples
-    assert set(enumerate_restricted(6, 2, 2, min_part=2)) == {(6,), (4, 2), (2, 2, 2)}
-
-
-def test_enumerate_restricted_matches_the_recursive_reference_in_order():
-    """Same tuples in the same (reverse-lex) order as the recursive
-    generator over parts base, base + m, base + 2m, ..."""
-    reference = {}
-    for m in range(1, 7):
-        for r in range(9):
-            for min_part in {1, r, r + m}:
-                lo = max(min_part, 1)
-                base = lo + (r - lo) % m
-                for n in range(36):
-                    if (n, base, m) not in reference:
-                        listed = list(reference_progression_partitions(n, base, m, n))
-                        reference[(n, base, m)] = listed
-                    got = list(enumerate_restricted(n, r, m, min_part=min_part))
-                    assert got == reference[(n, base, m)], (n, r, m, min_part)
+def test_pair_merge_domains_match_the_recursive_reference():
+    """verify._family, read off the copartition walker, lists each
+    partition into parts base, base + m, base + 2m, ... exactly once, for
+    every class the phi suite merges."""
+    classes = {(base, m) for a, b, m in PHI_PARAM_SETS for base in (a, b, a + b)}
+    for base, m in sorted(classes):
+        for n in range(26):
+            got = _family(base, m, n)
+            assert len(set(got)) == len(got), (base, m, n)
+            assert set(got) == set(reference_progression_partitions(n, base, m, n)), (base, m, n)
+    assert set(_family(1, 4, 12)) == {
+        (9, 1, 1, 1), (5, 5, 1, 1), (5, 1, 1, 1, 1, 1, 1, 1), (1,) * 12
+    }
+    assert _family(3, 4, 12) == ((3, 3, 3, 3),)
+    assert _family(1, 2, 0) == ((),)
+    assert _family(2, 2, 5) == ()
 
 
 def test_divisor_counts():

@@ -1,6 +1,7 @@
 """Checks over the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import copa
@@ -29,3 +30,23 @@ def test_every_raise_names_a_copa_error():
         f"{file}:{line} raises {name}" for file, line, name in raised if name not in ERROR_CLASSES
     ]
     assert not stray, stray
+
+
+def test_the_package_imports_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module;
+    relative imports stay inside copa."""
+    foreign = []
+    for path in sorted(Path(copa.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not foreign, foreign

@@ -704,6 +704,7 @@ def test_fault_inside_a_map_is_not_bad_input(monkeypatch, capsys):
         (["bijection", "cp001-to-rim-cell", "--input",
           '{"a":0,"b":0,"m":1,"ground":[],"sky":[1]}'],
          "b = 0 requires a nonempty ground"),
+        (["verify", "scaling", "--s", "0"], "scale factor must be positive, got 0"),
     ],
 )
 def test_typed_errors_exit_2(argv, detail, capsys):
