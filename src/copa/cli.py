@@ -31,7 +31,6 @@ from .copartitions import from_json_dict, to_json, to_json_dict
 from .diagrams import render_diagram
 from .enumeration import (
     count_copartitions,
-    count_formula,
     count_refined,
     crank_tally,
     enumerate_copartitions,
@@ -66,28 +65,21 @@ def _cmd_count(args) -> int:
     if (args.w is None) != (args.s is None):
         print("--w and --s must be given together", file=sys.stderr)
         return 2
-    if args.w is not None:
-        cell = (args.w, args.s)
-        value = count_refined(params, args.n, args.method).table.get(cell, 0)
-        if args.crosscheck:
-            other = count_refined(params, args.n, "enum").table.get(cell, 0)
-            if other != value:
-                print(
-                    f"crosscheck failed: {args.method} {value} vs enum {other}",
-                    file=sys.stderr,
-                )
-                return 1
-        print(value)
-        return 0
-    value = count_copartitions(params, args.n, args.method)
+    cell = None if args.w is None else (args.w, args.s)
+
+    def read(method: str) -> int:
+        if cell is None:
+            return count_copartitions(params, args.n, method)
+        return count_refined(params, args.n, method).table.get(cell, 0)
+
+    value = read(args.method)
     if args.crosscheck:
         got = {args.method: value}
-        got["enum"] = count_copartitions(params, args.n, "enum")
-        got["series"] = count_copartitions(params, args.n, "series")
-        try:
-            got["formula"] = count_formula(params, args.n)
-        except NoClosedFormError:
-            pass
+        for method in ("enum", "series", "formula") if cell is None else ("enum",):
+            try:
+                got[method] = read(method)
+            except NoClosedFormError:
+                pass
         if len(set(got.values())) > 1:
             detail = ", ".join(f"{k}={v}" for k, v in sorted(got.items()))
             print(f"crosscheck failed: {detail}", file=sys.stderr)
@@ -217,8 +209,11 @@ def _cmd_render(args) -> int:
     if out and not out.endswith("\n"):
         out += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise BadInputError(f"bad input (cannot write {args.out}: {exc.strerror})") from exc
     else:
         sys.stdout.write(out)
     return 0

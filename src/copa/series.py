@@ -151,10 +151,6 @@ class TruncatedSeries:
         out.rows = {key: row for key, row in rows.items() if any(row)}
         return out
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls._of_rows(order, _one(order))
-
     def _within(self, n: int) -> None:
         if n > self.order:
             raise SeriesError(f"coefficient {n} beyond order {self.order}")
@@ -180,48 +176,21 @@ class TruncatedSeries:
         row = rows.get((0, 0))
         return 0 if row is None else row[n]
 
-    def refined_coefficient(self, n: int, ground_parts: int, sky_parts: int) -> int:
-        """Coefficient of x^sky_parts y^ground_parts q^n."""
-        self._within(n)
-        row = self.rows.get((sky_parts, ground_parts))
-        return 0 if row is None or n < 0 else row[n]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.rows == other.rows
 
-    def agrees_with(self, other: "TruncatedSeries", up_to: Optional[int] = None) -> bool:
-        """Coefficientwise equality through min(orders) or an explicit cap."""
-        cap = min(self.order, other.order)
-        if up_to is not None:
-            cap = min(cap, up_to)
-        size = max(cap + 1, 0)
+    def agrees_with(self, other: "TruncatedSeries") -> bool:
+        """Coefficientwise equality through the lower of the two orders."""
+        size = min(self.order, other.order) + 1
         zero = [0] * size
         return all(
             self.rows.get(key, zero)[:size] == other.rows.get(key, zero)[:size]
             for key in self.rows.keys() | other.rows.keys()
         )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = {key: row[: order + 1] for key, row in self.rows.items()}
-        for key, row in other.rows.items():
-            mine = out.get(key)
-            out[key] = row[: order + 1] if mine is None else [u + v for u, v in zip(mine, row)]
-        return TruncatedSeries._of_rows(order, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self * -1
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries._of_rows(
-                self.order, {key: [other * c for c in row] for key, row in self.rows.items()}
-            )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = min(self.order, other.order)
@@ -233,8 +202,6 @@ class TruncatedSeries:
                     if c:
                         acc[i:] = [u + c * v for u, v in zip(acc[i:], q)]
         return TruncatedSeries._of_rows(order, out)
-
-    __rmul__ = __mul__
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -254,17 +221,6 @@ class TruncatedSeries:
     def scalar_coeffs(self) -> list[int]:
         """[c_0, ..., c_N] for a marker-free series."""
         return [self.coefficient_int(n) for n in range(self.order + 1)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = []
-        for n in range(self.order + 1):
-            poly = self.coefficient(n)
-            if poly:
-                terms.append(f"q^{n}*{poly}")
-            if len(terms) == 8:
-                break
-        body = " + ".join(terms) if terms else "0"
-        return f"TruncatedSeries(N={self.order}, {body} + ...)"
 
 
 # (builder name, arguments but the order) -> highest-order series built so far,

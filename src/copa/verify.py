@@ -25,7 +25,12 @@ from .bijections import (
     partition_to_cp111,
     rim_cell_to_cp001,
 )
-from .copartitions import conjugate_copartition, scale_copartition, unscale_copartition
+from .copartitions import (
+    CopartitionParams,
+    conjugate_copartition,
+    scale_copartition,
+    unscale_copartition,
+)
 from .enumeration import (
     _counts_up_to,
     _refined_up_to,
@@ -51,8 +56,10 @@ PHI_PARAM_SETS = ((1, 2, 4), (1, 1, 2), (2, 3, 5))
 def _family(base: int, m: int, n: int) -> tuple[Partition, ...]:
     """Partitions of n with all parts congruent to base (mod m), each at
     least base; the domains the pair merge acts on.  They are the grounds of
-    the sky-free (base, n + 1, m)-copartitions of n: no sky part fits."""
-    return tuple(c.ground for c in enumerate_copartitions((base, n + 1, m), n))
+    the sky-free (base, n + 1, m)-copartitions of n: no sky part fits.  The
+    params object is built here, so these one-off triples stay out of the
+    shared params cache."""
+    return tuple(c.ground for c in enumerate_copartitions(CopartitionParams(base, n + 1, m), n))
 
 
 def _rr_copartition_check(checker: Checker, which: str, order: int, enum_limit: int) -> None:

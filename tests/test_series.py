@@ -64,15 +64,28 @@ def poly_inverse(p: dict[int, int], order: int) -> dict[int, int]:
     return out
 
 
+def _unit(order: int) -> TruncatedSeries:
+    return TruncatedSeries(order, {0: {(0, 0): 1}})
+
+
+def _sum(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    # a + b through the lower order, added row by row and key by key
+    order = min(a.order, b.order)
+    coeffs: dict[int, dict[tuple[int, int], int]] = {}
+    for s in (a, b):
+        for key, row in s.rows.items():
+            for n, c in enumerate(row[: order + 1]):
+                poly = coeffs.setdefault(n, {})
+                poly[key] = poly.get(key, 0) + c
+    return TruncatedSeries(order, coeffs)
+
+
 def test_monomial_basics():
-    one = TruncatedSeries.one(10)
     q = TruncatedSeries(10, {1: {(0, 0): 1}})
-    assert (one + q).coefficient_int(1) == 1
     assert (q * q).coefficient_int(2) == 1
     assert (q * q * q).coefficient_int(3) == 1
-    assert one - one == TruncatedSeries(10)
     assert (q * TruncatedSeries(10, {3: {(0, 0): 1}})).coefficient_int(4) == 1
-    assert 3 * q - q * 3 == TruncatedSeries(10)
+    assert _unit(10) * q == q
 
 
 def test_truncation_and_min_order():
@@ -91,7 +104,7 @@ def test_constructor_drops_zeros():
 @settings(max_examples=60)
 @given(any_series, any_series, any_series)
 def test_ring_laws(a, b, c):
-    assert (a + b) * c == a * c + b * c
+    assert _sum(a, b) * c == _sum(a * c, b * c)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
 
@@ -108,14 +121,14 @@ def test_pochhammer_inverse_counts_partitions():
     for n in range(51):
         assert euler.coefficient_int(n) == partition_count(n)
     direct = pochhammer_factor(order=50, q_offset=1, q_step=1)
-    assert (euler * direct).agrees_with(TruncatedSeries.one(50))
+    assert (euler * direct).agrees_with(_unit(50))
 
 
 def test_pochhammer_with_markers_inverts():
     for sign, x_deg, y_deg, offset, step in ((1, 1, 0, 1, 1), (-1, 1, 0, 2, 3), (1, 1, 1, 2, 2)):
         kw = dict(coeff_sign=sign, x_deg=x_deg, y_deg=y_deg, q_offset=offset, q_step=step)
         inverted = pochhammer_factor(**kw, invert=True, order=30)
-        assert inverted * pochhammer_factor(**kw, order=30) == TruncatedSeries.one(30)
+        assert inverted * pochhammer_factor(**kw, order=30) == _unit(30)
 
 
 def test_pochhammer_refuses_divergent_inverse():
@@ -147,7 +160,7 @@ def test_scalar_inverse_with_negative_sign():
     # 1 / (-q; q)_inf: the scalar kernel's c = -1 loop, as mock_theta_nu runs it
     inverted = pochhammer_factor(coeff_sign=-1, invert=True, order=200)
     direct = pochhammer_factor(coeff_sign=-1, order=200)
-    assert inverted * direct == TruncatedSeries.one(200)
+    assert inverted * direct == _unit(200)
     assert inverted != pochhammer_factor(invert=True, order=200)
 
 
@@ -174,7 +187,7 @@ def test_markers_track_component_counts():
         (1, 1): 2,
         (4, 0): 1,
     }
-    assert s.refined_coefficient(12, ground_parts=0, sky_parts=4) == 1
+    assert s.coefficient(12).get((4, 0), 0) == 1
     assert s.at_markers_one().coefficient_int(12) == 7
 
 
@@ -226,7 +239,7 @@ def test_marked_product_never_creates_a_key_past_the_order(monkeypatch):
 
 
 def test_series_errors_are_typed():
-    unit = TruncatedSeries.one(5)
+    unit = _unit(5)
     calls = (
         (lambda: TruncatedSeries(-1), "order must be non-negative, got -1"),
         (lambda: TruncatedSeries(5, {-2: {(0, 0): 1}}), "negative exponent -2"),
@@ -261,13 +274,14 @@ def test_scalar_reads_raise_only_on_a_nonzero_marker_coefficient():
 
 def test_scalar_and_refined_reads_past_the_order_raise_and_below_zero_read_zero():
     s = TruncatedSeries(5, {0: {(0, 0): 1}, 3: {(1, 2): 2}})
-    for read in (s.coefficient_int, lambda n: s.refined_coefficient(n, 2, 1)):
+    # x marks sky parts, y ground parts: the x^1 y^2 coefficient
+    for read in (s.coefficient_int, lambda n: s.coefficient(n).get((1, 2), 0)):
         with pytest.raises(SeriesError, match=re.escape("coefficient 6 beyond order 5")):
             read(6)
         assert read(-1) == 0
-    assert s.refined_coefficient(3, ground_parts=2, sky_parts=1) == 2
-    assert s.refined_coefficient(3, ground_parts=1, sky_parts=2) == 0
-    assert s.refined_coefficient(2, ground_parts=2, sky_parts=1) == 0
+    assert s.coefficient(3).get((1, 2), 0) == 2
+    assert s.coefficient(3).get((2, 1), 0) == 0
+    assert s.coefficient(2).get((1, 2), 0) == 0
 
 
 def test_gf_rejects_zero_classes():
@@ -536,3 +550,25 @@ def test_even_odd_gf_from_mock_theta():
     nu = mock_theta_nu(24)
     for n in range(25):
         assert s.coefficient_int(n) == (0 if n % 2 else nu.coefficient_int(n)), n
+
+
+# -- Far checks: two independent fast paths, well past the suites' ranges --
+
+
+@pytest.mark.parametrize("a, b, m", ((1, 2, 3), (1, 1, 2), (1, 3, 4), (2, 3, 5)))
+def test_far_conjugation_transposes_the_marked_double_sum(a, b, m):
+    # swapping ground and sky maps the (a,b,m)-copartitions with w ground
+    # and s sky parts onto the (b,a,m)-copartitions with s and w
+    swapped = {(w, s): row for (s, w), row in series._double_sum(a, b, m, True, 200).rows.items()}
+    assert swapped == series._double_sum(b, a, m, True, 200).rows
+
+
+@pytest.mark.parametrize("b, m", ((1, 1), (1, 2), (2, 3), (3, 4)))
+def test_far_lambert_series_matches_the_double_sum(b, m):
+    lambert = series._degenerate_series(b, m, 500)
+    assert lambert == series._double_sum(0, b, m, False, 500)
+
+
+@pytest.mark.parametrize("params", ((1, 1, 2), (2, 3, 5)))
+def test_far_marked_product_matches_the_double_sum(params):
+    assert series._product(*params, True, 150) == series._double_sum(*params, True, 150)

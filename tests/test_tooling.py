@@ -50,3 +50,47 @@ def test_the_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert not foreign, foreign
+
+
+def _annotation_strings(tree: ast.AST):
+    """Every string constant inside an annotation, parsed as an expression."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        for sub in ast.walk(annotation) if annotation else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield ast.parse(sub.value, mode="eval")
+
+
+def test_every_import_is_used():
+    """An imported name is referenced as a Name (the base of an Attribute
+    included) or inside a quoted annotation; __init__.py re-exports, and
+    `from __future__ import annotations` is exempt."""
+    unused = []
+    for path in sorted(Path(copa.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {
+            node.id
+            for root in (tree, *_annotation_strings(tree))
+            for node in ast.walk(root)
+            if isinstance(node, ast.Name)
+        }
+        unused += [
+            f"{path.name}:{line} imports {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert not unused, unused

@@ -1,5 +1,6 @@
 """Verification suites at reduced bounds, plus the command-line surface."""
 
+import dataclasses
 import io
 import json
 import os
@@ -10,9 +11,11 @@ import sys
 import pytest
 
 import copa
+import copa.cli
 import copa.verify
 from copa import SUITES, run_suite
 from copa import series as qs
+from copa import copartitions
 from copa.bijections import (
     copartition_to_pair,
     cp001_to_rim_cell,
@@ -252,9 +255,13 @@ def test_mock_theta_checks_the_even_part_against_the_listing(monkeypatch):
     """A wrong even-part coefficient fails the per-n listing check."""
     real_gf = qs.eo_star_gf
     g2 = real_gf(12).coefficient_int(2)
-    monkeypatch.setattr(
-        qs, "eo_star_gf", lambda order: real_gf(order) + qs.TruncatedSeries(order, {2: {(0, 0): 1}})
-    )
+
+    def wrong_at_two(order):
+        coeffs = real_gf(order).scalar_coeffs()
+        coeffs[2] += 1
+        return qs.TruncatedSeries(order, {n: {(0, 0): c} for n, c in enumerate(coeffs)})
+
+    monkeypatch.setattr(qs, "eo_star_gf", wrong_at_two)
     report = run_suite("mock-theta", order=12)
     assert (report.attempted, report.passed) == (20, 18)
     assert report.counterexample == f"series vs listing n=2: {g2 + 1} != {g2}"
@@ -272,6 +279,16 @@ def test_default_suites_fit_the_bounded_caches():
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize == info.misses > 0
+
+
+def test_family_keeps_its_params_out_of_the_shared_cache():
+    """The pair-merge domains name one (base, n + 1, m) triple each, used
+    once; they build their own params object."""
+    copartitions._shared_params.cache_clear()
+    copa.verify._family.cache_clear()
+    family = copa.verify._family(1, 4, 10)
+    assert copartitions._shared_params.cache_info().misses == 0
+    assert sorted(family) == [(1,) * 10, (5, 1, 1, 1, 1, 1), (5, 5), (9, 1)]
 
 
 def _merge_one_pair_wrongly(pi, lam, params):
@@ -369,6 +386,40 @@ def test_count_refined_crosscheck_degenerate(capsys, abm):
     assert rc == 0
     want = copa.count_refined(tuple(map(int, abm)), 12).table[(2, 1)]
     assert int(capsys.readouterr().out) == want > 0
+
+
+def test_count_crosscheck_failure_exits_1(monkeypatch, capsys):
+    real = copa.cli.count_copartitions
+
+    def enum_off_by_one(params, n, method="auto"):
+        return real(params, n, method) + (method == "enum")
+
+    monkeypatch.setattr(copa.cli, "count_copartitions", enum_off_by_one)
+    rc = main(["count", "--a", "1", "--b", "1", "--m", "2", "--n", "9", "--crosscheck"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "crosscheck failed: auto=20, enum=21, series=20\n"
+
+
+def test_count_refined_crosscheck_failure_exits_1(monkeypatch, capsys):
+    real = copa.cli.count_refined
+
+    def enum_off_by_one(params, n, method="auto"):
+        result = real(params, n, method)
+        if method != "enum":
+            return result
+        return dataclasses.replace(result, table={k: v + 1 for k, v in result.table.items()})
+
+    monkeypatch.setattr(copa.cli, "count_refined", enum_off_by_one)
+    rc = main(
+        ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "4", "--w", "1", "--s", "1",
+         "--crosscheck"]
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "crosscheck failed: auto=1, enum=2\n"
 
 
 def test_count_refined(capsys):
@@ -491,6 +542,16 @@ def test_render_to_file(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_render_to_a_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "diagram.svg"
+    rc = main(["render", "--input", COPARTITION_DOC, "--out", str(target)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad input (cannot write {target}: No such file or directory)\n"
+    assert not target.parent.exists()
 
 
 def test_render_bad_json_exit_2(capsys):
