@@ -80,6 +80,8 @@ def _cmd_count(args) -> int:
                 got[method] = read(method)
             except NoClosedFormError:
                 pass
+        if cell is None and args.n >= 0:
+            got["double-sum"] = qs.gf_double_sum(params, args.n, False).coefficient_int(args.n)
         if len(set(got.values())) > 1:
             detail = ", ".join(f"{k}={v}" for k, v in sorted(got.items()))
             print(f"crosscheck failed: {detail}", file=sys.stderr)

@@ -10,9 +10,11 @@ anywhere.
 
 Infinite Pochhammer products are expanded factor by factor, in place, by
 two kernels: times (1 + c X q^t), and divide by (1 - c X q^t), which is the
-geometric recurrence out[n] = in[n] + c X out[n - t].  So no general series
-division is needed for them.  Every factor's c is 1 or -1, so the kernels
-add or subtract and never multiply a coefficient; any other c raises.
+geometric recurrence out[n] = in[n] + c X out[n - t].  Every factor's c is
+1 or -1, so they add or subtract and never multiply; other c raise.  A
+marker-free (q^(j*m); q^m)_inf, j >= 1, goes in whole instead: by Euler's
+pentagonal theorem (q^m; q^m)_inf has about 2 sqrt(2N / 3m) nonzero terms
+through order N, and the kernels then undo its first j - 1 factors.
 
 The marked product form builds on a sparser layout first: key (s, w) only
 ever holds powers q^(b*s + a*w + m*i), so its row keeps just those, and a
@@ -283,6 +285,34 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
     return cached
 
 
+def _euler(rows: Rows, order: int, step: int, invert: bool) -> None:
+    # rows *= (q^step; q^step)_infinity, or divides by it, in place.  By
+    # Euler's pentagonal theorem the product is 1 plus (-1)^k q^d for
+    # d = step*k(3k - 1)/2 and step*k(3k + 1)/2, k >= 1, in ascending d.
+    terms, k = [], 1
+    while (d := step * k * (3 * k - 1) // 2) <= order:
+        terms += [(e, k % 2) for e in (d, d + step * k) if e <= order]
+        k += 1
+    for row in rows.values():
+        if not invert:
+            src = list(row)
+            for d, odd in terms:
+                row[d:] = map(sub if odd else add, row[d:], src)
+            continue
+        # out[n] = in[n] + out[n - d] for odd k, minus it for even k; between
+        # two consecutive d the same terms reach back
+        ups, downs = [], []
+        for (d, odd), end in zip(terms, [e for e, _ in terms[1:]] + [len(row)]):
+            (ups if odd else downs).append(d)
+            for n in range(d, end):
+                acc = row[n]
+                for e in ups:
+                    acc += row[n - e]
+                for e in downs:
+                    acc -= row[n - e]
+                row[n] = acc
+
+
 def _apply_pochhammer(
     rows: Rows,
     order: int,
@@ -294,8 +324,13 @@ def _apply_pochhammer(
     y_deg: int = 0,
     invert: bool = False,
 ) -> None:
-    # rows *= (sign X q^offset; q^step)_infinity, or divides by it, in place
-    for t in range(offset, order + 1, step):
+    # rows *= (sign X q^offset; q^step)_infinity, or divides by it, in place.
+    # Marker-free, (q^(j*step); q^step)_inf is _euler's less its first j - 1 factors.
+    start, stop = offset, order + 1
+    if sign == 1 and not (x_deg or y_deg) and offset >= step and offset % step == 0:
+        _euler(rows, order, step, invert)
+        start, stop, invert = step, min(offset, order + 1), not invert
+    for t in range(start, stop, step):
         if invert:
             _divide_geometric(rows, t, sign, x_deg, y_deg)
         else:
@@ -432,25 +467,28 @@ def count_series(params: ParamsLike, n: int) -> int:
     a, b, m = p.as_tuple()
     if a >= 1 and b >= 1:
         build, key = _product, (a, b, m, False)
-    elif a or b:
-        # One class is 0.  Swapping ground and sky is size-preserving, so
+    else:
+        # A class is 0.  Swapping ground and sky is size-preserving, so
         # (a, 0, m) counts as (0, a, m).
         build, key = _degenerate_series, (a + b, m)
-    else:
-        build, key = _double_sum, (a, b, m, False)
     # 64-wide chunks of n, so sweeps over a range of n share one series
     return _stored(build, key, n, (n // 64 + 1) * 64).coefficient_int(n)
 
 
 def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
     # Partition series in q^m times the Lambert-style series that counts
-    # divisors in the class of b mod m.
+    # divisors in the class of b mod m.  For b = 0 it counts multiples of m,
+    # and cp001's identity, dilated by m, gives (2 row - 1) / (q^m; q^m) + 1.
     lam = [0] * (order + 1)
-    for s in range(b, order + 1, m):
+    for s in range(b or m, order + 1, m):
         for mult in range(s, order + 1, s):
             lam[mult] += 1
+    if not b:
+        lam = [-1] + [2 * c for c in lam[1:]]
     rows = {(0, 0): lam}
     _apply_pochhammer(rows, order, m, m, invert=True)
+    if not b:
+        lam[0] = 0
     return TruncatedSeries._of_rows(order, rows)
 
 

@@ -81,8 +81,8 @@ def _rr_copartition_check(checker: Checker, which: str, order: int, enum_limit: 
 def _eta_theta_quotient_check(checker: Checker, a: int, m: int, order: int) -> None:
     """(q^m;q^m)^2 over the theta series equals the copartition product.
 
-    Verified in cross-multiplied form so only the pinned factor-by-factor
-    inversions are used.
+    Verified in cross-multiplied form: eta and the product's numerator come
+    from Euler's theorem, theta_sum and the class denominators do not.
     """
     if not (1 <= a < m):
         raise DomainError(f"need 1 <= a < m, got ({a},{m})")

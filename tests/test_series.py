@@ -12,7 +12,6 @@ import hypothesis.strategies as st
 from copa import series
 from copa.enumeration import _refined_up_to
 from copa.errors import CopaError, SeriesError
-from copa.partitions import partition_count
 from copa.series import (
     TruncatedSeries,
     count_series,
@@ -30,6 +29,7 @@ from copa.series import (
 from oracles import (
     brute_copartition_count,
     brute_eo_star,
+    brute_partition_count,
     poly_mul,
     poly_pochhammer,
 )
@@ -119,9 +119,39 @@ def test_pochhammer_against_naive():
 def test_pochhammer_inverse_counts_partitions():
     euler = pochhammer_factor(order=50, q_offset=1, q_step=1, invert=True)
     for n in range(51):
-        assert euler.coefficient_int(n) == partition_count(n)
+        assert euler.coefficient_int(n) == brute_partition_count(n)
     direct = pochhammer_factor(order=50, q_offset=1, q_step=1)
     assert (euler * direct).agrees_with(_unit(50))
+
+
+@pytest.mark.parametrize("step", range(1, 6))
+def test_pochhammer_at_a_multiple_of_its_step_against_naive(step):
+    # (q^(j*step); q^step)_inf goes through Euler's pentagonal theorem
+    for j in range(1, 5):
+        naive = poly_pochhammer(j * step, step, 300)
+        ref = TruncatedSeries(300, {n: {(0, 0): c} for n, c in naive.items()})
+        kw = dict(q_offset=j * step, q_step=step, order=300)
+        assert pochhammer_factor(**kw) == ref, j
+        assert pochhammer_factor(**kw, invert=True) * ref == _unit(300), j
+
+
+def test_scalar_builders_do_not_fall_back_to_factor_by_factor(monkeypatch):
+    # Each factor-by-factor kernel call is one pass over the row; Euler's
+    # theorem leaves only the j - 1 leading factors of each Pochhammer.
+    calls = []
+
+    def spy(kernel):
+        def counted(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        return counted
+
+    for name in ("_divide_geometric", "_times_binomial"):
+        monkeypatch.setattr(series, name, spy(getattr(series, name)))
+    series._product(1, 1, 1, False, 3000)
+    series._degenerate_series(1, 1, 3000)
+    assert len(calls) <= 5, calls
 
 
 def test_pochhammer_with_markers_inverts():
@@ -375,7 +405,7 @@ COUNT_FAMILIES = {
     (2, 5, 3): ("_product", 2, 5, 3, False),
     (0, 2, 3): ("_degenerate_series", 2, 3),
     (2, 0, 3): ("_degenerate_series", 2, 3),
-    (0, 0, 2): ("_double_sum", 0, 0, 2, False),
+    (0, 0, 2): ("_degenerate_series", 0, 2),
 }
 
 
@@ -445,10 +475,8 @@ def test_count_series_shares_the_store(params):
     assert counts == gf_double_sum(params, 60).at_markers_one().scalar_coeffs()
     if params[0] and params[1]:
         assert gf_product(params, 64, markers=False) is stored
-    elif params[0] or params[1]:
-        assert series._stored(series._degenerate_series, key[1:], 64) is stored
     else:
-        assert gf_double_sum(params, 64, markers=False) is stored
+        assert series._stored(series._degenerate_series, key[1:], 64) is stored
 
 
 def test_the_store_keeps_the_most_recently_used_families_within_its_bound():
@@ -567,6 +595,31 @@ def test_far_conjugation_transposes_the_marked_double_sum(a, b, m):
 def test_far_lambert_series_matches_the_double_sum(b, m):
     lambert = series._degenerate_series(b, m, 500)
     assert lambert == series._double_sum(0, b, m, False, 500)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_far_counts_with_both_classes_zero_match_the_double_sum(m):
+    counts = [count_series((0, 0, m), n) for n in range(401)]
+    assert counts == series._double_sum(0, 0, m, False, 400).scalar_coeffs()
+
+
+def _with_euler_step(ab: tuple[int, int]):
+    # (a, b, m) for an m that divides a, b or a + b
+    a, b = ab
+    steps = [m for m in range(1, a + b + 1) if 0 in (a % m, b % m, (a + b) % m)]
+    return st.sampled_from(steps).map(lambda m: (a, b, m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(_with_euler_step),
+    st.integers(0, 200),
+)
+def test_scalar_product_is_the_marked_product_at_markers_one(abm, order):
+    # the marked path never takes Euler's branch
+    a, b, m = abm
+    marked = gf_product((a, b, m), order, markers=True)
+    assert gf_product((a, b, m), order, markers=False) == marked.at_markers_one()
 
 
 @pytest.mark.parametrize("params", ((1, 1, 2), (2, 3, 5)))

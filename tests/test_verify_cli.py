@@ -399,7 +399,7 @@ def test_count_crosscheck_failure_exits_1(monkeypatch, capsys):
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "crosscheck failed: auto=20, enum=21, series=20\n"
+    assert err == "crosscheck failed: auto=20, double-sum=20, enum=21, series=20\n"
 
 
 def test_count_refined_crosscheck_failure_exits_1(monkeypatch, capsys):
