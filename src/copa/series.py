@@ -11,10 +11,15 @@ anywhere.
 Infinite Pochhammer products are expanded factor by factor, in place, by
 two kernels: times (1 + c X q^t), and divide by (1 - c X q^t), which is the
 geometric recurrence out[n] = in[n] + c X out[n - t].  Every factor's c is
-1 or -1, so they add or subtract and never multiply; other c raise.  A
-marker-free (q^(j*m); q^m)_inf, j >= 1, goes in whole instead: by Euler's
-pentagonal theorem (q^m; q^m)_inf has about 2 sqrt(2N / 3m) nonzero terms
-through order N, and the kernels then undo its first j - 1 factors.
+1 or -1, so they add or subtract and never multiply; other c raise.
+Marker-free, a third kernel multiplies or divides by the theta series
+theta(x, y), the sum over all n of (-1)^n q^(x n(n+1)/2 + y n(n-1)/2), which
+has about 2 sqrt(2N / (x + y)) terms through order N.  Euler's pentagonal
+theorem makes (q^m; q^m)_inf theta(m, 2m), and the triple product makes
+(q^x; q^m)_inf (q^y; q^m)_inf theta(x, y) / (q^m; q^m)_inf when x + y = m.
+So (q^(j*m); q^m)_inf, j >= 1, and two denominators in classes x, y >= 1
+with x + y = m go in whole, and the two kernels undo the leading factors,
+when that walks fewer coefficients than the factors through the order do.
 
 The marked product form builds on a sparser layout first: key (s, w) only
 ever holds powers q^(b*s + a*w + m*i), so its row keeps just those, and a
@@ -285,22 +290,26 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
     return cached
 
 
-def _euler(rows: Rows, order: int, step: int, invert: bool) -> None:
-    # rows *= (q^step; q^step)_infinity, or divides by it, in place.  By
-    # Euler's pentagonal theorem the product is 1 plus (-1)^k q^d for
-    # d = step*k(3k - 1)/2 and step*k(3k + 1)/2, k >= 1, in ascending d.
+def _theta(rows: Rows, order: int, x: int, y: int, invert: bool) -> None:
+    # rows *= theta(x, y), or divides by it when x, y >= 1, in place.  Its
+    # terms past n = 0 are listed one per n in ascending d: for x = y each d
+    # comes twice, from n and -n.
+    def power(n: int) -> int:
+        return x * n * (n + 1) // 2 + y * n * (n - 1) // 2
+
     terms, k = [], 1
-    while (d := step * k * (3 * k - 1) // 2) <= order:
-        terms += [(e, k % 2) for e in (d, d + step * k) if e <= order]
+    while ds := [d for d in (power(k), power(-k)) if d <= order]:
+        terms += [(d, k % 2) for d in ds]
         k += 1
+    terms.sort()
     for row in rows.values():
         if not invert:
             src = list(row)
             for d, odd in terms:
                 row[d:] = map(sub if odd else add, row[d:], src)
             continue
-        # out[n] = in[n] + out[n - d] for odd k, minus it for even k; between
-        # two consecutive d the same terms reach back
+        # out[i] = in[i] + out[i - d] for each term of odd n, minus it for
+        # each of even n; between two consecutive d the same terms reach back
         ups, downs = [], []
         for (d, odd), end in zip(terms, [e for e, _ in terms[1:]] + [len(row)]):
             (ups if odd else downs).append(d)
@@ -311,6 +320,11 @@ def _euler(rows: Rows, order: int, step: int, invert: bool) -> None:
                 for e in downs:
                     acc -= row[n - e]
                 row[n] = acc
+
+
+def _walk(order: int, *passes: range) -> int:
+    # Coefficients walked by one kernel pass per t in the ranges: order + 1 - t each.
+    return sum(len(ts) * (order + 1) - sum(ts) for ts in passes)
 
 
 def _apply_pochhammer(
@@ -324,17 +338,37 @@ def _apply_pochhammer(
     y_deg: int = 0,
     invert: bool = False,
 ) -> None:
-    # rows *= (sign X q^offset; q^step)_infinity, or divides by it, in place.
-    # Marker-free, (q^(j*step); q^step)_inf is _euler's less its first j - 1 factors.
-    start, stop = offset, order + 1
-    if sign == 1 and not (x_deg or y_deg) and offset >= step and offset % step == 0:
-        _euler(rows, order, step, invert)
-        start, stop, invert = step, min(offset, order + 1), not invert
-    for t in range(start, stop, step):
+    # rows *= (sign X q^offset; q^step)_infinity, or divides by it, in place;
+    # marker-free, through Euler's theorem at a multiple of step when cheaper.
+    factors = range(offset, order + 1, step)
+    leading = range(step, min(offset, order + 1), step)
+    if sign == 1 and not (x_deg or y_deg) and offset >= step and offset % step == 0 and (
+        _walk(order, leading) < _walk(order, factors)
+    ):
+        _theta(rows, order, step, 2 * step, invert)
+        factors, invert = leading, not invert
+    for t in factors:
         if invert:
             _divide_geometric(rows, t, sign, x_deg, y_deg)
         else:
             _times_binomial(rows, t, -sign, x_deg, y_deg)
+
+
+def _divide_pair(rows: Rows, order: int, r: int, s: int, step: int) -> None:
+    # rows /= (q^r; q^step)_inf (q^s; q^step)_inf, marker-free, in place;
+    # through the triple product for complementary classes when cheaper.
+    x, y = r % step, s % step
+    leading = [range(c, min(o, order + 1), step) for c, o in ((x, r), (y, s))]
+    direct = [range(o, order + 1, step) for o in (r, s)]
+    if x and x + y == step and _walk(order, *leading) < _walk(order, *direct):
+        _theta(rows, order, x, y, True)
+        _theta(rows, order, step, 2 * step, False)
+        for ts in leading:
+            for t in ts:
+                _times_binomial(rows, t, -1)
+        return
+    for offset in (r, s):
+        _apply_pochhammer(rows, order, offset, step, invert=True)
 
 
 def pochhammer_factor(
@@ -369,15 +403,15 @@ def pochhammer_factor(
 
 
 def _product(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
-    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf), factor by
-    # factor.  The numerator goes second: the sky denominator times the
-    # numerator has far fewer keys than the two denominators together, and
-    # every factor costs one pass over the keys.
+    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf).  Marked,
+    # factor by factor; the numerator goes second: the sky denominator times
+    # the numerator has far fewer keys than the two denominators together,
+    # and every factor costs one pass over the keys.
     factors = ((b, 1, 0, True), (a + b, 1, 1, False), (a, 0, 1, True))
     if not markers:
         rows = _one(order)
-        for offset, _, _, invert in factors:
-            _apply_pochhammer(rows, order, offset, m, invert=invert)
+        _divide_pair(rows, order, b, a, m)
+        _apply_pochhammer(rows, order, a + b, m)
         return TruncatedSeries._of_rows(order, rows)
     # The k-th factor multiplies in x^dx y^dy q^(b*dx + a*dy + k*m), so key
     # (s, w) only ever holds powers q^(b*s + a*w + m*i).  Its row keeps the
@@ -513,8 +547,7 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
         return TruncatedSeries._of_rows(order, {(0, 0): acc})
     if form == "product":
         rows = _one(order)
-        for off in (1, 4) if which == "G" else (2, 3):
-            _apply_pochhammer(rows, order, off, 5, invert=True)
+        _divide_pair(rows, order, *((1, 4) if which == "G" else (2, 3)), 5)
         return TruncatedSeries._of_rows(order, rows)
     raise SeriesError(f"form must be sum or product, got {form!r}")
 
@@ -529,19 +562,9 @@ def theta_sum(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     """Bilateral theta sum: over all integers n, (-1)^n q^(x_exp*n(n+1)/2
     + y_exp*n(n-1)/2)."""
     _check_theta_exponents(x_exp, y_exp)
-    acc = [0] * (order + 1)
-    n = 0
-    while True:
-        hit = False
-        for k in ((n, -n) if n else (0,)):
-            expo = x_exp * k * (k + 1) // 2 + y_exp * k * (k - 1) // 2
-            if expo <= order:
-                acc[expo] += 1 if k % 2 == 0 else -1
-                hit = True
-        if not hit and n > 0:
-            break
-        n += 1
-    return TruncatedSeries._of_rows(order, {(0, 0): acc})
+    rows = _one(order)
+    _theta(rows, order, x_exp, y_exp, False)
+    return TruncatedSeries._of_rows(order, rows)
 
 
 @_keep_highest

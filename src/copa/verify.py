@@ -81,15 +81,17 @@ def _rr_copartition_check(checker: Checker, which: str, order: int, enum_limit: 
 def _eta_theta_quotient_check(checker: Checker, a: int, m: int, order: int) -> None:
     """(q^m;q^m)^2 over the theta series equals the copartition product.
 
-    Verified in cross-multiplied form: eta and the product's numerator come
-    from Euler's theorem, theta_sum and the class denominators do not.
+    Verified in cross-multiplied form.  eta comes from Euler's theorem and
+    theta_sum from the theta kernel; the copartition product is the marked
+    one at x = y = 1, built factor by factor, since the marker-free product
+    divides by this very quotient.
     """
     if not (1 <= a < m):
         raise DomainError(f"need 1 <= a < m, got ({a},{m})")
     eta = qs.pochhammer_factor(1, 0, 0, m, m, False, order=order)
     lhs = eta * eta
     theta = qs.theta_sum(a, m - a, order)
-    cp = qs.gf_product((a, m - a, m), order, markers=False)
+    cp = qs.gf_product((a, m - a, m), order).at_markers_one()
     rhs = theta * cp
     for n in range(order + 1):
         checker.equal(lhs.coefficient_int(n), rhs.coefficient_int(n), f"(a,m)=({a},{m}), q^{n}")

@@ -1,5 +1,6 @@
 """The truncated series engine and the named q-series built on it."""
 
+import collections
 import functools
 import re
 import threading
@@ -135,9 +136,8 @@ def test_pochhammer_at_a_multiple_of_its_step_against_naive(step):
         assert pochhammer_factor(**kw, invert=True) * ref == _unit(300), j
 
 
-def test_scalar_builders_do_not_fall_back_to_factor_by_factor(monkeypatch):
-    # Each factor-by-factor kernel call is one pass over the row; Euler's
-    # theorem leaves only the j - 1 leading factors of each Pochhammer.
+def _spy_kernels(monkeypatch, names) -> list[str]:
+    # The names of the kernels called, in call order.
     calls = []
 
     def spy(kernel):
@@ -147,11 +147,31 @@ def test_scalar_builders_do_not_fall_back_to_factor_by_factor(monkeypatch):
 
         return counted
 
-    for name in ("_divide_geometric", "_times_binomial"):
+    for name in names:
         monkeypatch.setattr(series, name, spy(getattr(series, name)))
-    series._product(1, 1, 1, False, 3000)
+    return calls
+
+
+def test_scalar_builders_do_not_fall_back_to_factor_by_factor(monkeypatch):
+    # Each factor-by-factor kernel call is one pass over the row; Euler's
+    # theorem and the triple product leave only the leading factors of each
+    # Pochhammer.
+    calls = _spy_kernels(monkeypatch, ("_divide_geometric", "_times_binomial"))
+    for a, b, m in ((1, 1, 1), (1, 1, 2), (1, 3, 4), (2, 3, 5), (2, 1, 3)):
+        series._product(a, b, m, False, 3000)
     series._degenerate_series(1, 1, 3000)
+    for which in ("G", "H"):
+        rr_function.__wrapped__(which, "product", 3000)
     assert len(calls) <= 5, calls
+
+
+def test_large_classes_keep_the_factor_by_factor_build(monkeypatch):
+    # At order 1024, undoing the 999 leading factors of (q^1000; q)_inf, or
+    # the 499 of (q^500; q)_inf, walks more coefficients than the 25 and
+    # 525 factors through the order do.
+    calls = _spy_kernels(monkeypatch, ("_theta", "_divide_geometric", "_times_binomial"))
+    series._product(500, 500, 1, False, 1024)
+    assert collections.Counter(calls) == {"_divide_geometric": 2 * 525, "_times_binomial": 25}
 
 
 def test_pochhammer_with_markers_inverts():
@@ -546,6 +566,38 @@ def test_theta_sum_equals_product():
         assert theta_sum(x, y, 40).agrees_with(theta_product(x, y, 40))
         assert theta_f(x, y, 40) == theta_sum(x, y, 40)
     assert theta_f is theta_sum
+
+
+def test_theta_sum_against_the_bilateral_sum():
+    for x, y in iproduct(range(5), repeat=2):
+        if x + y:
+            for order in (0, 1, 2, 7, 60):
+                naive = [0] * (order + 1)
+                for n in range(-order - 1, order + 2):
+                    if (d := x * n * (n + 1) // 2 + y * n * (n - 1) // 2) <= order:
+                        naive[d] += (-1) ** n
+                assert theta_sum(x, y, order).scalar_coeffs() == naive, (x, y, order)
+
+
+def test_dividing_by_theta_with_doubled_terms_against_naive():
+    # theta(x, x) = (q^x; q^2x)_inf^2 (q^2x; q^2x)_inf lists each exponent twice
+    order = 200
+    for x in (1, 2, 3):
+        naive = poly_mul(poly_pochhammer(x, 2 * x, order), poly_pochhammer(x, 2 * x, order), order)
+        naive = poly_mul(naive, poly_pochhammer(2 * x, 2 * x, order), order)
+        ref = TruncatedSeries(order, {n: {(0, 0): c} for n, c in naive.items()})
+        rows = {(0, 0): [1] + [0] * order}
+        series._theta(rows, order, x, x, True)
+        assert TruncatedSeries._of_rows(order, rows) * ref == _unit(order), x
+        series._theta(rows, order, x, x, False)
+        assert rows == {(0, 0): [1] + [0] * order}, x
+
+
+@pytest.mark.parametrize("a, b, m", ((3, 5, 4), (5, 3, 4), (7, 1, 4), (2, 5, 7)))
+def test_complementary_classes_match_the_double_sum(a, b, m):
+    # one theta division, then the leading factors below a and b
+    for order in sorted({0, 1, min(a, b) - 1, max(a, b) - 1, a + b - 1, 300}):
+        assert series._product(a, b, m, False, order) == series._double_sum(a, b, m, False, order)
 
 
 def test_theta_zero_exponent_vanishes():
