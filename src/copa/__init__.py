@@ -69,11 +69,8 @@ from .partitions import (
     as_partition,
     conjugate,
     diversity,
-    divisor_count,
     divisor_count_in_class,
     enumerate_partitions,
-    format_partition,
-    parse_partition,
     partition_count,
     partition_statistics,
     perimeter,

@@ -3,8 +3,10 @@
 Four families: merging a congruence-restricted pair of partitions into a
 leftover partition plus a copartition, the even-odd correspondence for
 (1,1,2), the threshold-split map for (1,1,1), and the rim-cell map for
-(0,0,1).  Every map validates domain and codomain membership and checks
-size preservation; the tests run the round trips exhaustively.
+(0,0,1).  Every map checks its input once (partitions._check_component)
+and checks size preservation.  Its image is checked once too, unless it is
+cut from checked parts by steps that keep order, class and floor, as the
+pair merge's copartition is.  The tests run the round trips exhaustively.
 
 Indexing follows the usual convention for partitions: parts are 1-based,
 largest first.
@@ -16,17 +18,12 @@ from collections import Counter
 from itertools import groupby
 from typing import Sequence
 
-from .copartitions import (
-    Copartition,
-    ParamsLike,
-    _check_component,
-    _unfuse,
-    coerce_params,
-    enlarged_sky,
-)
+from .copartitions import Copartition, ParamsLike, _built_valid, _unfuse, coerce_params, enlarged_sky
 from .diagrams import render_ascii
 from .errors import CopaError, DomainError, InvalidPartitionError, NotEOStarError
-from .partitions import Partition, _bounded_partitions, as_partition, conjugate, is_rim_cell
+from .partitions import (
+    Partition, _bounded_partitions, _check_component, as_partition, conjugate, is_rim_cell
+)
 
 # The fixed families of the last three maps, shared with every other caller.
 _EO = coerce_params((1, 1, 2))
@@ -70,7 +67,9 @@ def pair_to_copartition(
         merged.append(lam[j - 1] + pi[i - 1])
     taken = set(matched)
     ground = tuple(q for idx, q in enumerate(pi, start=1) if idx not in taken)
-    c = Copartition(p, ground, tuple(_unfuse(lam[: k - 1], len(ground), p)))
+    # ground is a sub-tuple of the checked pi, and the sky a prefix of the
+    # checked lam less m * len(ground), its floor checked by _unfuse
+    c = _built_valid(p, ground, _unfuse(lam[: k - 1], len(ground), p))
     out = _check_component(merged, p.a + p.b, p.m, "combined")
     if sum(pi) + sum(lam) != sum(out) + c.size:
         raise CopaError("pair merge did not preserve total size")
@@ -142,9 +141,14 @@ def is_eo_star(parts: Sequence[int]) -> bool:
     multiplicity and all other even parts have even multiplicity.  With no
     even parts the multiplicity rule on odd parts is all that remains.
     """
+    return _eo_shape(as_partition(parts))
+
+
+def _eo_shape(lam: Partition) -> bool:
+    # is_eo_star on a checked partition: one pass over the runs of equal
+    # parts, largest first.
     seen_even = False
-    # One pass over the runs of equal parts, largest first.
-    for q, run in groupby(as_partition(parts)):
+    for q, run in groupby(lam):
         odd_mult = len(tuple(run)) % 2
         if q % 2:
             if seen_even or odd_mult:
@@ -208,7 +212,7 @@ def copartition_to_eo(c: Copartition) -> Partition:
         block += [f, f]
     block += [2 * q for q in conjugate(c.ground)]
     out = as_partition(sorted(block, reverse=True))
-    if not is_eo_star(out) or sum(out) != 2 * c.size:
+    if not _eo_shape(out) or sum(out) != 2 * c.size:
         raise CopaError(f"even-odd image invalid for {c!r}")
     return out
 
@@ -216,7 +220,7 @@ def copartition_to_eo(c: Copartition) -> Partition:
 def eo_to_copartition(parts: Sequence[int]) -> Copartition:
     """Halve an even-odd partition back into a (1,1,2)-copartition."""
     lam = as_partition(parts)
-    if not is_eo_star(lam):
+    if not _eo_shape(lam):
         raise NotEOStarError(f"not an even-odd partition: {list(lam)}")
     evens = [q // 2 for q in lam if q % 2 == 0]
     odd_mult = Counter(q for q in lam if q % 2 == 1)
@@ -224,7 +228,7 @@ def eo_to_copartition(parts: Sequence[int]) -> Copartition:
     fused: list[int] = []
     for v in sorted(odd_mult, reverse=True):
         fused += [v] * (odd_mult[v] // 2)
-    return Copartition(_EO, ground, tuple(_unfuse(fused, len(ground), _EO)))
+    return Copartition(_EO, ground, _unfuse(fused, len(ground), _EO))
 
 
 def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
@@ -241,7 +245,7 @@ def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
     fused = lam[: j - 1]
     tail = lam[j - 1 :]
     ground = conjugate((k,) + tail) if k else conjugate(tail)
-    c = Copartition(_CP111, ground, tuple(_unfuse(fused, len(ground), _CP111)))
+    c = Copartition(_CP111, ground, _unfuse(fused, len(ground), _CP111))
     if len(c.ground) != k or c.size != sum(lam) + k:
         raise CopaError(f"threshold split broke on {list(lam)}, k={k}")
     return c

@@ -19,16 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import (
-    DomainError,
-    EmptyGroundError,
-    EmptySkyError,
-    InvalidPartitionError,
-    MinimumPartError,
-    ResidueError,
-    SplitError,
-    ZeroPartError,
-)
+from .errors import DomainError, EmptyGroundError, EmptySkyError, InvalidPartitionError, SplitError
+from .partitions import _check_component
 
 ParamsLike = Union["CopartitionParams", tuple[int, int, int]]
 
@@ -69,30 +61,6 @@ def coerce_params(params: ParamsLike) -> CopartitionParams:
     return _shared_params(int(a), int(b), int(m))
 
 
-def _check_component(parts: Sequence[int], cls: int, m: int, label: str) -> tuple[int, ...]:
-    """The parts as a tuple, checked to be non-increasing, congruent to cls
-    (mod m) and at least cls; zero parts pass only when cls = 0.
-
-    Lists and other sequences (JSON input, say) are coerced to ints; a
-    tuple is checked as it is, which keeps building copartitions cheap.
-    """
-    t = parts if type(parts) is tuple else tuple(map(int, parts))
-    prev = None
-    for p in t:
-        if prev is not None and p > prev:
-            raise InvalidPartitionError(f"{label} parts not non-increasing: {list(t)}")
-        prev = p
-        if p == 0:
-            if cls != 0:
-                raise ZeroPartError(f"zero {label} part with class {cls}")
-            continue
-        if p % m != cls % m:
-            raise ResidueError(f"{label} part {p} not congruent to {cls} (mod {m})")
-        if p < cls:
-            raise MinimumPartError(f"{label} part {p} below {cls}")
-    return t
-
-
 @dataclass(frozen=True, slots=True)
 class Copartition:
     params: CopartitionParams
@@ -101,8 +69,8 @@ class Copartition:
 
     def __post_init__(self) -> None:
         p = self.params
-        _check_component(self.ground, p.a, p.m, "ground")
-        _check_component(self.sky, p.b, p.m, "sky")
+        _set_ground(self, _check_component(self.ground, p.a, p.m, "ground"))
+        _set_sky(self, _check_component(self.sky, p.b, p.m, "sky"))
         if p.a == 0 and not self.sky:
             raise EmptySkyError("a = 0 requires a nonempty sky")
         if p.b == 0 and not self.ground:
@@ -151,8 +119,9 @@ def _built_valid(
     p: CopartitionParams, ground: tuple[int, ...], sky: tuple[int, ...]
 ) -> Copartition:
     """A Copartition from components its caller built valid, set slot by
-    slot without __post_init__.  Only the enumeration walker calls it; every
-    public path validates."""
+    slot without __post_init__.  The enumeration walker calls it, and the
+    pair merge for a ground and sky cut from its checked sources; every
+    public constructor validates."""
     c = _new(Copartition)
     _set_params(c, p)
     _set_ground(c, ground)
@@ -164,7 +133,7 @@ def make_copartition(
     params: ParamsLike, ground: Sequence[int], sky: Sequence[int]
 ) -> Copartition:
     """Validating constructor; the rectangle is derived, never supplied."""
-    return Copartition(coerce_params(params), tuple(ground), tuple(sky))
+    return Copartition(coerce_params(params), ground, sky)
 
 
 def enlarged_sky(c: Copartition) -> tuple[int, ...]:
@@ -173,9 +142,10 @@ def enlarged_sky(c: Copartition) -> tuple[int, ...]:
     return tuple(s + bump for s in c.sky)
 
 
-def _unfuse(fused: Sequence[int], ground_count: int, p: CopartitionParams) -> list[int]:
+def _unfuse(fused: Sequence[int], ground_count: int, p: CopartitionParams) -> tuple[int, ...]:
     # The fused parts less m * ground_count each, refused only when one falls
-    # below b; the caller checks them as a sky.
+    # below b.  Order and class carry over from the fused parts, so a caller
+    # whose fused parts are a checked sky source's need no further check.
     bump = p.m * ground_count
     out = []
     for f in fused:
@@ -185,7 +155,7 @@ def _unfuse(fused: Sequence[int], ground_count: int, p: CopartitionParams) -> li
                 f"fused part {f} too small for ground count {ground_count}"
             )
         out.append(s)
-    return out
+    return tuple(out)
 
 
 def split_enlarged_sky(
@@ -266,7 +236,7 @@ def from_json_dict(obj: dict) -> Copartition:
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}") from exc
     if not (type(ground) is type(sky) is list and types <= {int}):
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}")
-    return Copartition(coerce_params((a, b, m)), tuple(ground), tuple(sky))
+    return Copartition(coerce_params((a, b, m)), ground, sky)
 
 
 def from_json(text: str) -> Copartition:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Everything derives from CopaError (a ValueError) so callers can catch the
-whole family, while validation sites raise the most specific class.
+whole family, while validation sites raise the most specific class.  The
+part-sequence check (partitions._check_component) raises InvalidPartitionError
+or one of its three subclasses: ResidueError, MinimumPartError, ZeroPartError.
 """
 
 
@@ -18,15 +20,15 @@ class InvalidPartitionError(CopaError):
     """A part sequence is not a valid partition for the requested use."""
 
 
-class ResidueError(CopaError):
+class ResidueError(InvalidPartitionError):
     """A part falls outside the required residue class."""
 
 
-class MinimumPartError(CopaError):
+class MinimumPartError(InvalidPartitionError):
     """A part is smaller than the minimum its component allows."""
 
 
-class ZeroPartError(CopaError):
+class ZeroPartError(InvalidPartitionError):
     """A zero part appears where the parameters forbid zero parts."""
 
 

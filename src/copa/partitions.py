@@ -5,6 +5,10 @@ have strictly positive parts; a few operations (padded shapes with a fixed
 number of parts) deal in explicit zero parts, and such tuples compare
 unequal to their stripped forms: (2,) != (2, 0).
 
+Every part sequence the package takes in, a plain partition or a
+copartition's ground or sky, goes through one check, _check_component: a
+plain partition is the class 1 mod 1, with no zero parts.
+
 Enumeration order everywhere is reverse-lexicographic on the part
 sequences, so enumerate_partitions(4) yields (4,), (3,1), (2,2), (2,1,1),
 (1,1,1,1).
@@ -22,23 +26,50 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import DomainError, InvalidPartitionError
+from .errors import DomainError, InvalidPartitionError, MinimumPartError, ResidueError, ZeroPartError
 
 Partition = tuple[int, ...]
 
 
-def as_partition(parts: Sequence[int], allow_zero_parts: bool = False) -> Partition:
-    """Coerce a sequence to a validated partition tuple."""
-    t = tuple(map(int, parts))
-    floor = 0 if allow_zero_parts else 1
-    prev = None
+def _as_int(p: object, label: str) -> int:
+    try:
+        if int(p) == p:
+            return int(p)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidPartitionError(f"{label} part {p!r} is not an integer")
+
+
+def _check_component(parts: Sequence[int], cls: int, m: int, label: str) -> Partition:
+    """The parts as a tuple of ints, checked to be non-increasing, congruent
+    to cls (mod m) and at least cls; zero parts pass only when cls = 0.
+
+    The package's one part-sequence check: a plain partition is class 1
+    mod 1, a copartition's ground and sky are classes a and b mod m.  A
+    part that is not an int is taken only when it equals one (6.0 as 6).
+    A tuple of valid ints comes back as the same object.
+    """
+    t = tuple(parts)
+    r = cls % m
+    prev = t[0] if t else 0
     for p in t:
-        if p < floor:
-            raise InvalidPartitionError(f"part {p} below minimum {floor}")
-        if prev is not None and p > prev:
-            raise InvalidPartitionError(f"parts not non-increasing: {list(t)}")
+        if type(p) is not int or p > prev or p % m != r or p < cls:
+            if type(p) is not int:
+                return _check_component([_as_int(q, label) for q in t], cls, m, label)
+            if p > prev:
+                raise InvalidPartitionError(f"{label} parts not non-increasing: {list(t)}")
+            if p == 0:
+                raise ZeroPartError(f"zero {label} part with class {cls}")
+            if p % m != r:
+                raise ResidueError(f"{label} part {p} not congruent to {cls} (mod {m})")
+            raise MinimumPartError(f"{label} part {p} below {cls}")
         prev = p
     return t
+
+
+def as_partition(parts: Sequence[int]) -> Partition:
+    """The parts as a partition: positive ints, non-increasing."""
+    return _check_component(parts, 1, 1, "partition")
 
 
 def _reject_zero_parts(parts: Sequence[int], op: str) -> None:
@@ -244,13 +275,6 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def divisor_count(n: int) -> int:
-    """d(n), the number of positive divisors."""
-    if n < 1:
-        raise DomainError(f"d({n}) undefined")
-    return len(_divisors(n))
-
-
 def divisor_count_in_class(n: int, residue: int, modulus: int) -> int:
     """Number of divisors of n congruent to residue (mod modulus)."""
     if n < 1:
@@ -303,23 +327,3 @@ def partition_statistics(n: int) -> PartitionStatistics:
         if smallest == 1:
             ones += mult
     return PartitionStatistics(total_parts, sum_largest, sum_perims, ones, div_sum, spt)
-
-
-def format_partition(parts: Sequence[int]) -> str:
-    """Canonical text form, e.g. [9,5,5,5,5,1,1,1]; zero parts are explicit."""
-    return "[" + ",".join(str(p) for p in parts) + "]"
-
-
-def parse_partition(text: str, allow_zero_parts: bool = False) -> Partition:
-    """Inverse of format_partition."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise InvalidPartitionError(f"expected [..,..] form, got {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    try:
-        parts = [int(x) for x in body.split(",")]
-    except ValueError as exc:
-        raise InvalidPartitionError(f"bad partition text {text!r}") from exc
-    return as_partition(parts, allow_zero_parts=allow_zero_parts)

@@ -304,9 +304,13 @@ def _theta(rows: Rows, order: int, x: int, y: int, invert: bool) -> None:
     terms.sort()
     for row in rows.values():
         if not invert:
+            # past its last nonzero entry src adds nothing, so a unit row
+            # costs one step per term
             src = list(row)
+            while src and not src[-1]:
+                src.pop()
             for d, odd in terms:
-                row[d:] = map(sub if odd else add, row[d:], src)
+                row[d : d + len(src)] = map(sub if odd else add, row[d : d + len(src)], src)
             continue
         # out[i] = in[i] + out[i - d] for each term of odd n, minus it for
         # each of even n; between two consecutive d the same terms reach back

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 import pytest
 
+from copa import bijections, copartitions, partitions
 from copa.bijections import (
     copartition_to_eo,
     copartition_to_pair,
@@ -19,7 +20,7 @@ from copa.bijections import (
     render_pair_merge,
     rim_cell_to_cp001,
 )
-from copa.copartitions import make_copartition
+from copa.copartitions import from_json, make_copartition, to_json
 from copa.enumeration import enumerate_copartitions
 from copa.errors import (
     CopaError,
@@ -96,6 +97,8 @@ def test_pair_merge_rejections_are_typed():
         pair_to_copartition((1,), (2,), (5, 2, 4))  # 1 is 5 (mod 4)
     with pytest.raises(ResidueError):
         copartition_to_pair((4,), make_copartition((1, 2, 4), (), (2,)))
+    with pytest.raises(InvalidPartitionError):
+        pair_to_copartition([9, 5], [6.5, 2], (1, 2, 4))  # not merged as 6
     # JSON gives lists; they come back as tuples of ints.
     assert pair_to_copartition([9, 5], [6.0, 2], (1, 2, 4)) == pair_to_copartition(
         (9, 5), (6, 2), (1, 2, 4)
@@ -409,3 +412,31 @@ def test_rim_map_rejects_off_rim_cells():
         rim_cell_to_cp001((8, 6, 5, 5, 3, 3), (1, 1))  # interior cell
     with pytest.raises(CopaError):
         rim_cell_to_cp001((2,), (2, 1))  # outside the diagram
+
+
+def test_round_trips_check_each_part_sequence_once(monkeypatch):
+    # Every module that calls the one part-sequence check is spied on, as
+    # test_series spies on its kernels; each count is per round trip.
+    calls = []
+    check = partitions._check_component
+
+    def counted(*args):
+        calls.append(args[-1])
+        return check(*args)
+
+    for module in (partitions, copartitions, bijections):
+        monkeypatch.setattr(module, "_check_component", counted)
+
+    def checks(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    c = make_copartition((1, 2, 4), (9, 5, 5, 5, 1), (6, 6, 6, 2))
+    pi, lam = (9, 5, 5, 5, 5, 1, 1, 1), (26, 26, 26, 22, 6, 6, 2)
+    eo = make_copartition((1, 1, 2), (3, 1), (5, 1))
+    assert checks(lambda: from_json(to_json(c))) == 2
+    assert checks(lambda: copartition_to_pair(*pair_to_copartition(pi, lam, (1, 2, 4)))) == 6
+    assert checks(lambda: eo_to_copartition(copartition_to_eo(eo))) == 4
+    assert checks(lambda: cp111_to_partition(partition_to_cp111((5, 3, 3, 1), 2))) == 4
+    assert checks(lambda: cp001_to_rim_cell(rim_cell_to_cp001((5, 3, 3, 1), (2, 3)))) == 4

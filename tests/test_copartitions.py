@@ -32,7 +32,7 @@ from copa.errors import (
     SplitError,
     ZeroPartError,
 )
-from copa.partitions import divisor_count, divisor_count_in_class
+from copa.partitions import divisor_count_in_class
 from copa.reporting import Checker
 from copa.verify import _eta_theta_quotient_check
 
@@ -99,6 +99,18 @@ def test_json_round_trip():
     assert to_json_dict(c) == {
         "a": 1, "b": 2, "m": 4, "ground": [13, 9, 9, 1], "sky": [14, 10],
     }
+
+
+def test_constructor_keeps_the_checked_int_parts():
+    # an integral float or a bool is taken as the int it equals, and the
+    # copartition holds that int, so its JSON reads back
+    c = make_copartition((1, 1, 1), [2.0], [True])
+    assert (c.ground, c.sky) == ((2,), (1,))
+    assert all(type(p) is int for p in c.ground + c.sky)
+    assert to_json(c) == '{"a":1,"b":1,"m":1,"ground":[2],"sky":[1]}'
+    assert from_json(to_json(c)) == c
+    with pytest.raises(InvalidPartitionError):
+        make_copartition((1, 1, 1), [2.5], [])
 
 
 def test_json_rejects_malformed():
@@ -171,7 +183,6 @@ _C112 = make_copartition((1, 1, 2), (1,), ())
         (lambda: render_diagram(_C112, "png"), "unknown diagram format 'png'"),
         (lambda: crank_tally((1, 1, 2), 4, 0), "modulus must be positive, got 0"),
         (lambda: count_copartitions((1, 1, 2), 4, "magic"), "unknown method 'magic'"),
-        (lambda: divisor_count(0), "d(0) undefined"),
         (lambda: divisor_count_in_class(0, 1, 2), "divisor count of 0 undefined"),
         (lambda: divisor_count_in_class(4, 1, 0), "modulus must be positive, got 0"),
         (lambda: partition_to_cp111((2, 1), -1), "ground count must be non-negative, got -1"),

@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from copa.errors import InvalidPartitionError
+from copa.errors import InvalidPartitionError, MinimumPartError, ResidueError, ZeroPartError
 from copa.partitions import (
     _bounded_partitions,
     as_partition,
     conjugate,
     diversity,
-    divisor_count,
     divisor_count_in_class,
     enumerate_partitions,
-    format_partition,
     is_rim_cell,
-    parse_partition,
     partition_count,
     partition_statistics,
     perimeter,
@@ -101,7 +98,21 @@ def test_as_partition_validates():
         as_partition([2, -1])
     with pytest.raises(InvalidPartitionError):
         as_partition([2, 0])
-    assert as_partition([2, 0], allow_zero_parts=True) == (2, 0)
+    # a part that is not an int is taken only when it equals one
+    assert as_partition([5.0, True]) == (5, 1)
+    assert all(type(p) is int for p in as_partition([5.0, True]))
+    for bad in ([5, 2.7], ["3"], [None], [float("nan")], [float("inf")], [[2]]):
+        with pytest.raises(InvalidPartitionError):
+            as_partition(bad)
+
+
+def test_component_errors_are_invalid_partition_errors():
+    for cls in (ResidueError, MinimumPartError, ZeroPartError):
+        assert issubclass(cls, InvalidPartitionError)
+    with pytest.raises(ZeroPartError):
+        as_partition([2, 0])
+    with pytest.raises(MinimumPartError):
+        as_partition([2, -1])
 
 
 def test_conjugate_example():
@@ -176,7 +187,7 @@ def test_statistics_identities():
         assert s.total_parts == s.sum_largest_parts
         assert s.sum_perimeters == s.total_parts + s.sum_largest_parts - partition_count(n)
         assert s.total_parts == sum(
-            divisor_count(k) * partition_count(n - k) for k in range(1, n + 1)
+            divisor_count_in_class(k, 0, 1) * partition_count(n - k) for k in range(1, n + 1)
         )
 
 
@@ -205,21 +216,5 @@ def test_pair_merge_domains_match_the_recursive_reference():
 
 
 def test_divisor_counts():
-    assert divisor_count(6) == 4
-    assert divisor_count(1) == 1
     assert divisor_count_in_class(12, 1, 2) == 2  # 1, 3
     assert divisor_count_in_class(12, 0, 2) == 4  # 2, 4, 6, 12
-
-
-def test_format_and_parse():
-    assert format_partition((9, 5, 5, 5, 5, 1, 1, 1)) == "[9,5,5,5,5,1,1,1]"
-    assert format_partition(()) == "[]"
-    assert parse_partition("[9,5,5,5,5,1,1,1]") == (9, 5, 5, 5, 5, 1, 1, 1)
-    assert parse_partition("[]") == ()
-    with pytest.raises(InvalidPartitionError):
-        parse_partition("9,5")
-
-
-@given(partitions)
-def test_format_parse_round_trip(parts):
-    assert parse_partition(format_partition(parts)) == parts

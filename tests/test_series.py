@@ -566,6 +566,10 @@ def test_theta_sum_equals_product():
         assert theta_sum(x, y, 40).agrees_with(theta_product(x, y, 40))
         assert theta_f(x, y, 40) == theta_sum(x, y, 40)
     assert theta_f is theta_sum
+    # fresh builds, short and long: the multiply skips the zero tail of the row
+    pairs = ((1, 2), (2, 3), (1, 1), (0, 3), (3, 0), (2, 2), (1, 4), (5, 10))
+    for (x, y), order in iproduct(pairs, (0, 1, 7, 300, 576)):
+        assert theta_sum.__wrapped__(x, y, order) == theta_product.__wrapped__(x, y, order), (x, y)
 
 
 def test_theta_sum_against_the_bilateral_sum():

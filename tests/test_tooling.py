@@ -94,3 +94,16 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert not unused, unused
+
+
+def test_only_the_partition_check_raises_the_component_errors():
+    """ZeroPartError, MinimumPartError and ResidueError come from the one
+    part-sequence check in partitions.py, so no second validator grows."""
+    component = {"ZeroPartError", "MinimumPartError", "ResidueError"}
+    sites = {
+        path.name
+        for path in Path(copa.__file__).parent.glob("*.py")
+        for _, name in _raised(path)
+        if name in component
+    }
+    assert sites == {"partitions.py"}, sites
