@@ -3,10 +3,12 @@
 Four families: merging a congruence-restricted pair of partitions into a
 leftover partition plus a copartition, the even-odd correspondence for
 (1,1,2), the threshold-split map for (1,1,1), and the rim-cell map for
-(0,0,1).  Every map checks its input once (partitions._check_component)
-and checks size preservation.  Its image is checked once too, unless it is
-cut from checked parts by steps that keep order, class and floor, as the
-pair merge's copartition is.  The tests run the round trips exhaustively.
+(0,0,1).  Every map checks its arguments once (partitions._check_component)
+and nothing it computes: each image is valid and of the right size by the
+theorem the map implements, so its copartitions are built without a
+re-check (copartitions._built_valid).  The theorems are checked where
+checks belong: the phi, eo-star, cp111 and cp001 suites and the tests run
+every round trip and compare every image set with the enumeration.
 
 Indexing follows the usual convention for partitions: parts are 1-based,
 largest first.
@@ -22,7 +24,8 @@ from .copartitions import Copartition, ParamsLike, _built_valid, _unfuse, coerce
 from .diagrams import render_ascii
 from .errors import CopaError, DomainError, InvalidPartitionError, NotEOStarError
 from .partitions import (
-    Partition, _bounded_partitions, _check_component, as_partition, conjugate, is_rim_cell
+    Partition, _as_cell, _as_int, _bounded_partitions, _check_component, _conjugate, _is_rim_cell,
+    as_partition,
 )
 
 # The fixed families of the last three maps, shared with every other caller.
@@ -56,24 +59,15 @@ def pair_to_copartition(
             k = cand
             break
     merged: list[int] = []
-    matched: list[int] = []
+    taken: set[int] = set()
     for j in range(k, nl + 1):
         i = np_ - (nl - j) - (lam[j - 1] - p.b) // p.m
-        if not 1 <= i <= np_:
-            raise CopaError(f"matched index {i} out of range 1..{np_}")
-        if matched and i <= matched[-1]:
-            raise CopaError(f"matched indices not strictly increasing: {matched + [i]}")
-        matched.append(i)
+        taken.add(i)
         merged.append(lam[j - 1] + pi[i - 1])
-    taken = set(matched)
     ground = tuple(q for idx, q in enumerate(pi, start=1) if idx not in taken)
     # ground is a sub-tuple of the checked pi, and the sky a prefix of the
     # checked lam less m * len(ground), its floor checked by _unfuse
-    c = _built_valid(p, ground, _unfuse(lam[: k - 1], len(ground), p))
-    out = _check_component(merged, p.a + p.b, p.m, "combined")
-    if sum(pi) + sum(lam) != sum(out) + c.size:
-        raise CopaError("pair merge did not preserve total size")
-    return out, c
+    return tuple(merged), _built_valid(p, ground, _unfuse(lam[: k - 1], len(ground), p))
 
 
 def _inverse_steps(merged: Partition, c: Copartition) -> list[tuple[int, int]]:
@@ -120,11 +114,7 @@ def copartition_to_pair(
         piece = p.m * jk + p.b
         sky_pile.append(piece)
         ground_pile.append(val - piece)
-    pi = _check_component(sorted(ground_pile, reverse=True), p.a, p.m, "ground source")
-    lam = _check_component(sorted(sky_pile, reverse=True), p.b, p.m, "sky source")
-    if sum(pi) + sum(lam) != sum(mu) + c.size:
-        raise CopaError("pair split did not preserve total size")
-    return pi, lam
+    return tuple(sorted(ground_pile, reverse=True)), tuple(sorted(sky_pile, reverse=True))
 
 
 def inverse_match_table(merged: Sequence[int], copartition: Copartition) -> list[tuple[int, int]]:
@@ -210,11 +200,8 @@ def copartition_to_eo(c: Copartition) -> Partition:
     block: list[int] = []
     for f in enlarged_sky(c):
         block += [f, f]
-    block += [2 * q for q in conjugate(c.ground)]
-    out = as_partition(sorted(block, reverse=True))
-    if not _eo_shape(out) or sum(out) != 2 * c.size:
-        raise CopaError(f"even-odd image invalid for {c!r}")
-    return out
+    block += [2 * q for q in _conjugate(c.ground)]
+    return tuple(sorted(block, reverse=True))
 
 
 def eo_to_copartition(parts: Sequence[int]) -> Copartition:
@@ -224,11 +211,11 @@ def eo_to_copartition(parts: Sequence[int]) -> Copartition:
         raise NotEOStarError(f"not an even-odd partition: {list(lam)}")
     evens = [q // 2 for q in lam if q % 2 == 0]
     odd_mult = Counter(q for q in lam if q % 2 == 1)
-    ground = conjugate(evens)
+    ground = _conjugate(evens)
     fused: list[int] = []
     for v in sorted(odd_mult, reverse=True):
         fused += [v] * (odd_mult[v] // 2)
-    return Copartition(_EO, ground, _unfuse(fused, len(ground), _EO))
+    return _built_valid(_EO, ground, _unfuse(fused, len(ground), _EO))
 
 
 def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
@@ -238,27 +225,20 @@ def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
     parts conjugates into the ground.  The image has size |parts| + k.
     """
     lam = as_partition(parts)
-    k = ground_count
+    k = _as_int(ground_count, "ground count", scalar=True)
     if k < 0:
         raise DomainError(f"ground count must be non-negative, got {k}")
     j = next((idx for idx, q in enumerate(lam, start=1) if q <= k), len(lam) + 1)
-    fused = lam[: j - 1]
-    tail = lam[j - 1 :]
-    ground = conjugate((k,) + tail) if k else conjugate(tail)
-    c = Copartition(_CP111, ground, _unfuse(fused, len(ground), _CP111))
-    if len(c.ground) != k or c.size != sum(lam) + k:
-        raise CopaError(f"threshold split broke on {list(lam)}, k={k}")
-    return c
+    # with k = 0 no part is at most k, so the tail and the ground are empty
+    ground = _conjugate((k,) + lam[j - 1 :]) if k else ()
+    return _built_valid(_CP111, ground, _unfuse(lam[: j - 1], k, _CP111))
 
 
 def cp111_to_partition(c: Copartition) -> tuple[Partition, int]:
     """Exact inverse of partition_to_cp111; the count is the ground size."""
     if c.params.as_tuple() != (1, 1, 1):
         raise CopaError(f"threshold map needs params (1,1,1), got {c.params.as_tuple()}")
-    k = len(c.ground)
-    tail = conjugate(c.ground)[1:]
-    lam = as_partition(enlarged_sky(c) + tail)
-    return lam, k
+    return enlarged_sky(c) + _conjugate(c.ground)[1:], len(c.ground)
 
 
 def rim_cell_to_cp001(parts: Sequence[int], cell: tuple[int, int]) -> Copartition:
@@ -270,16 +250,12 @@ def rim_cell_to_cp001(parts: Sequence[int], cell: tuple[int, int]) -> Copartitio
     derived rectangle.  Size is preserved.
     """
     lam = as_partition(parts)
-    if not is_rim_cell(lam, tuple(cell)):
-        raise CopaError(f"{tuple(cell)} is not a rim cell of {list(lam)}")
+    cell = _as_cell(cell)
+    if not _is_rim_cell(lam, cell):
+        raise CopaError(f"{cell} is not a rim cell of {list(lam)}")
     i, j = cell
-    sky = tuple(lam[r] - j for r in range(i))
-    cols = conjugate(lam[i:])
-    ground = cols + (0,) * (j - len(cols))
-    c = Copartition(_CP001, ground, sky)
-    if c.size != sum(lam):
-        raise CopaError(f"rim map broke on {list(lam)}, cell {tuple(cell)}")
-    return c
+    cols = _conjugate(lam[i:])
+    return _built_valid(_CP001, cols + (0,) * (j - len(cols)), tuple(q - j for q in lam[:i]))
 
 
 def cp001_to_rim_cell(c: Copartition) -> tuple[Partition, tuple[int, int]]:
@@ -287,13 +263,8 @@ def cp001_to_rim_cell(c: Copartition) -> tuple[Partition, tuple[int, int]]:
     if c.params.as_tuple() != (0, 0, 1):
         raise CopaError(f"rim map needs params (0,0,1), got {c.params.as_tuple()}")
     j = len(c.ground)
-    i = len(c.sky)
-    upper = tuple(s + j for s in c.sky)
-    lower = conjugate(tuple(g for g in c.ground if g))
-    lam = as_partition(upper + lower)
-    if not is_rim_cell(lam, (i, j)):
-        raise CopaError(f"rim map inverse broke on {c!r}")
-    return lam, (i, j)
+    lower = _conjugate(tuple(g for g in c.ground if g))
+    return tuple(s + j for s in c.sky) + lower, (len(c.sky), j)
 
 
 def render_pair_merge(

@@ -20,20 +20,23 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import DomainError, EmptyGroundError, EmptySkyError, InvalidPartitionError, SplitError
-from .partitions import _check_component
+from .partitions import _as_int, _check_component
 
 ParamsLike = Union["CopartitionParams", tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
 class CopartitionParams:
-    """The triple (a, b, m): ground class, sky class, modulus."""
+    """The triple (a, b, m): ground class, sky class, modulus.  Each field
+    follows the int rule of parts (1.0 is 1; 1.5 and "1" are refused)."""
 
     a: int
     b: int
     m: int
 
     def __post_init__(self) -> None:
+        for name, what in (("a", "class a"), ("b", "class b"), ("m", "modulus")):
+            object.__setattr__(self, name, _as_int(getattr(self, name), what, scalar=True))
         if self.m < 1:
             raise DomainError(f"modulus must be positive, got {self.m}")
         if self.a < 0 or self.b < 0:
@@ -46,29 +49,33 @@ class CopartitionParams:
         return CopartitionParams(self.b, self.a, self.m)
 
 
-@lru_cache(maxsize=256)
-def _shared_params(a: int, b: int, m: int) -> CopartitionParams:
-    # lru_cache keeps no entry for a call that raises, so a bad triple is
-    # refused by __post_init__ every time it is asked for.
-    return CopartitionParams(a, b, m)
+# lru_cache keeps no entry for a call that raises, so a bad triple is
+# refused by __post_init__ every time it is asked for.
+_shared_params = lru_cache(maxsize=256)(CopartitionParams)
 
 
 def coerce_params(params: ParamsLike) -> CopartitionParams:
     """The params object for a triple, shared by every caller that names it."""
     if isinstance(params, CopartitionParams):
         return params
-    a, b, m = params
-    return _shared_params(int(a), int(b), int(m))
+    try:
+        return _shared_params(*params)
+    except TypeError:  # not three fields, or one lru_cache cannot hash
+        raise DomainError(f"params must be three integers, got {params!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
 class Copartition:
+    """Validating constructor; params may be a triple, and the rectangle is
+    derived, never supplied."""
+
     params: CopartitionParams
     ground: tuple[int, ...]
     sky: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = self.params
+        p = coerce_params(self.params)
+        _set_params(self, p)
         _set_ground(self, _check_component(self.ground, p.a, p.m, "ground"))
         _set_sky(self, _check_component(self.sky, p.b, p.m, "sky"))
         if p.a == 0 and not self.sky:
@@ -119,8 +126,8 @@ def _built_valid(
     p: CopartitionParams, ground: tuple[int, ...], sky: tuple[int, ...]
 ) -> Copartition:
     """A Copartition from components its caller built valid, set slot by
-    slot without __post_init__.  The enumeration walker calls it, and the
-    pair merge for a ground and sky cut from its checked sources; every
+    slot without __post_init__.  The enumeration walker calls it, and each
+    bijection for the image it computes from its checked arguments; every
     public constructor validates."""
     c = _new(Copartition)
     _set_params(c, p)
@@ -129,11 +136,7 @@ def _built_valid(
     return c
 
 
-def make_copartition(
-    params: ParamsLike, ground: Sequence[int], sky: Sequence[int]
-) -> Copartition:
-    """Validating constructor; the rectangle is derived, never supplied."""
-    return Copartition(coerce_params(params), ground, sky)
+make_copartition = Copartition
 
 
 def enlarged_sky(c: Copartition) -> tuple[int, ...]:
@@ -236,7 +239,7 @@ def from_json_dict(obj: dict) -> Copartition:
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}") from exc
     if not (type(ground) is type(sky) is list and types <= {int}):
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}")
-    return Copartition(coerce_params((a, b, m)), ground, sky)
+    return Copartition((a, b, m), ground, sky)
 
 
 def from_json(text: str) -> Copartition:

@@ -25,8 +25,8 @@ the series engine they are checked against.
 The walker's components are valid by construction: non-increasing, in
 their class and at least its least part, and nonempty where a degenerate
 class needs it.  So the generator builds its objects without re-checking
-them (copartitions._built_valid), as the pair merge does for a copartition
-cut from its checked sources; every public constructor still checks.
+them (copartitions._built_valid), as the bijections do for the images they
+compute from checked arguments; every public constructor still checks.
 A block's count depends only on its shape (ground and sky counts capped at
 the total, and the total), so one bounded memo serves every family.
 """

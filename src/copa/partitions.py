@@ -31,13 +31,21 @@ from .errors import DomainError, InvalidPartitionError, MinimumPartError, Residu
 Partition = tuple[int, ...]
 
 
-def _as_int(p: object, label: str) -> int:
+def _as_int(x: object, what: str, scalar: bool = False) -> int:
+    """The package's one int rule, for parts, params, cells and counts: x
+    is taken when it equals an int (6.0 as 6, True as 1).  Anything else
+    (2.7, "3", None) raises InvalidPartitionError for a part, DomainError
+    for a scalar."""
+    if type(x) is int:
+        return x
     try:
-        if int(p) == p:
-            return int(p)
+        if int(x) == x:
+            return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidPartitionError(f"{label} part {p!r} is not an integer")
+    if scalar:
+        raise DomainError(f"{what} {x!r} is not an integer")
+    raise InvalidPartitionError(f"{what} {x!r} is not an integer")
 
 
 def _check_component(parts: Sequence[int], cls: int, m: int, label: str) -> Partition:
@@ -55,7 +63,7 @@ def _check_component(parts: Sequence[int], cls: int, m: int, label: str) -> Part
     for p in t:
         if type(p) is not int or p > prev or p % m != r or p < cls:
             if type(p) is not int:
-                return _check_component([_as_int(q, label) for q in t], cls, m, label)
+                return _check_component([_as_int(q, f"{label} part") for q in t], cls, m, label)
             if p > prev:
                 raise InvalidPartitionError(f"{label} parts not non-increasing: {list(t)}")
             if p == 0:
@@ -72,39 +80,34 @@ def as_partition(parts: Sequence[int]) -> Partition:
     return _check_component(parts, 1, 1, "partition")
 
 
-def _reject_zero_parts(parts: Sequence[int], op: str) -> None:
-    if parts and parts[-1] <= 0:
-        raise InvalidPartitionError(f"{op} is undefined for zero parts: {list(parts)}")
+# The operations on one plain partition check it with as_partition; the
+# bijections and partition_statistics, whose partitions are checked or
+# walked already, call the unchecked cores _conjugate and _is_rim_cell.
 
 
 def conjugate(parts: Sequence[int]) -> Partition:
     """Transpose of the Young diagram: column lengths become parts."""
-    _reject_zero_parts(parts, "conjugate")
-    if not parts:
-        return ()
-    out = []
-    for i in range(1, parts[0] + 1):
-        count = 0
-        for p in parts:
-            if p >= i:
-                count += 1
-            else:
-                break
-        out.append(count)
+    return _conjugate(as_partition(parts))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    # Columns lam[r] + 1 .. lam[r - 1] (1-based r, lam[n] = 0) have r cells.
+    out: list[int] = []
+    padded = (*lam, 0)
+    for r in range(len(lam), 0, -1):
+        out += [r] * (padded[r - 1] - padded[r])
     return tuple(out)
 
 
 def diversity(parts: Sequence[int]) -> int:
     """Number of distinct values among the parts."""
-    return len(set(parts))
+    return len(set(as_partition(parts)))
 
 
 def perimeter(parts: Sequence[int]) -> int:
     """Largest part plus number of parts minus one; 0 for the empty partition."""
-    _reject_zero_parts(parts, "perimeter")
-    if not parts:
-        return 0
-    return parts[0] + len(parts) - 1
+    lam = as_partition(parts)
+    return lam[0] + len(lam) - 1 if lam else 0
 
 
 def rim_cells(parts: Sequence[int]) -> list[tuple[int, int]]:
@@ -113,25 +116,32 @@ def rim_cells(parts: Sequence[int]) -> list[tuple[int, int]]:
     Walks the south-east boundary from the top-right cell to the bottom-left
     cell; the number of rim cells equals perimeter(parts).
     """
-    _reject_zero_parts(parts, "rim_cells")
+    lam = as_partition(parts)
     cells: list[tuple[int, int]] = []
-    n = len(parts)
+    n = len(lam)
     for i in range(1, n + 1):
-        below = parts[i] if i < n else 0
-        for j in range(parts[i - 1], max(below, 1) - 1, -1):
+        below = lam[i] if i < n else 0
+        for j in range(lam[i - 1], max(below, 1) - 1, -1):
             cells.append((i, j))
     return cells
 
 
+def _as_cell(cell: Sequence[int]) -> tuple[int, ...]:
+    return tuple(_as_int(x, "cell coordinate", scalar=True) for x in cell)
+
+
 def is_rim_cell(parts: Sequence[int], cell: tuple[int, int]) -> bool:
-    """Whether cell is in rim_cells(parts), without listing the rim: row i
-    exists and j runs from the part below it (at least 1) up to its own."""
-    _reject_zero_parts(parts, "rim_cells")
+    """Whether cell is in rim_cells(parts), without listing the rim."""
+    return _is_rim_cell(as_partition(parts), _as_cell(cell))
+
+
+def _is_rim_cell(lam: Partition, cell: tuple[int, ...]) -> bool:
+    # row i exists and j runs from the part below it (at least 1) up to its own
     if len(cell) != 2:
         return False
     i, j = cell
-    n = len(parts)
-    return 1 <= i <= n and max(parts[i] if i < n else 0, 1) <= j <= parts[i - 1]
+    n = len(lam)
+    return 1 <= i <= n and max(lam[i] if i < n else 0, 1) <= j <= lam[i - 1]
 
 
 def _fill(parts: list[int], v: int, budget: int, slots: int) -> int:
@@ -316,7 +326,7 @@ def partition_statistics(n: int) -> PartitionStatistics:
         total_parts += len(lam)
         sum_largest += lam[0]
         sum_perims += lam[0] + len(lam) - 1
-        div_sum += diversity(lam)
+        div_sum += len(set(lam))
         smallest = lam[-1]
         mult = 0
         for p in reversed(lam):

@@ -20,10 +20,11 @@ from copa.bijections import (
     render_pair_merge,
     rim_cell_to_cp001,
 )
-from copa.copartitions import from_json, make_copartition, to_json
+from copa.copartitions import Copartition, from_json, make_copartition, to_json
 from copa.enumeration import enumerate_copartitions
 from copa.errors import (
     CopaError,
+    DomainError,
     InvalidPartitionError,
     MinimumPartError,
     NotEOStarError,
@@ -34,6 +35,19 @@ from copa.partitions import enumerate_partitions, rim_cells
 from copa.series import eo_star_gf
 
 from oracles import brute_eo_star, reference_is_eo_star, reference_progression_partitions
+
+
+def is_checked(image, cls=1, m=1):
+    """The image equals what the validating constructor builds from its
+    parts, and holds tuples of ints only: the maps build their images
+    without a re-check, so these tests check them instead."""
+    if isinstance(image, Copartition):
+        seqs = (image.ground, image.sky)
+        rebuilt = make_copartition(image.params, *seqs)
+    else:
+        seqs = (image,)
+        rebuilt = partitions._check_component(image, cls, m, "image")
+    return rebuilt == image and all(type(t) is tuple and {type(q) for q in t} <= {int} for t in seqs)
 
 
 def pair_families(a, b, m, total):
@@ -81,6 +95,7 @@ def test_pair_merge_round_trips_exhaustive():
             for pi, lam in pair_families(a, b, m, total):
                 merged, c = pair_to_copartition(pi, lam, (a, b, m))
                 assert sum(merged) + c.size == total
+                assert is_checked(merged, a + b, m) and is_checked(c)
                 assert copartition_to_pair(merged, c) == (pi, lam)
 
 
@@ -136,7 +151,45 @@ def test_pair_merge_round_trip_on_large_sources(drawn):
     assert 100 <= sum(pi) + sum(lam) <= 300
     merged, c = pair_to_copartition(pi, lam, params)
     assert sum(merged) + c.size == sum(pi) + sum(lam)
+    assert is_checked(merged, params[0] + params[1], params[2]) and is_checked(c)
     assert copartition_to_pair(merged, c) == (pi, lam)
+
+
+@st.composite
+def large_splits(draw):
+    """(merged, copartition) of combined size at least 100, with a, b >= 1.
+
+    The combined parts, the ground and the sky are filled one part at a
+    time from their classes, as in large_pairs; the copartition's rectangle
+    adds m * len(ground) * len(sky) on top.
+    """
+    a, b, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cap = draw(st.integers(0, 40))
+    total = draw(st.integers(112, 300))
+    cuts = sorted(draw(st.integers(0, total)) for _ in range(2))
+
+    def parts(left: int, base: int) -> tuple[int, ...]:
+        out = []
+        while left >= base:
+            part = base + m * draw(st.integers(0, min(cap, (left - base) // m)))
+            out.append(part)
+            left -= part
+        return tuple(sorted(out, reverse=True))
+
+    merged = parts(cuts[0], a + b)
+    c = make_copartition((a, b, m), parts(cuts[1] - cuts[0], a), parts(total - cuts[1], b))
+    return merged, c
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_splits())
+def test_pair_split_round_trip_on_large_inputs(drawn):
+    merged, c = drawn
+    assert sum(merged) + c.size >= 100
+    pi, lam = copartition_to_pair(merged, c)
+    assert sum(pi) + sum(lam) == sum(merged) + c.size
+    assert is_checked(pi, c.a, c.m) and is_checked(lam, c.b, c.m)
+    assert pair_to_copartition(pi, lam, c.params) == (merged, c)
 
 
 def test_pair_merge_counts_match():
@@ -285,11 +338,13 @@ def test_eo_round_trips():
         for parts in enumerate_eo_star(n):
             c = eo_to_copartition(parts)
             assert c.size * 2 == n
+            assert is_checked(c)
             assert copartition_to_eo(c) == parts
     for half in range(13):
         for c in enumerate_copartitions((1, 1, 2), half):
             parts = copartition_to_eo(c)
             assert sum(parts) == 2 * half
+            assert is_checked(parts) and is_eo_star(parts)
             assert eo_to_copartition(parts) == c
 
 
@@ -305,7 +360,10 @@ def test_eo_round_trip_on_large_copartitions(ground, sky):
     assume(100 <= c.size <= 300)
     parts = copartition_to_eo(c)
     assert sum(parts) == 2 * c.size
-    assert eo_to_copartition(parts) == c
+    assert is_checked(parts) and is_eo_star(parts)
+    back = eo_to_copartition(parts)
+    assert is_checked(back)
+    assert back == c
 
 
 def test_eo_crank_transport():
@@ -339,10 +397,12 @@ def test_threshold_map_bijective():
         for k in range(n + 1):
             for lam in enumerate_partitions(n - k):
                 c = partition_to_cp111(lam, k)
-                assert c.size == n
+                assert c.size == n and len(c.ground) == k
+                assert is_checked(c)
                 assert c not in images
                 images[c] = (lam, k)
-                assert cp111_to_partition(c) == (lam, k)
+                back, count = cp111_to_partition(c)
+                assert is_checked(back) and (back, count) == (lam, k)
         assert len(images) == sum(1 for _ in enumerate_copartitions((1, 1, 1), n))
 
 
@@ -371,9 +431,11 @@ def test_rim_map_bijective():
             for cell in rim_cells(lam):
                 c = rim_cell_to_cp001(lam, cell)
                 assert c.size == n
+                assert is_checked(c)
                 assert c not in images
                 images.add(c)
-                assert cp001_to_rim_cell(c) == (lam, cell)
+                back, back_cell = cp001_to_rim_cell(c)
+                assert is_checked(back) and (back, back_cell) == (lam, cell)
         assert len(images) == sum(1 for _ in enumerate_copartitions((0, 0, 1), n))
 
 
@@ -395,7 +457,9 @@ def test_threshold_map_round_trip_on_large_partitions(lam, k):
     c = partition_to_cp111(lam, k)
     assert c.size == sum(lam) + k
     assert len(c.ground) == k
-    assert cp111_to_partition(c) == (lam, k)
+    assert is_checked(c)
+    back, count = cp111_to_partition(c)
+    assert is_checked(back) and (back, count) == (lam, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -404,7 +468,23 @@ def test_rim_map_round_trip_on_large_partitions(lam, data):
     cell = data.draw(st.sampled_from(rim_cells(lam)))
     c = rim_cell_to_cp001(lam, cell)
     assert c.size == sum(lam)
-    assert cp001_to_rim_cell(c) == (lam, cell)
+    assert is_checked(c)
+    back, back_cell = cp001_to_rim_cell(c)
+    assert is_checked(back) and (back, back_cell) == (lam, cell)
+
+
+def test_cells_and_counts_follow_the_int_rule():
+    # a coordinate or count that equals an int is read as one; the parts of
+    # the image are ints either way
+    c = rim_cell_to_cp001((3, 1), (1.0, 3))
+    assert c == rim_cell_to_cp001((3, 1), (1, 3)) and is_checked(c)
+    c = partition_to_cp111((2, 1), 1.0)
+    assert c == partition_to_cp111((2, 1), 1) and is_checked(c)
+    for bad in (1.5, "3", None):
+        with pytest.raises(DomainError, match="is not an integer"):
+            rim_cell_to_cp001((3, 1), (bad, 3))
+        with pytest.raises(DomainError, match="ground count .* is not an integer"):
+            partition_to_cp111((2, 1), bad)
 
 
 def test_rim_map_rejects_off_rim_cells():
@@ -436,7 +516,7 @@ def test_round_trips_check_each_part_sequence_once(monkeypatch):
     pi, lam = (9, 5, 5, 5, 5, 1, 1, 1), (26, 26, 26, 22, 6, 6, 2)
     eo = make_copartition((1, 1, 2), (3, 1), (5, 1))
     assert checks(lambda: from_json(to_json(c))) == 2
-    assert checks(lambda: copartition_to_pair(*pair_to_copartition(pi, lam, (1, 2, 4)))) == 6
-    assert checks(lambda: eo_to_copartition(copartition_to_eo(eo))) == 4
-    assert checks(lambda: cp111_to_partition(partition_to_cp111((5, 3, 3, 1), 2))) == 4
-    assert checks(lambda: cp001_to_rim_cell(rim_cell_to_cp001((5, 3, 3, 1), (2, 3)))) == 4
+    assert checks(lambda: copartition_to_pair(*pair_to_copartition(pi, lam, (1, 2, 4)))) == 3
+    assert checks(lambda: eo_to_copartition(copartition_to_eo(eo))) == 1
+    assert checks(lambda: cp111_to_partition(partition_to_cp111((5, 3, 3, 1), 2))) == 1
+    assert checks(lambda: cp001_to_rim_cell(rim_cell_to_cp001((5, 3, 3, 1), (2, 3)))) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from copa.bijections import partition_to_cp111
 from copa.copartitions import (
+    Copartition,
     CopartitionParams,
     _shared_params,
     coerce_params,
@@ -44,6 +45,30 @@ def test_params_validation():
         CopartitionParams(1, 3, 0)
     with pytest.raises(ValueError):
         CopartitionParams(-1, 3, 4)
+
+
+def test_params_follow_the_int_rule():
+    # a field that equals an int is stored as one; anything else is a
+    # DomainError, in the class, through coerce_params and in every count
+    p = CopartitionParams(1.0, True, 2)
+    assert p == CopartitionParams(1, 1, 2) and {type(v) for v in p.as_tuple()} == {int}
+    assert coerce_params((1.0, 1, 2)) is coerce_params((1, 1, 2))
+    for bad in ((1.5, 1, 2), ("1", 1, 2), ("a", 1, 2), (1, 1, None)):
+        with pytest.raises(DomainError, match="is not an integer"):
+            CopartitionParams(*bad)
+        with pytest.raises(DomainError, match="is not an integer"):
+            count_copartitions(bad, 5)
+    for bad in (([1], 1, 2), (1, 2), None):
+        with pytest.raises(DomainError, match="params must be three integers"):
+            coerce_params(bad)
+
+
+def test_the_class_is_the_validating_constructor():
+    c = Copartition((1, 1, 2), (1,), ())
+    assert c == make_copartition((1, 1, 2), [1.0], []) and make_copartition is Copartition
+    assert c.params is coerce_params((1, 1, 2))
+    with pytest.raises(DomainError):
+        Copartition((1.5, 1, 2), (1,), ())
 
 
 def test_component_validation_errors_are_specific():

@@ -170,6 +170,20 @@ def test_diversity():
     assert diversity((5, 5, 3, 1, 1, 1)) == 3
 
 
+@pytest.mark.parametrize("op", (conjugate, perimeter, rim_cells, diversity))
+@pytest.mark.parametrize("parts", ([1, 3], [2.5], [2, "a"], [3, 0]))
+def test_plain_partition_operations_check_their_input(op, parts):
+    # each used to answer for the out-of-order [1, 3], or fail with a bare
+    # TypeError on a part that is not an integer
+    with pytest.raises(InvalidPartitionError):
+        op(parts)
+
+
+def test_plain_partition_operations_read_int_like_parts():
+    assert conjugate([3.0, 1]) == conjugate((3, 1)) == (2, 1, 1)
+    assert is_rim_cell([2.0, 1], (1.0, 2)) and not is_rim_cell((2, 1), (2, 2))
+
+
 def test_statistics_small_values():
     s3 = partition_statistics(3)
     assert (s3.total_parts, s3.sum_largest_parts, s3.sum_perimeters) == (6, 6, 9)

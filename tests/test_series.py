@@ -659,23 +659,37 @@ def test_far_counts_with_both_classes_zero_match_the_double_sum(m):
     assert counts == series._double_sum(0, 0, m, False, 400).scalar_coeffs()
 
 
-def _with_euler_step(ab: tuple[int, int]):
-    # (a, b, m) for an m that divides a, b or a + b
-    a, b = ab
-    steps = [m for m in range(1, a + b + 1) if 0 in (a % m, b % m, (a + b) % m)]
-    return st.sampled_from(steps).map(lambda m: (a, b, m))
+def _route_orders(a: int, b: int, m: int):
+    # Orders on both sides of each _walk crossover: 0, 1, next to the class
+    # offsets and their doubles, and anywhere up to a few hundred.
+    offsets = {a, b, a + b, m, 2 * (a + b), 2 * m}
+    near = st.sampled_from(sorted(offsets)).flatmap(lambda o: st.integers(max(o - 1, 0), o + 1))
+    return st.sampled_from((0, 1)) | near | st.integers(0, 300)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(_with_euler_step),
-    st.integers(0, 200),
-)
-def test_scalar_product_is_the_marked_product_at_markers_one(abm, order):
-    # the marked path never takes Euler's branch
-    a, b, m = abm
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 8), st.data())
+def test_scalar_product_is_the_marked_product_at_markers_one(a, b, m, data):
+    # the marked path takes no theta route, whatever the triple
+    order = data.draw(_route_orders(a, b, m).filter(lambda o: o <= 200))
     marked = gf_product((a, b, m), order, markers=True)
     assert gf_product((a, b, m), order, markers=False) == marked.at_markers_one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 8), st.data())
+def test_scalar_builders_match_the_double_sum_on_every_route(a, b, m, data):
+    # zero classes and classes above the modulus included; the builder is
+    # the one count_series stores, at the drawn order
+    order = data.draw(_route_orders(a, b, m))
+    expected = series._double_sum(a, b, m, False, order).scalar_coeffs()
+    if a and b:
+        built = series._product(a, b, m, False, order)
+    else:
+        built = series._degenerate_series(a + b, m, order)
+    assert built.scalar_coeffs() == expected
+    n = data.draw(st.integers(0, order))
+    assert count_series((a, b, m), n) == expected[n]
 
 
 @pytest.mark.parametrize("params", ((1, 1, 2), (2, 3, 5)))

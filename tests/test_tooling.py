@@ -1,8 +1,13 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
+
+import pytest
 
 import copa
 from copa import errors
@@ -107,3 +112,37 @@ def test_only_the_partition_check_raises_the_component_errors():
         if name in component
     }
     assert sites == {"partitions.py"}, sites
+
+
+# The other arguments of the public functions that take a plain partition
+# as `parts`; a new parameter name fails the guard below until it is named.
+_OTHER_ARGUMENTS = {"cell": (1, 1), "ground_count": 1}
+_TAKES_PARTS = {
+    f"{module.__name__}.{name}": value
+    for info in pkgutil.iter_modules(copa.__path__)
+    for module in [importlib.import_module(f"copa.{info.name}")]
+    for name, value in vars(module).items()
+    if not name.startswith("_")
+    and inspect.isfunction(value)
+    and value.__module__ == module.__name__
+    and "parts" in inspect.signature(value).parameters
+}
+
+
+def test_the_guard_finds_the_partition_entry_points():
+    assert {"copa.partitions.is_rim_cell", "copa.bijections.rim_cell_to_cp001"} <= set(
+        _TAKES_PARTS
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_PARTS))
+@pytest.mark.parametrize("parts", ([1, 3], [2.5]))
+def test_every_public_function_taking_parts_checks_them(name, parts):
+    """No entry point skips the one validator: an out-of-order partition
+    and a part that is not an integer are refused with a CopaError."""
+    function = _TAKES_PARTS[name]
+    others = {
+        p: _OTHER_ARGUMENTS[p] for p in inspect.signature(function).parameters if p != "parts"
+    }
+    with pytest.raises(errors.CopaError):
+        function(parts, **others)
