@@ -20,7 +20,9 @@ from collections import Counter
 from itertools import groupby
 from typing import Sequence
 
-from .copartitions import Copartition, ParamsLike, _built_valid, _unfuse, coerce_params, enlarged_sky
+from .copartitions import (
+    Copartition, CopartitionParams, ParamsLike, _built_valid, _unfuse, coerce_params, enlarged_sky,
+)
 from .diagrams import render_ascii
 from .errors import CopaError, DomainError, InvalidPartitionError, NotEOStarError
 from .partitions import (
@@ -46,7 +48,13 @@ def pair_to_copartition(
     enlarged sky, and the unmatched ground parts become the ground.  Total
     size is preserved.
     """
-    p = coerce_params(params)
+    return _merge(ground_source, sky_source, coerce_params(params))[2:]
+
+
+def _merge(
+    ground_source: Sequence[int], sky_source: Sequence[int], p: CopartitionParams
+) -> tuple[Partition, Partition, Partition, Copartition]:
+    # The checked sources too, which render_pair_merge draws.
     if p.a < 1 or p.b < 1:
         raise CopaError(f"pair merge needs a, b >= 1, got ({p.a},{p.b},{p.m})")
     pi = _check_component(ground_source, p.a, p.m, "ground source")
@@ -67,7 +75,7 @@ def pair_to_copartition(
     ground = tuple(q for idx, q in enumerate(pi, start=1) if idx not in taken)
     # ground is a sub-tuple of the checked pi, and the sky a prefix of the
     # checked lam less m * len(ground), its floor checked by _unfuse
-    return tuple(merged), _built_valid(p, ground, _unfuse(lam[: k - 1], len(ground), p))
+    return pi, lam, tuple(merged), _built_valid(p, ground, _unfuse(lam[: k - 1], len(ground), p))
 
 
 def _inverse_steps(merged: Partition, c: Copartition) -> list[tuple[int, int]]:
@@ -280,8 +288,7 @@ def render_pair_merge(
     rows and the resulting copartition diagram.
     """
     p = coerce_params(params)
-    pi = _check_component(ground_source, p.a, p.m, "ground source")
-    lam = _check_component(sky_source, p.b, p.m, "sky source")
+    pi, lam, merged, c = _merge(ground_source, sky_source, p)
     np_, nl = len(pi), len(lam)
 
     def sky_row(idx: int, skew: bool) -> list[str]:
@@ -311,7 +318,6 @@ def render_pair_merge(
     lines += ["    " + r for r in fmt(skewed)]
     lines += ["    " + r for r in fmt(rotated)]
 
-    merged, c = pair_to_copartition(pi, lam, p)
     lines.append("3. matched columns (uppercase)")
     k = nl + 1 - len(merged)
     matched_cols = set()

@@ -9,8 +9,10 @@ By default, counts, refined tables and crank tallies come from the series
 engine: the (w, s) term of the marked double sum is exactly the block of
 ground count w and sky count s, so one column of the stored double sum is
 the refined table, and its entries summed by w - s mod k are the crank
-tally.  method="enum" counts from the enumeration instead; it is the
-independent side the verify suites check the series against.
+tally.  method="enum" counts the enumeration's blocks instead, without
+listing an object: its totals sum the block-counted table and its crank
+tally folds the same table by w - s.  It is the independent side the
+verify suites check the series against.
 
 Enumerated counts do not build objects.  One walk, _blocks, yields the
 blocks of a size; the generator expands each block, and the counters count
@@ -138,17 +140,6 @@ def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], i
     return table
 
 
-def _refined_up_to(
-    key: tuple[int, int, int], max_n: int
-) -> list[dict[tuple[int, int], int]]:
-    """Tables for n = 0..max_n; callers must not mutate them."""
-    return [_refined_table(key, n) for n in range(max_n + 1)]
-
-
-def _counts_up_to(key: tuple[int, int, int], max_n: int) -> list[int]:
-    return [sum(t.values()) for t in _refined_up_to(key, max_n)]
-
-
 def _series_table(p: CopartitionParams, n: int) -> dict[tuple[int, int], int]:
     # Column q^n of the stored marked double sum, whose key (s, w) is the
     # block of w ground and s sky parts; read in place, never truncated.
@@ -176,23 +167,14 @@ def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCo
 def crank_tally(params: ParamsLike, n: int, modulus: int, method: str = "auto") -> CrankTally:
     """Tally crank residues over all copartitions of n.
 
-    method "auto" or "series" sums the refined table by w - s (the crank is
-    the ground count minus the sky count), "enum" lists every copartition.
+    The crank is the ground count minus the sky count, so the tally is the
+    refined table of count_refined(params, n, method) summed by w - s.
     """
     if modulus < 1:
         raise DomainError(f"modulus must be positive, got {modulus}")
     counts = {r: 0 for r in range(modulus)}
-    p = coerce_params(params)
-    if n < 0:
-        return CrankTally(modulus, counts)
-    if method in ("auto", "series"):
-        for (w, s), c in _series_table(p, n).items():
-            counts[(w - s) % modulus] += c
-    elif method == "enum":
-        for cp in enumerate_copartitions(p, n):
-            counts[cp.crank % modulus] += 1
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    for (w, s), c in count_refined(params, n, method).table.items():
+        counts[(w - s) % modulus] += c
     return CrankTally(modulus, counts)
 
 
@@ -237,7 +219,7 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     if method in ("auto", "series"):
         return count_series(p, n)
     if method == "enum":
-        return count_refined(p, n, "enum").total
+        return sum(_refined_table(p.as_tuple(), n).values())
     if method == "formula":
         return count_formula(p, n)
     raise DomainError(f"unknown method {method!r}")

@@ -127,7 +127,10 @@ def rim_cells(parts: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _as_cell(cell: Sequence[int]) -> tuple[int, ...]:
-    return tuple(_as_int(x, "cell coordinate", scalar=True) for x in cell)
+    try:
+        return tuple(_as_int(x, "cell coordinate", scalar=True) for x in cell)
+    except TypeError:  # not iterable; _as_int raises only DomainError
+        raise DomainError(f"cell {cell!r} is not a sequence") from None
 
 
 def is_rim_cell(parts: Sequence[int], cell: tuple[int, int]) -> bool:

@@ -3,7 +3,9 @@
 Each suite re-derives one cluster of claims from independent directions
 (enumeration vs series vs closed form vs bijection image) and returns a
 VerificationReport.  Default bounds match the acceptance tests, so running
-every suite at its defaults reproduces the acceptance run.
+every suite at its defaults reproduces the acceptance run.  The suites count
+through the public counters, the enumerated side with method "enum", as the
+CLI does.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from .copartitions import (
     unscale_copartition,
 )
 from .enumeration import (
-    _counts_up_to,
-    _refined_up_to,
     count_copartitions,
     count_formula,
+    count_refined,
     crank_tally,
     enumerate_copartitions,
 )
@@ -73,18 +74,18 @@ def _rr_copartition_check(checker: Checker, which: str, order: int, enum_limit: 
         checker.equal(
             lhs.coefficient_int(n), rhs.coefficient_int(n), f"{which} vs product, q^{n}"
         )
-    enum_counts = _counts_up_to(params, min(enum_limit, order))
-    for n, c in enumerate(enum_counts):
-        checker.equal(cp.coefficient_int(n), c, f"cp{params} series vs enumeration, n={n}")
+    for n in range(min(enum_limit, order) + 1):
+        count = count_copartitions(params, n, "enum")
+        checker.equal(cp.coefficient_int(n), count, f"cp{params} series vs enumeration, n={n}")
 
 
 def _eta_theta_quotient_check(checker: Checker, a: int, m: int, order: int) -> None:
     """(q^m;q^m)^2 over the theta series equals the copartition product.
 
-    Verified in cross-multiplied form.  eta comes from Euler's theorem and
-    theta_sum from the theta kernel; the copartition product is the marked
-    one at x = y = 1, built factor by factor, since the marker-free product
-    divides by this very quotient.
+    Verified in cross-multiplied form.  eta (by Euler's pentagonal theorem)
+    and theta_sum both come from the one theta kernel; the copartition
+    product is the marked one at x = y = 1, built factor by factor, since
+    the marker-free product divides by this very quotient.
     """
     if not (1 <= a < m):
         raise DomainError(f"need 1 <= a < m, got ({a},{m})")
@@ -100,11 +101,10 @@ def _eta_theta_quotient_check(checker: Checker, a: int, m: int, order: int) -> N
 def _gf_degenerate_check(checker: Checker, b: int, m: int, max_n: int) -> None:
     """Enumerated counts for (0, b, m) against the partition-divisor convolution."""
     params = (0, b, m)
-    series = qs._degenerate_series(b, m, max_n)
-    checker.equal(series.coefficient_int(0), 0, f"gf-degenerate {params} q^0 (the sky is nonempty)")
-    enum_counts = _counts_up_to(params, max_n)
+    checker.equal(qs.count_series(params, 0), 0, f"gf-degenerate {params} q^0 (the sky is nonempty)")
     for n in range(max_n + 1):
-        checker.equal(series.coefficient_int(n), enum_counts[n], f"gf-degenerate {params}, n={n}")
+        count = count_copartitions(params, n, "enum")
+        checker.equal(qs.count_series(params, n), count, f"gf-degenerate {params}, n={n}")
 
 
 def suite_gf_triple(max_n: int = 30, refined_max: int = 25, classes: int = 4) -> VerificationReport:
@@ -122,17 +122,16 @@ def suite_gf_triple(max_n: int = 30, refined_max: int = 25, classes: int = 4) ->
         "(1,3,4) count at 12, double sum",
     )
     for a, b, m in iproduct(range(1, classes + 1), repeat=3):
-        # the stored series, at order max_n rounded up to the store's chunk
-        prod = qs._stored(qs._product, (a, b, m, True), max_n)
-        dsum = qs._stored(qs._double_sum, (a, b, m, True), max_n)
+        prod = qs.gf_product((a, b, m), max_n)
+        dsum = qs.gf_double_sum((a, b, m), max_n)
         ch.check(prod.agrees_with(dsum), f"product vs double sum ({a},{b},{m})")
         totals = prod.at_markers_one()
-        tables = _refined_up_to((a, b, m), max_n)
-        counts = _counts_up_to((a, b, m), max_n)
         for n in range(max_n + 1):
-            ch.equal(counts[n], totals.coefficient_int(n), f"enum vs series ({a},{b},{m}) n={n}")
+            count = count_copartitions((a, b, m), n, "enum")
+            ch.equal(count, totals.coefficient_int(n), f"enum vs series ({a},{b},{m}) n={n}")
             if n <= refined_max:
-                swapped = {(s, w): c for (w, s), c in tables[n].items()}
+                table = count_refined((a, b, m), n, "enum").table
+                swapped = {(s, w): c for (w, s), c in table.items()}
                 ch.equal(swapped, prod.coefficient(n), f"refined ({a},{b},{m}) n={n}")
     return ch.done()
 
@@ -189,7 +188,7 @@ def suite_phi(max_total: int = 22, cardinality_max: int = 25) -> VerificationRep
                             (mu, cp) in image,
                             lambda: f"reverse trip ({a},{b},{m}) {list(mu)}|{cp!r}",
                         )
-        counts = _counts_up_to((a, b, m), cardinality_max)
+        counts = [count_copartitions((a, b, m), n, "enum") for n in range(cardinality_max + 1)]
         for n in range(cardinality_max + 1):
             lhs = sum(len(_family(a + b, m, j)) * counts[n - j] for j in range(n + 1))
             rhs = sum(
@@ -245,7 +244,8 @@ def suite_cp111(
             count_copartitions((1, 1, 1), n, "series"),
             f"formula vs series n={n}",
         )
-    counts = _counts_up_to((1, 1, 1), max(enum_max, corollary_max - 1, bound_max))
+    top = max(enum_max, corollary_max - 1, bound_max)
+    counts = [count_copartitions((1, 1, 1), n, "enum") for n in range(top + 1)]
     for n in range(enum_max + 1):
         ch.equal(count_formula((1, 1, 1), n), counts[n], f"formula vs enum n={n}")
     for n in range(1, corollary_max + 1):
@@ -281,12 +281,12 @@ def suite_cp011(max_n: int = 30) -> VerificationReport:
     """(0,1,1): divisor convolution, total parts, and largest-part sums
     all count the same thing."""
     ch = Checker("cp011", f"n <= {max_n}")
-    counts = _counts_up_to((0, 1, 1), max_n)
     for n in range(max_n + 1):
         st = partition_statistics(n)
-        ch.equal(counts[n], count_formula((0, 1, 1), n), f"enum vs convolution n={n}")
-        ch.equal(counts[n], st.total_parts, f"enum vs total parts n={n}")
-        ch.equal(counts[n], st.sum_largest_parts, f"enum vs largest parts n={n}")
+        count = count_copartitions((0, 1, 1), n, "enum")
+        ch.equal(count, count_formula((0, 1, 1), n), f"enum vs convolution n={n}")
+        ch.equal(count, st.total_parts, f"enum vs total parts n={n}")
+        ch.equal(count, st.sum_largest_parts, f"enum vs largest parts n={n}")
     _gf_degenerate_check(ch, 1, 1, max_n)
     return ch.done()
 
@@ -295,13 +295,13 @@ def suite_cp001(max_n: int = 30, bijection_max: int = 14) -> VerificationReport:
     """(0,0,1): perimeter sums, the two-convolutions identity, and the
     rim-cell bijection."""
     ch = Checker("cp001", f"n <= {max_n}, bijection n <= {bijection_max}")
-    counts = _counts_up_to((0, 0, 1), max_n)
     for n in range(max_n + 1):
-        ch.equal(counts[n], partition_statistics(n).sum_perimeters, f"enum vs perimeters n={n}")
-        ch.equal(counts[n], count_formula((0, 0, 1), n), f"enum vs formula n={n}")
+        count = count_copartitions((0, 0, 1), n, "enum")
+        ch.equal(count, partition_statistics(n).sum_perimeters, f"enum vs perimeters n={n}")
+        ch.equal(count, count_formula((0, 0, 1), n), f"enum vs formula n={n}")
         if n >= 1:
             ch.equal(
-                counts[n],
+                count,
                 2 * count_formula((0, 1, 1), n) - partition_count(n),
                 f"two-for-one identity n={n}",
             )
@@ -335,11 +335,11 @@ def suite_cp0bm(
     mirrored sky-class family."""
     ch = Checker("cp0bm", f"(b,m) in {pairs}, n <= {max_n}")
     for b, m in pairs:
-        counts = _counts_up_to((0, b, m), max_n)
-        mirror = _counts_up_to((b, 0, m), max_n)
         for n in range(max_n + 1):
-            ch.equal(counts[n], count_formula((0, b, m), n), f"(0,{b},{m}) formula n={n}")
-            ch.equal(counts[n], mirror[n], f"(0,{b},{m}) vs ({b},0,{m}) n={n}")
+            count = count_copartitions((0, b, m), n, "enum")
+            mirror = count_copartitions((b, 0, m), n, "enum")
+            ch.equal(count, count_formula((0, b, m), n), f"(0,{b},{m}) formula n={n}")
+            ch.equal(count, mirror, f"(0,{b},{m}) vs ({b},0,{m}) n={n}")
         _gf_degenerate_check(ch, b, m, max_n)
     return ch.done()
 
@@ -410,7 +410,7 @@ def suite_scaling(
             raise DomainError(f"scale factor must be positive, got {s}")
     ch = Checker("scaling", f"scales {scales}, (a,b,m) in 1..{classes}^3, n <= {max_n}")
     for a, b, m in iproduct(range(1, classes + 1), repeat=3):
-        counts = _counts_up_to((a, b, m), max_n)
+        counts = [count_copartitions((a, b, m), n, "enum") for n in range(max_n + 1)]
         for s in scales:
             scaled = qs.gf_product((s * a, s * b, s * m), s * max_n, markers=False)
             for n in range(max_n + 1):
@@ -419,9 +419,9 @@ def suite_scaling(
                     scaled.coefficient_int(s * n),
                     f"({a},{b},{m}) x{s} at n={n}",
                 )
-            small = _counts_up_to((s * a, s * b, s * m), s * object_max)
             for n in range(object_max + 1):
-                ch.equal(counts[n], small[s * n], f"({a},{b},{m}) x{s} enum at n={n}")
+                small = count_copartitions((s * a, s * b, s * m), s * n, "enum")
+                ch.equal(counts[n], small, f"({a},{b},{m}) x{s} enum at n={n}")
             for n in range(object_max + 1):
                 for c in enumerate_copartitions((a, b, m), n):
                     d = scale_copartition(c, s)
@@ -441,18 +441,13 @@ def suite_conjugation(
         "conjugation", f"(a,b,m) in 1..{classes}^3, n <= {max_n}, refined n <= {refined_max}"
     )
     for a, b, m in iproduct(range(1, classes + 1), repeat=3):
-        ta = _refined_up_to((a, b, m), max_n)
-        tb = _refined_up_to((b, a, m), max_n)
         for n in range(max_n + 1):
-            ch.equal(
-                sum(ta[n].values()), sum(tb[n].values()), f"count symmetry ({a},{b},{m}) n={n}"
-            )
+            ta = count_refined((a, b, m), n, "enum")
+            tb = count_refined((b, a, m), n, "enum")
+            ch.equal(ta.total, tb.total, f"count symmetry ({a},{b},{m}) n={n}")
             if n <= refined_max:
-                ch.equal(
-                    {(s, w): c for (w, s), c in ta[n].items()},
-                    tb[n],
-                    f"refined swap ({a},{b},{m}) n={n}",
-                )
+                swapped = {(s, w): c for (w, s), c in ta.table.items()}
+                ch.equal(swapped, tb.table, f"refined swap ({a},{b},{m}) n={n}")
     for a, b, m in PHI_PARAM_SETS:
         for n in range(13):
             for c in enumerate_copartitions((a, b, m), n):
@@ -493,7 +488,7 @@ def suite_crank(
             len(set(tally.counts.values())) == 1,
             f"residues unbalanced at n={n}: {tally.counts}",
         )
-        ch.equal(tally.total, count_copartitions((1, 1, 2), n, "enum"), f"tally total n={n}")
+        ch.equal(tally.total, count_copartitions((1, 1, 2), n, "series"), f"tally total n={n}")
     for n in range(transport_max + 1):
         for c in enumerate_copartitions((1, 1, 2), n):
             ch.check(

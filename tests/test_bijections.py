@@ -31,7 +31,7 @@ from copa.errors import (
     ResidueError,
     ZeroPartError,
 )
-from copa.partitions import enumerate_partitions, rim_cells
+from copa.partitions import enumerate_partitions, is_rim_cell, rim_cells
 from copa.series import eo_star_gf
 
 from oracles import brute_eo_star, reference_is_eo_star, reference_progression_partitions
@@ -494,6 +494,14 @@ def test_rim_map_rejects_off_rim_cells():
         rim_cell_to_cp001((2,), (2, 1))  # outside the diagram
 
 
+@pytest.mark.parametrize("cell", (5, None, 2.0))
+def test_a_cell_that_is_not_a_sequence_is_a_domain_error(cell):
+    # the int rule's scalar error, not a bare TypeError from iterating it
+    for run in (lambda: rim_cell_to_cp001((3, 1), cell), lambda: is_rim_cell((3, 1), cell)):
+        with pytest.raises(DomainError, match=f"cell {cell!r} is not a sequence"):
+            run()
+
+
 def test_round_trips_check_each_part_sequence_once(monkeypatch):
     # Every module that calls the one part-sequence check is spied on, as
     # test_series spies on its kernels; each count is per round trip.
@@ -520,3 +528,5 @@ def test_round_trips_check_each_part_sequence_once(monkeypatch):
     assert checks(lambda: eo_to_copartition(copartition_to_eo(eo))) == 1
     assert checks(lambda: cp111_to_partition(partition_to_cp111((5, 3, 3, 1), 2))) == 1
     assert checks(lambda: cp001_to_rim_cell(rim_cell_to_cp001((5, 3, 3, 1), (2, 3)))) == 1
+    # the panels draw the sources the merge reads, checked once
+    assert checks(lambda: render_pair_merge(pi, lam, (1, 2, 4))) == 2

@@ -66,7 +66,7 @@ def test_refined_tables_count_the_generator_output():
             listed = Counter(
                 (len(c.ground), len(c.sky)) for c in enumerate_copartitions((a, b, m), n)
             )
-            assert count_refined((a, b, m), n).table == listed, ((a, b, m), n)
+            assert count_refined((a, b, m), n, "enum").table == listed, ((a, b, m), n)
 
 
 def test_walker_built_objects_pass_the_public_check():
@@ -97,7 +97,7 @@ def test_block_counts_by_shape_match_the_direct_convolution():
         for n in range(31):
             blocks = _blocks(coerce_params((a, b, m)), n)
             expected = {(w, s): direct(w, s, t) for w, s, t in blocks if direct(w, s, t)}
-            assert count_refined((a, b, m), n).table == expected, ((a, b, m), n)
+            assert count_refined((a, b, m), n, "enum").table == expected, ((a, b, m), n)
 
 
 def test_bounded_count_matches_the_generator():
@@ -190,8 +190,8 @@ def test_no_closed_form():
 
 def test_series_and_enumeration_agree_on_refined_tables_totals_and_cranks():
     """The series path against the enumeration blocks: the tables, their
-    totals, and the mod-5 crank tally (the crank is w - s) for n <= 40; the
-    listing's own tally for n <= 10."""
+    totals, and the mod-5 crank tally (the crank is w - s) of both methods
+    for n <= 40."""
     for a, b, m in product(range(5), range(5), range(1, 5)):
         for n in range(41):
             table = count_refined((a, b, m), n, "enum").table
@@ -203,8 +203,24 @@ def test_series_and_enumeration_agree_on_refined_tables_totals_and_cranks():
             for (w, s), c in table.items():
                 tally[(w - s) % 5] += c
             assert crank_tally((a, b, m), n, 5).counts == tally, ((a, b, m), n)
-            if n <= 10:
-                assert crank_tally((a, b, m), n, 5, "enum").counts == tally, ((a, b, m), n)
+            assert crank_tally((a, b, m), n, 5, "enum").counts == tally, ((a, b, m), n)
+
+
+def _listed_crank_tally(params, n, modulus=5):
+    # The oracle the folded tallies answer to: every copartition listed.
+    listed = Counter(c.crank % modulus for c in enumerate_copartitions(params, n))
+    return {r: listed[r] for r in range(modulus)}
+
+
+def test_enumerated_crank_tallies_match_the_listing():
+    """crank_tally(..., "enum") folds the block counts by w - s; it equals
+    the crank residues of the listed copartitions, degenerate classes
+    included."""
+    for a, b, m in product(range(5), range(5), range(1, 5)):
+        for n in range(13):
+            assert crank_tally((a, b, m), n, 5, "enum").counts == _listed_crank_tally(
+                (a, b, m), n
+            ), ((a, b, m), n)
 
 
 def test_refined_methods_mirror_count_copartitions():
@@ -244,4 +260,4 @@ def test_far_congruences_through_the_series():
             tally = crank_tally((1, 1, 2), n, 5).counts
             assert set(tally.values()) == {count // 5}, n
         if k < 3:
-            assert tally == crank_tally((1, 1, 2), n, 5, "enum").counts, n
+            assert tally == _listed_crank_tally((1, 1, 2), n), n

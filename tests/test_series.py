@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from copa import series
-from copa.enumeration import _refined_up_to
+from copa.enumeration import count_refined
 from copa.errors import CopaError, SeriesError
 from copa.series import (
     TruncatedSeries,
@@ -345,9 +345,9 @@ def test_gf_rejects_zero_classes():
 def test_double_sum_matches_the_block_counted_tables():
     for a, b, m in iproduct(range(5), range(5), range(1, 5)):
         dsum = gf_double_sum((a, b, m), 30)
-        tables = _refined_up_to((a, b, m), 30)
         for n in range(31):
-            swapped = {(s, w): c for (w, s), c in tables[n].items()}
+            table = count_refined((a, b, m), n, "enum").table
+            swapped = {(s, w): c for (w, s), c in table.items()}
             assert dsum.coefficient(n) == swapped, ((a, b, m), n)
         counts = [count_series((a, b, m), n) for n in range(31)]
         assert dsum.at_markers_one().scalar_coeffs() == counts, (a, b, m)

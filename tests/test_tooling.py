@@ -146,3 +146,29 @@ def test_every_public_function_taking_parts_checks_them(name, parts):
     }
     with pytest.raises(errors.CopaError):
         function(parts, **others)
+
+
+def test_verify_counts_through_the_public_api():
+    """verify.py imports no underscore name from another copa module and
+    reads no underscore attribute of one it imports whole, so the suites
+    run the counters the CLI runs and only the arithmetic modules know the
+    layout of their memos."""
+    path = Path(copa.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{node.lineno}: from .{node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    assert modules and not private, private
