@@ -79,6 +79,7 @@ from .partitions import (
 from .reporting import VerificationReport
 from .series import (
     TruncatedSeries,
+    count_cell,
     count_series,
     eo_star_gf,
     gf_double_sum,

@@ -70,6 +70,8 @@ def _cmd_count(args) -> int:
     def read(method: str) -> int:
         if cell is None:
             return count_copartitions(params, args.n, method)
+        if method in ("auto", "series"):
+            return qs.count_cell(params, args.n, *cell)
         return count_refined(params, args.n, method).table.get(cell, 0)
 
     value = read(args.method)

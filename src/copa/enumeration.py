@@ -42,6 +42,7 @@ from typing import Iterator
 from .copartitions import Copartition, CopartitionParams, ParamsLike, _built_valid, coerce_params
 from .errors import DomainError, NoClosedFormError
 from .partitions import (
+    _as_int,
     _bounded_counts,
     _bounded_partitions,
     divisor_count_in_class,
@@ -72,6 +73,7 @@ def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
     """All copartitions of size n for the given parameters."""
     p = coerce_params(params)
     a, b, m = p.a, p.b, p.m
+    n = _as_int(n, "size", scalar=True)
     if n < 0:
         return
     for w, s, total in _blocks(p, n):
@@ -155,6 +157,7 @@ def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCo
     enumeration blocks without building objects.
     """
     p = coerce_params(params)
+    n = _as_int(n, "size", scalar=True)
     if n < 0:
         return RefinedCount(p, n, {})
     if method in ("auto", "series"):
@@ -170,6 +173,8 @@ def crank_tally(params: ParamsLike, n: int, modulus: int, method: str = "auto") 
     The crank is the ground count minus the sky count, so the tally is the
     refined table of count_refined(params, n, method) summed by w - s.
     """
+    n = _as_int(n, "size", scalar=True)
+    modulus = _as_int(modulus, "modulus", scalar=True)
     if modulus < 1:
         raise DomainError(f"modulus must be positive, got {modulus}")
     counts = {r: 0 for r in range(modulus)}
@@ -185,6 +190,7 @@ def count_formula(params: ParamsLike, n: int) -> int:
     (0,0,1): twice the (0,1,1) value minus p(n).  Anything else raises.
     """
     p = coerce_params(params)
+    n = _as_int(n, "size", scalar=True)
     if n < 0:
         return 0
     a, b, m = p.as_tuple()
@@ -214,10 +220,11 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     covers every family.
     """
     p = coerce_params(params)
-    if n < 0:
-        return 0
     if method in ("auto", "series"):
         return count_series(p, n)
+    n = _as_int(n, "size", scalar=True)
+    if n < 0:
+        return 0
     if method == "enum":
         return sum(_refined_table(p.as_tuple(), n).values())
     if method == "formula":

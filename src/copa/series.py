@@ -22,10 +22,15 @@ with x + y = m go in whole, and the two kernels undo the leading factors,
 when that walks fewer coefficients than the factors through the order do.
 
 The marked product form builds on a sparser layout first: key (s, w) only
-ever holds powers q^(b*s + a*w + m*i), so its row keeps just those, and a
-key whose least copartition size m*w*s + a*w + b*s passes the order is
-never made.  The same two kernels run on it, told each new key's length;
-the rows are spread out to the dense layout once, at the end.
+ever holds powers q^(b*s + a*w + m*i), so its row keeps just those.  The
+rows of every key whose least copartition size m*w*s + a*w + b*s is within
+the order are allocated once, up front, and no other key is made.  Each
+Pochhammer product then runs factor by factor along lines of keys (s for
+the sky denominator, the diagonal for the numerator, w for the ground
+denominator), one slice map per pair of consecutive rows; the rows are
+spread out to the dense layout once, at the end.  pochhammer_factor keeps
+the two kernels' walk over the dense layout, the independent reference the
+marked product is tested against.
 
 Every builder below is memoized through one store.  A series of order N is
 the truncation of any higher-order series of the same family, so for each
@@ -53,11 +58,10 @@ from typing import Callable, Optional
 
 from .copartitions import ParamsLike, coerce_params
 from .errors import SeriesError
+from .partitions import _as_int
 
 Key = tuple[int, int]
 Rows = dict[Key, list[int]]
-# The length of a key's row, for kernels that create keys of their own length.
-Sizer = Optional[Callable[[Key], int]]
 
 
 def _one(order: int) -> Rows:
@@ -68,13 +72,10 @@ def _one(order: int) -> Rows:
 _ADD = {1: add, -1: sub}
 
 
-def _add_shifted(
-    rows: Rows, key: Key, src: list[int], t: int, c: int, size: Sizer
-) -> Optional[list[int]]:
+def _add_shifted(rows: Rows, key: Key, src: list[int], t: int, c: int) -> Optional[list[int]]:
     # rows[key] += c q^t src; returns the row, or None when nothing lands in
-    # it.  A new key gets size(key) slots (len(src) by default), never more
-    # than len(src) + t, so the shifted source covers the whole slice.
-    n = len(src) if size is None else size(key)
+    # it.  A new key gets len(src) slots.
+    n = len(src)
     if n <= t or not any(src[: n - t]):
         return None
     dst = rows.setdefault(key, [0] * n)
@@ -82,32 +83,26 @@ def _add_shifted(
     return dst
 
 
-def _times_binomial(
-    rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0, size: Sizer = None
-) -> None:
+def _times_binomial(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
     """rows *= (1 + c x^x_deg y^y_deg q^t), in place.
 
     Each key adds its list, shifted by t, into the key X above it.  Keys are
     taken from the top, so each is read before anything is added to it.
-    size gives the length of a newly created key; by default it is the
-    length of the key it comes from.
     """
     for xd, yd in sorted(rows, reverse=True):
-        _add_shifted(rows, (xd + x_deg, yd + y_deg), rows[(xd, yd)], t, c, size)
+        _add_shifted(rows, (xd + x_deg, yd + y_deg), rows[(xd, yd)], t, c)
 
 
-def _divide_geometric(
-    rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0, size: Sizer = None
-) -> None:
+def _divide_geometric(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
     """rows /= (1 - c x^x_deg y^y_deg q^t) for t >= 1, in place.
 
     Without a marker, n walks upwards through out[n] = in[n] + c out[n - t],
     one loop per sign of c, so no coefficient is multiplied by c.  With
     one, keys are taken in increasing order along X, and each key, once
     final, adds its shifted list into the key above it, which is created
-    (with size(key) slots, as in _times_binomial) when the walk first
-    reaches it.  With a marker, t = 0 is allowed too.  A c other than 1 or
-    -1 raises: a SeriesError here, a KeyError from _ADD on the marked path.
+    when the walk first reaches it.  With a marker, t = 0 is allowed too.
+    A c other than 1 or -1 raises: a SeriesError here, a KeyError from _ADD
+    on the marked path.
     """
     if not (x_deg or y_deg):
         if c == 1:
@@ -126,7 +121,7 @@ def _divide_geometric(
         src: Optional[list[int]] = rows[key]
         while src is not None:
             key = (key[0] + x_deg, key[1] + y_deg)
-            src = _add_shifted(rows, key, src, t, c, size)
+            src = _add_shifted(rows, key, src, t, c)
             if key in start:
                 break
 
@@ -283,6 +278,7 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
         if kwargs:
             args = signature.bind(*args, **kwargs).args
         *key, order = args
+        order = _as_int(order, "order", scalar=True)
         series = _stored(build, key, order)
         # a negative order is refused by truncate, as by every builder
         return series if series.order == order else series.truncate(order)
@@ -406,37 +402,64 @@ def pochhammer_factor(
     return TruncatedSeries._of_rows(order, rows)
 
 
+def _marked_rows(a: int, b: int, m: int, order: int) -> Rows:
+    # Zero rows for the marked product, a, b >= 1: one per key (s, w) whose
+    # least copartition size m*w*s + a*w + b*s is within the order, holding
+    # the powers q^(b*s + a*w + m*i) for i < (order - b*s - a*w)//m + 1.
+    return {
+        (s, w): [0] * ((order - b * s - a * w) // m + 1)
+        for s in range(order // b + 1)
+        for w in range((order - b * s) // (m * s + a) + 1)
+    }
+
+
+def _run_line(pairs: list[tuple[list[int], list[int]]], op: Callable[[int, int], int]) -> None:
+    # One Pochhammer product along one line of keys: for each factor k in
+    # turn, hi[i + k] op= lo[i] for every (lo, hi) pair of consecutive rows,
+    # in the order given.  A pair stops once hi has no slot past k; lo is
+    # never the shorter row, so every slice keeps its length.
+    k = 0
+    while pairs := [(lo, hi) for lo, hi in pairs if len(hi) > k]:
+        for lo, hi in pairs:
+            hi[k:] = map(op, hi[k:], lo)
+        k += 1
+
+
 def _product(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
-    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf).  Marked,
-    # factor by factor; the numerator goes second: the sky denominator times
-    # the numerator has far fewer keys than the two denominators together,
-    # and every factor costs one pass over the keys.
-    factors = ((b, 1, 0, True), (a + b, 1, 1, False), (a, 0, 1, True))
+    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf).
     if not markers:
         rows = _one(order)
         _divide_pair(rows, order, b, a, m)
         _apply_pochhammer(rows, order, a + b, m)
         return TruncatedSeries._of_rows(order, rows)
-    # The k-th factor multiplies in x^dx y^dy q^(b*dx + a*dy + k*m), so key
-    # (s, w) only ever holds powers q^(b*s + a*w + m*i).  Its row keeps the
-    # coefficient of that power at index i, for i < (order - b*s - a*w)//m + 1,
-    # and the k-th factor of each Pochhammer shifts the index by exactly k.
-    # A key whose least copartition size m*w*s + a*w + b*s passes the order
-    # is never created: factors only raise s and w, so it could only feed
-    # keys past the order too.
+    # Marked, factor by factor.  The k-th factor multiplies in x^dx y^dy
+    # q^(b*dx + a*dy + k*m), so key (s, w) only ever holds powers
+    # q^(b*s + a*w + m*i), and the k-th factor adds each row, shifted by k,
+    # into the next key along its line: s for the sky denominator, the
+    # diagonal for the numerator, w for the ground denominator.  Factors
+    # only raise s and w, so the keys within the order feed only each other.
+    # The sky denominator runs while only the w = 0 line is nonzero, and the
+    # numerator along each diagonal from it, top down, so that each row is
+    # read before it is changed.
+    rows = _marked_rows(a, b, m, order)
+    if rows:  # a negative order has none, and TruncatedSeries refuses it
+        rows[(0, 0)][0] = 1
 
-    def size(key: Key) -> int:
-        s, w = key
-        if m * w * s + a * w + b * s > order:
-            return 0
-        return (order - b * s - a * w) // m + 1
+    def line(s: int, ds: int, dw: int) -> list[tuple[list[int], list[int]]]:
+        # (lo, hi) pairs of consecutive rows along (s + j*ds, j*dw), j >= 0
+        found = []
+        w = 0
+        while (s, w) in rows:
+            found.append(rows[(s, w)])
+            s, w = s + ds, w + dw
+        return list(zip(found, found[1:]))
 
-    # a negative order is refused by TruncatedSeries below
-    rows = {(0, 0): [1] + [0] * (order // m)} if order >= 0 else {}
-    for offset, x_deg, y_deg, invert in factors:
-        kernel = _divide_geometric if invert else _times_binomial
-        for k in range((order - offset) // m + 1):
-            kernel(rows, k, 1 if invert else -1, x_deg, y_deg, size)
+    tops = range(order // b + 1)
+    _run_line(line(0, 1, 0), add)
+    for s in tops:
+        _run_line(line(s, 1, 1)[::-1], sub)
+    for s in tops:
+        _run_line(line(s, 0, 1), add)
     dense: Rows = {}
     for (s, w), row in rows.items():
         dense[(s, w)] = [0] * (order + 1)
@@ -497,9 +520,28 @@ def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> Trunc
     return _gf_double_sum_cached(p.a, p.b, p.m, markers, order)
 
 
+def count_cell(params: ParamsLike, n: int, w: int, s: int) -> int:
+    """Copartitions of n with w ground and s sky parts, read from the (w, s)
+    term of the double sum alone, with its floors: its quotient in q^m takes
+    one geometric pass per factor of (q^m;q^m)_w (q^m;q^m)_s over one list."""
+    p = coerce_params(params)
+    n = _as_int(n, "size", scalar=True)
+    w = _as_int(w, "ground count", scalar=True)
+    s = _as_int(s, "sky count", scalar=True)
+    a, b, m = p.as_tuple()
+    base = m * w * s + a * w + b * s
+    if min(w, s) < 0 or not (w or b) or not (s or a) or n < base or (n - base) % m:
+        return 0
+    term = [1] + [0] * ((n - base) // m)
+    for t in (*range(1, w + 1), *range(1, s + 1)):
+        _divide_geometric({(0, 0): term}, t, 1)
+    return term[-1]
+
+
 def count_series(params: ParamsLike, n: int) -> int:
     """Coefficient of q^n in the counting series for these parameters."""
     p = coerce_params(params)
+    n = _as_int(n, "size", scalar=True)
     if n < 0:
         return 0
     a, b, m = p.as_tuple()

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from copa.copartitions import coerce_params, make_copartition, to_json
+from copa.copartitions import coerce_params, from_json, make_copartition, to_json
 from copa.enumeration import (
     _blocks,
     count_copartitions,
@@ -17,6 +17,7 @@ from copa.enumeration import (
 )
 from copa.errors import DomainError, NoClosedFormError
 from copa.partitions import _bounded_counts, _bounded_partitions, partition_count
+from copa.series import count_cell, count_series, gf_double_sum, gf_product
 
 from oracles import brute_copartition_count, brute_copartitions
 
@@ -261,3 +262,36 @@ def test_far_congruences_through_the_series():
             assert set(tally.values()) == {count // 5}, n
         if k < 3:
             assert tally == _listed_crank_tally((1, 1, 2), n), n
+
+
+def test_sizes_and_orders_follow_the_int_rule():
+    # a size, order or modulus that equals an int is read as it; anything
+    # else is a DomainError at every public entry point
+    listed = list(enumerate_copartitions((1, 1, 2), 3.0))
+    assert listed == list(enumerate_copartitions((1, 1, 2), 3)) and listed
+    assert all(from_json(to_json(c)) == c for c in listed)
+    entries = {
+        "enumerate_copartitions": lambda v: list(enumerate_copartitions((1, 1, 2), v)),
+        **{
+            f"count_copartitions {method}": lambda v, method=method: count_copartitions(
+                (1, 1, 1), v, method
+            )
+            for method in ("auto", "series", "enum", "formula")
+        },
+        "count_refined": lambda v: count_refined((1, 1, 2), v),
+        "crank_tally n": lambda v: crank_tally((1, 1, 2), v, 5),
+        "crank_tally modulus": lambda v: crank_tally((1, 1, 2), 9, v),
+        "count_formula": lambda v: count_formula((0, 1, 2), v),
+        "count_series": lambda v: count_series((1, 1, 2), v),
+        "count_cell n": lambda v: count_cell((1, 1, 2), v, 0, 1),
+        "count_cell w": lambda v: count_cell((1, 1, 2), 20, v, 1),
+        "count_cell s": lambda v: count_cell((1, 1, 2), 20, 1, v),
+        "gf_product": lambda v: gf_product((1, 1, 2), v),
+        "gf_double_sum": lambda v: gf_double_sum((1, 1, 2), v),
+    }
+    for name, entry in entries.items():
+        assert entry(3.0) == entry(3) and entry(3), name
+        for bad in (2.5, "3", None):
+            with pytest.raises(DomainError, match="is not an integer"):
+                entry(bad)
+    assert count_refined((1, 1, 2), 3.0).n == 3

@@ -15,6 +15,7 @@ from copa.enumeration import count_refined
 from copa.errors import CopaError, SeriesError
 from copa.series import (
     TruncatedSeries,
+    count_cell,
     count_series,
     eo_star_gf,
     gf_double_sum,
@@ -271,21 +272,58 @@ def test_marked_product_truncates_across_row_lengths():
 
 
 def test_marked_product_never_creates_a_key_past_the_order(monkeypatch):
-    created = set()
-    add_shifted = series._add_shifted
+    # Every row is allocated once, up front: one per key (s, w) whose least
+    # copartition size is within the order, at its sparse length.  The build
+    # adds no key and resizes no row, and the result is those rows spread out.
+    allocated = []
+    marked_rows = series._marked_rows
 
-    def recording(rows, key, *rest):
-        row = add_shifted(rows, key, *rest)
-        if row is not None:
-            created.add(key)
-        return row
+    def recording(*args):
+        allocated.append(marked_rows(*args))
+        return allocated[-1]
 
-    monkeypatch.setattr(series, "_add_shifted", recording)
-    for (a, b, m), order in (((1, 1, 1), 30), ((1, 1, 2), 40), ((2, 3, 5), 40)):
-        created.clear()
-        series._product(a, b, m, True, order)
-        assert created, (a, b, m)
-        assert all(m * w * k + a * w + b * k <= order for k, w in created), (a, b, m)
+    monkeypatch.setattr(series, "_marked_rows", recording)
+    for (a, b, m), order in (((1, 1, 1), 30), ((1, 1, 2), 40), ((2, 3, 5), 40), ((3, 1, 4), 9)):
+        allocated.clear()
+        built = series._product(a, b, m, True, order)
+        (rows,) = allocated
+        keys = iproduct(range(order + 1), repeat=2)
+        down_set = {(k, w) for k, w in keys if m * w * k + a * w + b * k <= order}
+        assert rows.keys() == down_set, (a, b, m)
+        spread = {}
+        for (k, w), row in rows.items():
+            assert len(row) == (order - b * k - a * w) // m + 1, ((a, b, m), (k, w))
+            if any(row):
+                spread[(k, w)] = [0] * (order + 1)
+                spread[(k, w)][b * k + a * w :: m] = row
+        assert built.rows == spread, (a, b, m)
+
+
+@pytest.mark.parametrize(
+    "params, orders",
+    (
+        ((1, 1, 2), (48, 64, 80, 96, 112)),
+        ((1, 2, 4), (48, 64, 80, 96, 112)),
+        ((1, 3, 4), (48, 64, 80, 96, 112)),
+        ((2, 3, 5), (48, 64, 80, 96, 112)),
+        ((1, 1, 1), (64,)),
+    ),
+)
+def test_marked_product_matches_the_double_sum_at_the_refined_orders(params, orders):
+    # the orders the refined benchmark workload builds
+    for order in orders:
+        product = series._product(*params, True, order)
+        assert product == series._double_sum(*params, True, order), order
+
+
+def test_one_cell_is_its_one_double_sum_term():
+    # the floors included: no s = 0 when a = 0, no w = 0 when b = 0, and
+    # nothing at a negative count
+    for a, b, m in iproduct(range(4), range(4), range(1, 4)):
+        for n in range(-1, 30):
+            table = count_refined((a, b, m), n).table
+            for w, s in iproduct(range(-1, 7), repeat=2):
+                assert count_cell((a, b, m), n, w, s) == table.get((w, s), 0), ((a, b, m), n, w, s)
 
 
 def test_series_errors_are_typed():

@@ -459,6 +459,24 @@ def test_count_refined_passes_the_method_through(capsys, method):
     assert int(capsys.readouterr().out) == copa.count_refined((1, 1, 2), 9, "enum").table[(2, 1)]
 
 
+def test_count_one_cell_reads_its_one_term(monkeypatch, capsys):
+    # "auto" and "series" answer from the cell's own double-sum term and
+    # build no stored series
+    want = copa.count_refined((1, 1, 2), 201).table[(3, 2)]
+
+    def no_store(*args):
+        raise AssertionError("built a stored series")
+
+    monkeypatch.setattr(qs, "_stored", no_store)
+    for method in ("auto", "series"):
+        rc = main(
+            ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "201", "--w", "3", "--s", "2",
+             "--method", method]
+        )
+        assert rc == 0
+        assert int(capsys.readouterr().out) == want > 0
+
+
 def test_count_refined_has_no_formula(capsys):
     rc = main(
         ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "9", "--w", "2", "--s", "1",
