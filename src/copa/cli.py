@@ -97,6 +97,11 @@ def _cmd_table(args) -> int:
     if args.refined and args.format == "csv":
         print("--refined needs --format json", file=sys.stderr)
         return 2
+    # the top order first, so each family's series is built once, not once
+    # per chunk of the sweep
+    count_copartitions(params, args.max_n)
+    if args.refined:
+        count_refined(params, args.max_n)
     ns = range(args.max_n + 1)
     if args.format == "csv":
         print("a,b,m,n,count")

@@ -70,10 +70,13 @@ def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
-    """All copartitions of size n for the given parameters."""
-    p = coerce_params(params)
+    """All copartitions of size n for the given parameters.  The params and
+    the size are checked at the call, not at the first next()."""
+    return _copartitions(coerce_params(params), _as_int(n, "size", scalar=True))
+
+
+def _copartitions(p: CopartitionParams, n: int) -> Iterator[Copartition]:
     a, b, m = p.a, p.b, p.m
-    n = _as_int(n, "size", scalar=True)
     if n < 0:
         return
     for w, s, total in _blocks(p, n):

@@ -8,29 +8,31 @@ zero are dropped, so equal series store equal layouts.  Arithmetic results
 carry the minimum order of the operands.  There is no floating point
 anywhere.
 
-Infinite Pochhammer products are expanded factor by factor, in place, by
-two kernels: times (1 + c X q^t), and divide by (1 - c X q^t), which is the
-geometric recurrence out[n] = in[n] + c X out[n - t].  Every factor's c is
-1 or -1, so they add or subtract and never multiply; other c raise.
-Marker-free, a third kernel multiplies or divides by the theta series
-theta(x, y), the sum over all n of (-1)^n q^(x n(n+1)/2 + y n(n-1)/2), which
-has about 2 sqrt(2N / (x + y)) terms through order N.  Euler's pentagonal
-theorem makes (q^m; q^m)_inf theta(m, 2m), and the triple product makes
-(q^x; q^m)_inf (q^y; q^m)_inf theta(x, y) / (q^m; q^m)_inf when x + y = m.
-So (q^(j*m); q^m)_inf, j >= 1, and two denominators in classes x, y >= 1
-with x + y = m go in whole, and the two kernels undo the leading factors,
-when that walks fewer coefficients than the factors through the order do.
+The shared kernels are scalar: each works in place on one coefficient
+list.  Infinite Pochhammer products are expanded factor by factor by two of
+them: times (1 + c q^t), and divide by (1 - c q^t), which is the geometric
+recurrence out[n] = in[n] + c out[n - t].  Every factor's c is 1 or -1, so
+they add or subtract and never multiply; other c raise.  A third kernel
+multiplies or divides by the theta series theta(x, y), the sum over all n
+of (-1)^n q^(x n(n+1)/2 + y n(n-1)/2), which has about 2 sqrt(2N / (x + y))
+terms through order N.  Euler's pentagonal theorem makes (q^m; q^m)_inf
+theta(m, 2m), and the triple product makes (q^x; q^m)_inf (q^y; q^m)_inf
+theta(x, y) / (q^m; q^m)_inf when x + y = m.  So (q^(j*m); q^m)_inf, j >= 1,
+and two denominators in classes x, y >= 1 with x + y = m go in whole, and
+the two kernels undo the leading factors, when that walks fewer
+coefficients than the factors through the order do.  Every scalar builder
+runs the kernels on one list and wraps it once as the key (0, 0).
 
-The marked product form builds on a sparser layout first: key (s, w) only
-ever holds powers q^(b*s + a*w + m*i), so its row keeps just those.  The
-rows of every key whose least copartition size m*w*s + a*w + b*s is within
-the order are allocated once, up front, and no other key is made.  Each
-Pochhammer product then runs factor by factor along lines of keys (s for
-the sky denominator, the diagonal for the numerator, w for the ground
-denominator), one slice map per pair of consecutive rows; the rows are
-spread out to the dense layout once, at the end.  pochhammer_factor keeps
-the two kernels' walk over the dense layout, the independent reference the
-marked product is tested against.
+Only the marked product form carries markers through its build, on a
+sparser layout: key (s, w) only ever holds powers q^(b*s + a*w + m*i), so
+its row keeps just those.  The rows of every key whose least copartition
+size m*w*s + a*w + b*s is within the order are allocated once, up front,
+and no other key is made.  Each Pochhammer product then runs factor by
+factor along lines of keys (s for the sky denominator, the diagonal for the
+numerator, w for the ground denominator), one slice map per pair of
+consecutive rows; the rows are spread out to the dense layout once, at the
+end.  The tests check it against the three marked Pochhammer series
+multiplied out from their definition, in tests/oracles.py.
 
 Every builder below is memoized through one store.  A series of order N is
 the truncation of any higher-order series of the same family, so for each
@@ -64,66 +66,33 @@ Key = tuple[int, int]
 Rows = dict[Key, list[int]]
 
 
-def _one(order: int) -> Rows:
-    return {(0, 0): [1] + [0] * order}
+def _one(order: int) -> list[int]:
+    return [1] + [0] * order
 
 
 # Every factor's coefficient is 1 or -1, so adding c times a row is one map.
 _ADD = {1: add, -1: sub}
 
 
-def _add_shifted(rows: Rows, key: Key, src: list[int], t: int, c: int) -> Optional[list[int]]:
-    # rows[key] += c q^t src; returns the row, or None when nothing lands in
-    # it.  A new key gets len(src) slots.
-    n = len(src)
-    if n <= t or not any(src[: n - t]):
-        return None
-    dst = rows.setdefault(key, [0] * n)
-    dst[t:] = map(_ADD[c], dst[t:], src)
-    return dst
+def _times_binomial(row: list[int], t: int, c: int) -> None:
+    """row *= (1 + c q^t), in place: the row, shifted by t, added in once."""
+    row[t:] = map(_ADD[c], row[t:], row)
 
 
-def _times_binomial(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
-    """rows *= (1 + c x^x_deg y^y_deg q^t), in place.
+def _divide_geometric(row: list[int], t: int, c: int) -> None:
+    """row /= (1 - c q^t) for t >= 1, in place.
 
-    Each key adds its list, shifted by t, into the key X above it.  Keys are
-    taken from the top, so each is read before anything is added to it.
+    n walks upwards through out[n] = in[n] + c out[n - t], one loop per sign
+    of c, so no coefficient is multiplied by c.  Any other c raises.
     """
-    for xd, yd in sorted(rows, reverse=True):
-        _add_shifted(rows, (xd + x_deg, yd + y_deg), rows[(xd, yd)], t, c)
-
-
-def _divide_geometric(rows: Rows, t: int, c: int, x_deg: int = 0, y_deg: int = 0) -> None:
-    """rows /= (1 - c x^x_deg y^y_deg q^t) for t >= 1, in place.
-
-    Without a marker, n walks upwards through out[n] = in[n] + c out[n - t],
-    one loop per sign of c, so no coefficient is multiplied by c.  With
-    one, keys are taken in increasing order along X, and each key, once
-    final, adds its shifted list into the key above it, which is created
-    when the walk first reaches it.  With a marker, t = 0 is allowed too.
-    A c other than 1 or -1 raises: a SeriesError here, a KeyError from _ADD
-    on the marked path.
-    """
-    if not (x_deg or y_deg):
-        if c == 1:
-            for row in rows.values():
-                for n in range(t, len(row)):
-                    row[n] += row[n - t]
-        elif c == -1:
-            for row in rows.values():
-                for n in range(t, len(row)):
-                    row[n] -= row[n - t]
-        else:
-            raise SeriesError(f"factor coefficient must be +1 or -1, got {c}")
-        return
-    start = set(rows)
-    for key in sorted(start):
-        src: Optional[list[int]] = rows[key]
-        while src is not None:
-            key = (key[0] + x_deg, key[1] + y_deg)
-            src = _add_shifted(rows, key, src, t, c)
-            if key in start:
-                break
+    if c == 1:
+        for n in range(t, len(row)):
+            row[n] += row[n - t]
+    elif c == -1:
+        for n in range(t, len(row)):
+            row[n] -= row[n - t]
+    else:
+        raise SeriesError(f"factor coefficient must be +1 or -1, got {c}")
 
 
 class TruncatedSeries:
@@ -286,8 +255,8 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
     return cached
 
 
-def _theta(rows: Rows, order: int, x: int, y: int, invert: bool) -> None:
-    # rows *= theta(x, y), or divides by it when x, y >= 1, in place.  Its
+def _theta(row: list[int], order: int, x: int, y: int, invert: bool) -> None:
+    # row *= theta(x, y), or divides by it when x, y >= 1, in place.  Its
     # terms past n = 0 are listed one per n in ascending d: for x = y each d
     # comes twice, from n and -n.
     def power(n: int) -> int:
@@ -298,28 +267,27 @@ def _theta(rows: Rows, order: int, x: int, y: int, invert: bool) -> None:
         terms += [(d, k % 2) for d in ds]
         k += 1
     terms.sort()
-    for row in rows.values():
-        if not invert:
-            # past its last nonzero entry src adds nothing, so a unit row
-            # costs one step per term
-            src = list(row)
-            while src and not src[-1]:
-                src.pop()
-            for d, odd in terms:
-                row[d : d + len(src)] = map(sub if odd else add, row[d : d + len(src)], src)
-            continue
-        # out[i] = in[i] + out[i - d] for each term of odd n, minus it for
-        # each of even n; between two consecutive d the same terms reach back
-        ups, downs = [], []
-        for (d, odd), end in zip(terms, [e for e, _ in terms[1:]] + [len(row)]):
-            (ups if odd else downs).append(d)
-            for n in range(d, end):
-                acc = row[n]
-                for e in ups:
-                    acc += row[n - e]
-                for e in downs:
-                    acc -= row[n - e]
-                row[n] = acc
+    if not invert:
+        # past its last nonzero entry src adds nothing, so a unit row costs
+        # one step per term
+        src = list(row)
+        while src and not src[-1]:
+            src.pop()
+        for d, odd in terms:
+            row[d : d + len(src)] = map(sub if odd else add, row[d : d + len(src)], src)
+        return
+    # out[i] = in[i] + out[i - d] for each term of odd n, minus it for each
+    # of even n; between two consecutive d the same terms reach back
+    ups, downs = [], []
+    for (d, odd), end in zip(terms, [e for e, _ in terms[1:]] + [len(row)]):
+        (ups if odd else downs).append(d)
+        for n in range(d, end):
+            acc = row[n]
+            for e in ups:
+                acc += row[n - e]
+            for e in downs:
+                acc -= row[n - e]
+            row[n] = acc
 
 
 def _walk(order: int, *passes: range) -> int:
@@ -328,78 +296,66 @@ def _walk(order: int, *passes: range) -> int:
 
 
 def _apply_pochhammer(
-    rows: Rows,
-    order: int,
-    offset: int,
-    step: int,
-    *,
-    sign: int = 1,
-    x_deg: int = 0,
-    y_deg: int = 0,
-    invert: bool = False,
+    row: list[int], order: int, offset: int, step: int, *, sign: int = 1, invert: bool = False
 ) -> None:
-    # rows *= (sign X q^offset; q^step)_infinity, or divides by it, in place;
-    # marker-free, through Euler's theorem at a multiple of step when cheaper.
+    # row *= (sign q^offset; q^step)_infinity, or divides by it, in place;
+    # through Euler's theorem at a multiple of step when cheaper.
     factors = range(offset, order + 1, step)
     leading = range(step, min(offset, order + 1), step)
-    if sign == 1 and not (x_deg or y_deg) and offset >= step and offset % step == 0 and (
+    if sign == 1 and offset >= step and offset % step == 0 and (
         _walk(order, leading) < _walk(order, factors)
     ):
-        _theta(rows, order, step, 2 * step, invert)
+        _theta(row, order, step, 2 * step, invert)
         factors, invert = leading, not invert
     for t in factors:
         if invert:
-            _divide_geometric(rows, t, sign, x_deg, y_deg)
+            _divide_geometric(row, t, sign)
         else:
-            _times_binomial(rows, t, -sign, x_deg, y_deg)
+            _times_binomial(row, t, -sign)
 
 
-def _divide_pair(rows: Rows, order: int, r: int, s: int, step: int) -> None:
-    # rows /= (q^r; q^step)_inf (q^s; q^step)_inf, marker-free, in place;
-    # through the triple product for complementary classes when cheaper.
+def _divide_pair(row: list[int], order: int, r: int, s: int, step: int) -> None:
+    # row /= (q^r; q^step)_inf (q^s; q^step)_inf, in place; through the
+    # triple product for complementary classes when cheaper.
     x, y = r % step, s % step
     leading = [range(c, min(o, order + 1), step) for c, o in ((x, r), (y, s))]
     direct = [range(o, order + 1, step) for o in (r, s)]
     if x and x + y == step and _walk(order, *leading) < _walk(order, *direct):
-        _theta(rows, order, x, y, True)
-        _theta(rows, order, step, 2 * step, False)
+        _theta(row, order, x, y, True)
+        _theta(row, order, step, 2 * step, False)
         for ts in leading:
             for t in ts:
-                _times_binomial(rows, t, -1)
+                _times_binomial(row, t, -1)
         return
     for offset in (r, s):
-        _apply_pochhammer(rows, order, offset, step, invert=True)
+        _apply_pochhammer(row, order, offset, step, invert=True)
 
 
 def pochhammer_factor(
     coeff_sign: int = 1,
-    x_deg: int = 0,
-    y_deg: int = 0,
     q_offset: int = 1,
     q_step: int = 1,
     invert: bool = False,
     *,
     order: int,
 ) -> TruncatedSeries:
-    """Expansion of (s X q^offset; q^step)_infinity or its reciprocal.
+    """Expansion of (s q^offset; q^step)_infinity or its reciprocal.
 
-    Here s is coeff_sign (+1 or -1) and X = x^x_deg y^y_deg.  The k-th
-    factor is (1 - s X q^(offset + k*step)).  Inversion requires
-    offset >= 1 so every inverted factor has constant term 1.
+    Here s is coeff_sign (+1 or -1), and the k-th factor is
+    (1 - s q^(offset + k*step)).  Inversion requires offset >= 1 so every
+    inverted factor has constant term 1.
     """
     if coeff_sign not in (1, -1):
         raise SeriesError(f"coeff_sign must be +1 or -1, got {coeff_sign}")
     if q_step < 1:
         raise SeriesError(f"q_step must be positive, got {q_step}")
-    if q_offset < 0 or x_deg < 0 or y_deg < 0:
-        raise SeriesError("q_offset and marker degrees must be non-negative")
+    if q_offset < 0:
+        raise SeriesError(f"q_offset must be non-negative, got {q_offset}")
     if invert and q_offset == 0:
         raise SeriesError("cannot invert a factor with constant term != 1")
-    rows = _one(order)
-    _apply_pochhammer(
-        rows, order, q_offset, q_step, sign=coeff_sign, x_deg=x_deg, y_deg=y_deg, invert=invert
-    )
-    return TruncatedSeries._of_rows(order, rows)
+    row = _one(order)
+    _apply_pochhammer(row, order, q_offset, q_step, sign=coeff_sign, invert=invert)
+    return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 
 def _marked_rows(a: int, b: int, m: int, order: int) -> Rows:
@@ -428,10 +384,10 @@ def _run_line(pairs: list[tuple[list[int], list[int]]], op: Callable[[int, int],
 def _product(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
     # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf).
     if not markers:
-        rows = _one(order)
-        _divide_pair(rows, order, b, a, m)
-        _apply_pochhammer(rows, order, a + b, m)
-        return TruncatedSeries._of_rows(order, rows)
+        row = _one(order)
+        _divide_pair(row, order, b, a, m)
+        _apply_pochhammer(row, order, a + b, m)
+        return TruncatedSeries._of_rows(order, {(0, 0): row})
     # Marked, factor by factor.  The k-th factor multiplies in x^dx y^dy
     # q^(b*dx + a*dy + k*m), so key (s, w) only ever holds powers
     # q^(b*s + a*w + m*i), and the k-th factor adds each row, shifted by k,
@@ -494,13 +450,13 @@ def _double_sum(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedS
     s_min = 1 if a == 0 else 0
     while a * w + (m * w + b) * s_min <= order:
         if w:
-            _divide_geometric({(0, 0): ground}, w, 1)
+            _divide_geometric(ground, w, 1)
         term = list(ground)
         s = s_min
         while (base := m * w * s + a * w + b * s) <= order:
             del term[(order - base) // m + 1 :]
             if s:
-                _divide_geometric({(0, 0): term}, s, 1)
+                _divide_geometric(term, s, 1)
             row = rows.setdefault((s, w) if markers else (0, 0), [0] * (order + 1))
             row[base::m] = [u + v for u, v in zip(row[base::m], term)]
             s += 1
@@ -534,7 +490,7 @@ def count_cell(params: ParamsLike, n: int, w: int, s: int) -> int:
         return 0
     term = [1] + [0] * ((n - base) // m)
     for t in (*range(1, w + 1), *range(1, s + 1)):
-        _divide_geometric({(0, 0): term}, t, 1)
+        _divide_geometric(term, t, 1)
     return term[-1]
 
 
@@ -565,11 +521,10 @@ def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
             lam[mult] += 1
     if not b:
         lam = [-1] + [2 * c for c in lam[1:]]
-    rows = {(0, 0): lam}
-    _apply_pochhammer(rows, order, m, m, invert=True)
+    _apply_pochhammer(lam, order, m, m, invert=True)
     if not b:
         lam[0] = 0
-    return TruncatedSeries._of_rows(order, rows)
+    return TruncatedSeries._of_rows(order, {(0, 0): lam})
 
 
 @_keep_highest
@@ -587,14 +542,14 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
         n = 0
         while (expo := n * n if which == "G" else n * n + n) <= order:
             if n >= 1:
-                _divide_geometric({(0, 0): inv}, n, 1)
+                _divide_geometric(inv, n, 1)
             acc[expo:] = [u + v for u, v in zip(acc[expo:], inv)]
             n += 1
         return TruncatedSeries._of_rows(order, {(0, 0): acc})
     if form == "product":
-        rows = _one(order)
-        _divide_pair(rows, order, *((1, 4) if which == "G" else (2, 3)), 5)
-        return TruncatedSeries._of_rows(order, rows)
+        row = _one(order)
+        _divide_pair(row, order, *((1, 4) if which == "G" else (2, 3)), 5)
+        return TruncatedSeries._of_rows(order, {(0, 0): row})
     raise SeriesError(f"form must be sum or product, got {form!r}")
 
 
@@ -608,9 +563,9 @@ def theta_sum(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     """Bilateral theta sum: over all integers n, (-1)^n q^(x_exp*n(n+1)/2
     + y_exp*n(n-1)/2)."""
     _check_theta_exponents(x_exp, y_exp)
-    rows = _one(order)
-    _theta(rows, order, x_exp, y_exp, False)
-    return TruncatedSeries._of_rows(order, rows)
+    row = _one(order)
+    _theta(row, order, x_exp, y_exp, False)
+    return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 
 @_keep_highest
@@ -619,10 +574,10 @@ def theta_product(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     step x_exp + y_exp."""
     _check_theta_exponents(x_exp, y_exp)
     total = x_exp + y_exp
-    rows = _one(order)
+    row = _one(order)
     for off in (x_exp, y_exp, total):
-        _apply_pochhammer(rows, order, off, total)
-    return TruncatedSeries._of_rows(order, rows)
+        _apply_pochhammer(row, order, off, total)
+    return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 
 # The package's name for the bilateral theta series: theta_sum itself, with
@@ -638,7 +593,7 @@ def mock_theta_nu(order: int) -> TruncatedSeries:
     n = 0
     while (expo := n * n + n) <= order:
         # extend the finite product (-q;q^2)_(n+1) by its n-th factor
-        _divide_geometric({(0, 0): inv}, 2 * n + 1, -1)
+        _divide_geometric(inv, 2 * n + 1, -1)
         acc[expo:] = [u + v for u, v in zip(acc[expo:], inv)]
         n += 1
     return TruncatedSeries._of_rows(order, {(0, 0): acc})

@@ -69,7 +69,7 @@ def _rr_copartition_check(checker: Checker, which: str, order: int, enum_limit: 
     params = (1, 4, 5) if which == "G" else (2, 3, 5)
     lhs = qs.rr_function(which, "sum", order)
     cp = qs.gf_product(params, order, markers=False)
-    rhs = qs.pochhammer_factor(1, 0, 0, 5, 5, True, order=order) * cp
+    rhs = qs.pochhammer_factor(q_offset=5, q_step=5, invert=True, order=order) * cp
     for n in range(order + 1):
         checker.equal(
             lhs.coefficient_int(n), rhs.coefficient_int(n), f"{which} vs product, q^{n}"
@@ -89,7 +89,7 @@ def _eta_theta_quotient_check(checker: Checker, a: int, m: int, order: int) -> N
     """
     if not (1 <= a < m):
         raise DomainError(f"need 1 <= a < m, got ({a},{m})")
-    eta = qs.pochhammer_factor(1, 0, 0, m, m, False, order=order)
+    eta = qs.pochhammer_factor(q_offset=m, q_step=m, order=order)
     lhs = eta * eta
     theta = qs.theta_sum(a, m - a, order)
     cp = qs.gf_product((a, m - a, m), order).at_markers_one()

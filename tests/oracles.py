@@ -153,6 +153,37 @@ def poly_pochhammer(offset: int, step: int, order: int) -> dict[int, int]:
     return out
 
 
+def _marked_mul(
+    p: dict[tuple[int, int, int], int], q: dict[tuple[int, int, int], int], order: int
+) -> dict[tuple[int, int, int], int]:
+    # product of two polynomials in q, x, y keyed (q-degree, x-degree, y-degree),
+    # truncated past q^order
+    out: dict[tuple[int, int, int], int] = {}
+    for (n, i, j), c in p.items():
+        for (dn, di, dj), d in q.items():
+            if n + dn <= order:
+                key = (n + dn, i + di, j + dj)
+                out[key] = out.get(key, 0) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_marked_product(a: int, b: int, m: int, order: int) -> dict[tuple[int, int, int], int]:
+    """(x y q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf) through
+    q^order, as {(n, sky count, ground count): c}: x marks sky parts, y ground
+    parts.  Each numerator factor 1 - x y q^e is multiplied in as a two-term
+    polynomial, and each reciprocal 1 / (1 - x q^e) or 1 / (1 - y q^e) as its
+    geometric series, the sum over j of x^j q^(j e) or y^j q^(j e), truncated
+    at the order."""
+    out = {(0, 0, 0): 1}
+    for e in range(a + b, order + 1, m):
+        out = _marked_mul(out, {(0, 0, 0): 1, (e, 1, 1): -1}, order)
+    for e in range(b, order + 1, m):
+        out = _marked_mul(out, {(j * e, j, 0): 1 for j in range(order // e + 1)}, order)
+    for e in range(a, order + 1, m):
+        out = _marked_mul(out, {(j * e, 0, j): 1 for j in range(order // e + 1)}, order)
+    return out
+
+
 def brute_eo_star(n: int) -> list[tuple[int, ...]]:
     """Partitions where evens sit below odds, odd parts pair up, and
     only the largest even may appear an odd number of times."""

@@ -243,6 +243,15 @@ def test_crank_tally_examples():
     assert empty.total == 1
 
 
+def test_enumerate_copartitions_checks_its_arguments_at_the_call():
+    # a bad modulus or size raises where it is passed, not at the first next()
+    for params, n in (((1, 1, 0), 5), ((1, 1, 2), 2.5)):
+        with pytest.raises(DomainError):
+            enumerate_copartitions(params, n)
+    assert list(enumerate_copartitions((1, 1, 2), 4.0)) == list(enumerate_copartitions((1, 1, 2), 4))
+    assert list(enumerate_copartitions((1, 1, 2), -1)) == []
+
+
 def test_crank_values_frozen():
     cranks = sorted(c.crank for c in enumerate_copartitions((1, 1, 2), 4))
     assert cranks == [-4, -2, 0, 2, 4]

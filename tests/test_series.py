@@ -34,16 +34,17 @@ from oracles import (
     brute_partition_count,
     poly_mul,
     poly_pochhammer,
+    reference_marked_product,
 )
 
 ORDER = 24
 
 
-def _series(terms: dict[tuple[int, int, int], int]) -> TruncatedSeries:
+def _series(terms: dict[tuple[int, int, int], int], order: int = ORDER) -> TruncatedSeries:
     coeffs: dict[int, dict[tuple[int, int], int]] = {}
     for (n, x, y), c in terms.items():
         coeffs.setdefault(n, {})[(x, y)] = c
-    return TruncatedSeries(ORDER, coeffs)
+    return TruncatedSeries(order, coeffs)
 
 
 def _terms(max_deg: int):
@@ -175,13 +176,6 @@ def test_large_classes_keep_the_factor_by_factor_build(monkeypatch):
     assert collections.Counter(calls) == {"_divide_geometric": 2 * 525, "_times_binomial": 25}
 
 
-def test_pochhammer_with_markers_inverts():
-    for sign, x_deg, y_deg, offset, step in ((1, 1, 0, 1, 1), (-1, 1, 0, 2, 3), (1, 1, 1, 2, 2)):
-        kw = dict(coeff_sign=sign, x_deg=x_deg, y_deg=y_deg, q_offset=offset, q_step=step)
-        inverted = pochhammer_factor(**kw, invert=True, order=30)
-        assert inverted * pochhammer_factor(**kw, order=30) == _unit(30)
-
-
 def test_pochhammer_refuses_divergent_inverse():
     with pytest.raises(CopaError):
         pochhammer_factor(order=10, q_offset=0, q_step=2, invert=True)
@@ -202,9 +196,9 @@ def _geometric_reference(row: list[int], t: int, c: int) -> list[int]:
 )
 def test_scalar_divide_matches_the_recurrence(row, t, c):
     t = min(t, len(row) + 1)
-    rows = {(0, 0): list(row)}
-    series._divide_geometric(rows, t, c)
-    assert rows == {(0, 0): _geometric_reference(row, t, c)}
+    out = list(row)
+    series._divide_geometric(out, t, c)
+    assert out == _geometric_reference(row, t, c)
 
 
 def test_scalar_inverse_with_negative_sign():
@@ -217,10 +211,10 @@ def test_scalar_inverse_with_negative_sign():
 
 @pytest.mark.parametrize("c", (0, 2, -2))
 def test_scalar_divide_refuses_other_coefficients(c):
-    rows = {(0, 0): [1, 2, 3, 4]}
+    row = [1, 2, 3, 4]
     with pytest.raises(SeriesError, match=f"got {c}"):
-        series._divide_geometric(rows, 1, c)
-    assert rows == {(0, 0): [1, 2, 3, 4]}
+        series._divide_geometric(row, 1, c)
+    assert row == [1, 2, 3, 4]
 
 
 def test_product_and_double_sum_agree():
@@ -242,18 +236,11 @@ def test_markers_track_component_counts():
     assert s.at_markers_one().coefficient_int(12) == 7
 
 
-def _factor_oracle(a: int, b: int, m: int, order: int) -> TruncatedSeries:
-    # The three Pochhammer series of the product form, each built on its own
-    # dense rows and multiplied through TruncatedSeries.__mul__.
-    sky = pochhammer_factor(x_deg=1, q_offset=b, q_step=m, invert=True, order=order)
-    numerator = pochhammer_factor(x_deg=1, y_deg=1, q_offset=a + b, q_step=m, order=order)
-    ground = pochhammer_factor(y_deg=1, q_offset=a, q_step=m, invert=True, order=order)
-    return sky * numerator * ground
-
-
 def test_marked_product_matches_the_factor_oracle():
     for a, b, m in iproduct(range(1, 5), range(1, 5), range(1, 5)):
-        oracle = _factor_oracle(a, b, m, 36)
+        # the product form multiplied out from its definition, with none of
+        # the package's kernels
+        oracle = _series(reference_marked_product(a, b, m, 36), 36)
         for order in (0, 1, 2, m + 1, 17, 35, 36):
             s = gf_product((a, b, m), order)
             assert s == oracle.truncate(order), ((a, b, m), order)
@@ -336,7 +323,7 @@ def test_series_errors_are_typed():
         (lambda: unit.truncate(6), "cannot extend order 5 to 6"),
         (lambda: pochhammer_factor(2, order=5), "coeff_sign must be +1 or -1, got 2"),
         (lambda: pochhammer_factor(q_step=0, order=5), "q_step must be positive, got 0"),
-        (lambda: pochhammer_factor(x_deg=-1, order=5), "marker degrees must be non-negative"),
+        (lambda: pochhammer_factor(q_offset=-1, order=5), "q_offset must be non-negative, got -1"),
         (lambda: pochhammer_factor(q_offset=0, invert=True, order=5), "constant term != 1"),
         (lambda: gf_product((0, 1, 2), 5), "product form needs a, b >= 1, got (0,1,2)"),
         (lambda: rr_function("F", "sum", 5), "which must be G or H, got 'F'"),
@@ -628,11 +615,11 @@ def test_dividing_by_theta_with_doubled_terms_against_naive():
         naive = poly_mul(poly_pochhammer(x, 2 * x, order), poly_pochhammer(x, 2 * x, order), order)
         naive = poly_mul(naive, poly_pochhammer(2 * x, 2 * x, order), order)
         ref = TruncatedSeries(order, {n: {(0, 0): c} for n, c in naive.items()})
-        rows = {(0, 0): [1] + [0] * order}
-        series._theta(rows, order, x, x, True)
-        assert TruncatedSeries._of_rows(order, rows) * ref == _unit(order), x
-        series._theta(rows, order, x, x, False)
-        assert rows == {(0, 0): [1] + [0] * order}, x
+        row = [1] + [0] * order
+        series._theta(row, order, x, x, True)
+        assert TruncatedSeries._of_rows(order, {(0, 0): row}) * ref == _unit(order), x
+        series._theta(row, order, x, x, False)
+        assert row == [1] + [0] * order, x
 
 
 @pytest.mark.parametrize("a, b, m", ((3, 5, 4), (5, 3, 4), (7, 1, 4), (2, 5, 7)))
@@ -695,6 +682,21 @@ def test_far_lambert_series_matches_the_double_sum(b, m):
 def test_far_counts_with_both_classes_zero_match_the_double_sum(m):
     counts = [count_series((0, 0, m), n) for n in range(401)]
     assert counts == series._double_sum(0, 0, m, False, 400).scalar_coeffs()
+
+
+def test_far_scaling_of_the_degenerate_families():
+    # Multiplying every part by s maps the (a, b, m)-copartitions of n onto
+    # the (s*a, s*b, s*m)-copartitions of s*n: the Lambert-side count against
+    # the scaled double sum, which has nothing off the multiples of s.
+    order = 300
+    for a, b, m in iproduct(range(4), range(4), range(1, 4)):
+        if a and b:
+            continue
+        counts = [count_series((a, b, m), n) for n in range(order + 1)]
+        for s in (2, 3):
+            scaled = gf_double_sum((s * a, s * b, s * m), s * order, markers=False)
+            expected = [0 if k % s else counts[k // s] for k in range(s * order + 1)]
+            assert scaled.scalar_coeffs() == expected, ((a, b, m), s)
 
 
 def _route_orders(a: int, b: int, m: int):

@@ -57,6 +57,26 @@ def test_the_package_imports_only_the_standard_library():
     assert not foreign, foreign
 
 
+def test_the_oracles_import_nothing_from_the_package():
+    """The references in oracles.py are written from the definitions, so
+    they stay independent of the code they check only while they import no
+    copa module."""
+    path = Path(__file__).parent / "oracles.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append((node.lineno, "." * node.level + (node.module or "")))
+    assert imported, "no imports found"
+    package = [
+        f"oracles.py:{line} imports {name}"
+        for line, name in imported
+        if name.startswith(".") or name.split(".")[0] == "copa"
+    ]
+    assert not package, package
+
+
 def _annotation_strings(tree: ast.AST):
     """Every string constant inside an annotation, parsed as an expression."""
     for node in ast.walk(tree):

@@ -1,6 +1,7 @@
 """Verification suites at reduced bounds, plus the command-line surface."""
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import copa.cli
 import copa.verify
 from copa import SUITES, run_suite
 from copa import series as qs
-from copa import copartitions
+from copa import copartitions, enumeration
 from copa.bijections import (
     copartition_to_pair,
     cp001_to_rim_cell,
@@ -543,6 +544,37 @@ def test_table_csv_refined_rejected(capsys):
                "--refined"])
     assert rc == 2
     assert "json" in capsys.readouterr().err
+
+
+def test_table_builds_each_family_once(monkeypatch, capsys):
+    # the top order is read first, so every lower row is a store hit
+    builds = []
+
+    def spy(module, name):
+        build = getattr(module, name)
+
+        @functools.wraps(build)
+        def counted(*args):
+            builds.append((name, *args[:-1]))
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(qs, "_product")
+    spy(qs, "_degenerate_series")
+    spy(enumeration, "_double_sum")
+    runs = (
+        (["--a", "1", "--b", "2", "--m", "4", "--format", "json", "--refined"],
+         [("_product", 1, 2, 4, False), ("_double_sum", 1, 2, 4, True)]),
+        (["--a", "0", "--b", "2", "--m", "3"], [("_degenerate_series", 2, 3)]),
+    )
+    for flags, families in runs:
+        for key in families:
+            qs._store.pop(key, None)
+        builds.clear()
+        assert main(["table", "--max-n", "300", *flags]) == 0
+        assert builds == families, flags
+        capsys.readouterr()
 
 
 def test_render_ascii(capsys):
