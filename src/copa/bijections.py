@@ -16,7 +16,6 @@ largest first.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import groupby
 from typing import Sequence
 
@@ -67,12 +66,16 @@ def _merge(
             k = cand
             break
     merged: list[int] = []
-    taken: set[int] = set()
+    unmatched: list[int] = []
+    done = 0  # pi[:done] is placed: matched or unmatched
     for j in range(k, nl + 1):
+        # the matched index i rises strictly with j (lam is non-increasing),
+        # so the ground parts between two matches are one run of pi
         i = np_ - (nl - j) - (lam[j - 1] - p.b) // p.m
-        taken.add(i)
+        unmatched += pi[done : i - 1]
+        done = i
         merged.append(lam[j - 1] + pi[i - 1])
-    ground = tuple(q for idx, q in enumerate(pi, start=1) if idx not in taken)
+    ground = tuple(unmatched) + pi[done:]
     # ground is a sub-tuple of the checked pi, and the sky a prefix of the
     # checked lam less m * len(ground), its floor checked by _unfuse
     return pi, lam, tuple(merged), _built_valid(p, ground, _unfuse(lam[: k - 1], len(ground), p))
@@ -139,24 +142,28 @@ def is_eo_star(parts: Sequence[int]) -> bool:
     multiplicity and all other even parts have even multiplicity.  With no
     even parts the multiplicity rule on odd parts is all that remains.
     """
-    return _eo_shape(as_partition(parts))
+    return _eo_split(as_partition(parts)) is not None
 
 
-def _eo_shape(lam: Partition) -> bool:
-    # is_eo_star on a checked partition: one pass over the runs of equal
-    # parts, largest first.
-    seen_even = False
+def _eo_split(lam: Partition) -> tuple[list[int], list[int]] | None:
+    # One pass over the runs of equal parts of a checked partition, largest
+    # first: None off the even-odd shape, else the odd parts at half their
+    # multiplicity and the even parts halved, both non-increasing.
+    odds: list[int] = []
+    evens: list[int] = []
     for q, run in groupby(lam):
-        odd_mult = len(tuple(run)) % 2
+        mult = len(tuple(run))
         if q % 2:
-            if seen_even or odd_mult:
-                return False
+            if evens or mult % 2:
+                return None
+            odds += [q] * (mult // 2)
         else:
-            # the first even run is the largest even part
-            if odd_mult == seen_even:
-                return False
-            seen_even = True
-    return True
+            # the first even run is the largest even part: odd multiplicity
+            # there, even multiplicity below
+            if mult % 2 == bool(evens):
+                return None
+            evens += [q // 2] * mult
+    return odds, evens
 
 
 def enumerate_eo_star(n: int) -> list[Partition]:
@@ -205,24 +212,24 @@ def copartition_to_eo(c: Copartition) -> Partition:
     """
     if c.params.as_tuple() != (1, 1, 2):
         raise CopaError(f"even-odd map needs params (1,1,2), got {c.params.as_tuple()}")
+    # Each enlarged-sky part is odd and at least 2w + 1 (w ground parts),
+    # each doubled conjugate part even and at most 2w, so the odd block
+    # followed by the even block is already non-increasing: no sort.
     block: list[int] = []
     for f in enlarged_sky(c):
         block += [f, f]
     block += [2 * q for q in _conjugate(c.ground)]
-    return tuple(sorted(block, reverse=True))
+    return tuple(block)
 
 
 def eo_to_copartition(parts: Sequence[int]) -> Copartition:
     """Halve an even-odd partition back into a (1,1,2)-copartition."""
     lam = as_partition(parts)
-    if not _eo_shape(lam):
+    split = _eo_split(lam)
+    if split is None:
         raise NotEOStarError(f"not an even-odd partition: {list(lam)}")
-    evens = [q // 2 for q in lam if q % 2 == 0]
-    odd_mult = Counter(q for q in lam if q % 2 == 1)
-    ground = _conjugate(evens)
-    fused: list[int] = []
-    for v in sorted(odd_mult, reverse=True):
-        fused += [v] * (odd_mult[v] // 2)
+    fused, halves = split
+    ground = _conjugate(halves)
     return _built_valid(_EO, ground, _unfuse(fused, len(ground), _EO))
 
 

@@ -64,7 +64,7 @@ def coerce_params(params: ParamsLike) -> CopartitionParams:
         raise DomainError(f"params must be three integers, got {params!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Copartition:
     """Validating constructor; params may be a triple, and the rectangle is
     derived, never supplied."""
@@ -73,15 +73,18 @@ class Copartition:
     ground: tuple[int, ...]
     sky: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        p = coerce_params(self.params)
-        _set_params(self, p)
-        _set_ground(self, _check_component(self.ground, p.a, p.m, "ground"))
-        _set_sky(self, _check_component(self.sky, p.b, p.m, "sky"))
-        if p.a == 0 and not self.sky:
+    def __init__(self, params: ParamsLike, ground: Sequence[int], sky: Sequence[int]) -> None:
+        # Checked first, then each slot set once.
+        p = coerce_params(params)
+        ground = _check_component(ground, p.a, p.m, "ground")
+        sky = _check_component(sky, p.b, p.m, "sky")
+        if p.a == 0 and not sky:
             raise EmptySkyError("a = 0 requires a nonempty sky")
-        if p.b == 0 and not self.ground:
+        if p.b == 0 and not ground:
             raise EmptyGroundError("b = 0 requires a nonempty ground")
+        _set_params(self, p)
+        _set_ground(self, ground)
+        _set_sky(self, sky)
 
     @property
     def a(self) -> int:
@@ -126,9 +129,9 @@ def _built_valid(
     p: CopartitionParams, ground: tuple[int, ...], sky: tuple[int, ...]
 ) -> Copartition:
     """A Copartition from components its caller built valid, set slot by
-    slot without __post_init__.  The enumeration walker calls it, and each
-    bijection for the image it computes from its checked arguments; every
-    public constructor validates."""
+    slot without the checks of __init__.  The enumeration walker calls it,
+    and each bijection for the image it computes from its checked arguments;
+    every public constructor validates."""
     c = _new(Copartition)
     _set_params(c, p)
     _set_ground(c, ground)
@@ -234,19 +237,35 @@ def from_json_dict(obj: dict) -> Copartition:
     """
     try:
         a, b, m, ground, sky = obj["a"], obj["b"], obj["m"], obj["ground"], obj["sky"]
-        types = {type(a), type(b), type(m), *map(type, ground), *map(type, sky)}
     except (KeyError, TypeError) as exc:
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}") from exc
-    if not (type(ground) is type(sky) is list and types <= {int}):
+    if not (
+        type(a) is type(b) is type(m) is int
+        and type(ground) is type(sky) is list
+        and {int}.issuperset(map(type, ground + sky))
+    ):
         raise InvalidPartitionError(f"malformed copartition object: {obj!r}")
     return Copartition((a, b, m), ground, sky)
 
 
+# The decoder call that json.loads reaches through two more layers: it reads
+# one JSON value at an index and does not look past it, so from_json skips
+# the whitespace around the value itself and refuses anything else.
+_scan_once = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+
+
 def from_json(text: str) -> Copartition:
+    """The copartition a JSON text names: one object, with whitespace
+    allowed around it and nothing else.  The text must be a str."""
+    if not isinstance(text, str):
+        raise InvalidPartitionError(f"copartition JSON must be a str, got {type(text).__name__}")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj, end = _scan_once(text, _skip_space(text, 0).end())
+    except (StopIteration, json.JSONDecodeError) as exc:
         raise InvalidPartitionError(f"bad JSON: {text!r}") from exc
+    if _skip_space(text, end).end() != len(text):
+        raise InvalidPartitionError(f"bad JSON: {text!r}")
     if not isinstance(obj, dict):
         raise InvalidPartitionError("copartition JSON must be an object")
     return from_json_dict(obj)

@@ -29,6 +29,14 @@ their class and at least its least part, and nonempty where a degenerate
 class needs it.  So the generator builds its objects without re-checking
 them (copartitions._built_valid), as the bijections do for the images they
 compute from checked arguments; every public constructor still checks.
+
+Inside a block with a sky, the skies depend only on what the ground leaves
+over, so the walker builds the sky rows of each leftover once and shares
+them among the grounds that leave it.  The rows live for that block only,
+one tuple per distinct sky of the block: at most 5,353 at a time for the
+215,308 objects of (1,1,1) at n = 40, and 530 for the 12,340 of (1,2,4) at
+n = 100.
+
 A block's count depends only on its shape (ground and sky counts capped at
 the total, and the total), so one bounded memo serves every family.
 """
@@ -81,17 +89,20 @@ def _copartitions(p: CopartitionParams, n: int) -> Iterator[Copartition]:
         return
     for w, s, total in _blocks(p, n):
         if s == 0:
-            ground_iter = _bounded_partitions(total, w, total)
-        else:
-            ground_iter = _bounded_partitions(total, w, total, at_most=True)
-        for t in ground_iter:
+            for t in _bounded_partitions(total, w, total):
+                yield _built_valid(p, tuple(a + m * ti for ti in t + (0,) * (w - len(t))), ())
+            continue
+        skies: dict[int, list[tuple[int, ...]]] = {}
+        for t in _bounded_partitions(total, w, total, at_most=True):
             ground = tuple(a + m * ti for ti in t + (0,) * (w - len(t)))
             left = total - sum(t)
-            if s == 0:
-                yield _built_valid(p, ground, ())
-                continue
-            for u in _bounded_partitions(left, s, left):
-                sky = tuple(b + m * ui for ui in u + (0,) * (s - len(u)))
+            rows = skies.get(left)
+            if rows is None:
+                rows = skies[left] = [
+                    tuple(b + m * ui for ui in u + (0,) * (s - len(u)))
+                    for u in _bounded_partitions(left, s, left)
+                ]
+            for sky in rows:
                 yield _built_valid(p, ground, sky)
 
 

@@ -347,6 +347,9 @@ def pochhammer_factor(
     """
     if coeff_sign not in (1, -1):
         raise SeriesError(f"coeff_sign must be +1 or -1, got {coeff_sign}")
+    order = _as_int(order, "order", scalar=True)
+    q_offset = _as_int(q_offset, "q_offset", scalar=True)
+    q_step = _as_int(q_step, "q_step", scalar=True)
     if q_step < 1:
         raise SeriesError(f"q_step must be positive, got {q_step}")
     if q_offset < 0:

@@ -77,9 +77,11 @@ def reference_all_bounded(max_total: int, max_parts: int, max_part: int | None =
     yield ()
 
 
-def _class_partitions(total: int, count: int, base: int, m: int):
+@lru_cache(maxsize=None)
+def _class_partitions(total: int, count: int, base: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of `total` into exactly `count` parts, each in
-    {base, base+m, base+2m, ...}, weakly decreasing."""
+    {base, base+m, base+2m, ...}, weakly decreasing.  Kept, since the brute
+    copartition sweeps ask for the same ones at every size."""
 
     def rec(left: int, k: int, cap: int):
         if k == 0:
@@ -94,12 +96,10 @@ def _class_partitions(total: int, count: int, base: int, m: int):
             part -= m
 
     if count == 0:
-        if total == 0:
-            yield ()
-        return
+        return ((),) if total == 0 else ()
     if base * count > total:
-        return
-    yield from rec(total, count, total)
+        return ()
+    return tuple(rec(total, count, total))
 
 
 def brute_copartitions(a: int, b: int, m: int, n: int) -> set[tuple[tuple, tuple]]:
@@ -119,10 +119,10 @@ def brute_copartitions(a: int, b: int, m: int, n: int) -> set[tuple[tuple, tuple
                 continue
             rect = m * w * s
             for g in range(n - rect + 1):
-                grounds = list(_class_partitions(g, w, a, m))
+                grounds = _class_partitions(g, w, a, m)
                 if not grounds:
                     continue
-                skies = list(_class_partitions(n - rect - g, s, b, m))
+                skies = _class_partitions(n - rect - g, s, b, m)
                 for ground in grounds:
                     for sky in skies:
                         found.add((ground, sky))
@@ -224,3 +224,14 @@ def reference_is_eo_star(parts: tuple[int, ...]) -> bool:
         if any(mult[q] % 2 for q in set(evens) if q != top):
             return False
     return True
+
+
+def reference_eo_partition(ground: tuple[int, ...], sky: tuple[int, ...]) -> tuple[int, ...]:
+    """The even-odd image of a (1,1,2)-copartition read off its definition:
+    every sky part fused with its rectangle row, s + 2 * len(ground), twice,
+    and every column height of the ground doubled, put in order by a full
+    sort."""
+    w = len(ground)
+    columns = [sum(1 for g in ground if g >= col) for col in range(1, max(ground, default=0) + 1)]
+    parts = [s + 2 * w for s in sky for _ in range(2)] + [2 * h for h in columns]
+    return tuple(sorted(parts, reverse=True))

@@ -34,7 +34,9 @@ from copa.errors import (
 from copa.partitions import enumerate_partitions, is_rim_cell, rim_cells
 from copa.series import eo_star_gf
 
-from oracles import brute_eo_star, reference_is_eo_star, reference_progression_partitions
+from oracles import (
+    brute_eo_star, reference_eo_partition, reference_is_eo_star, reference_progression_partitions,
+)
 
 
 def is_checked(image, cls=1, m=1):
@@ -295,6 +297,17 @@ def test_is_eo_star_matches_reference():
             assert is_eo_star(lam) == reference_is_eo_star(lam), lam
     with pytest.raises(InvalidPartitionError):
         is_eo_star((1, 2))
+
+
+def test_copartition_to_eo_matches_the_sorted_reference():
+    # copartition_to_eo concatenates its two blocks without sorting; the
+    # reference sorts the same parts in full
+    seen = 0
+    for n in range(27):
+        for c in enumerate_copartitions((1, 1, 2), n):
+            assert copartition_to_eo(c) == reference_eo_partition(c.ground, c.sky), c
+            seen += 1
+    assert seen == 3218
 
 
 def test_enumerate_eo_star_against_filter():

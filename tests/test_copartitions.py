@@ -69,6 +69,13 @@ def test_the_class_is_the_validating_constructor():
     assert c.params is coerce_params((1, 1, 2))
     with pytest.raises(DomainError):
         Copartition((1.5, 1, 2), (1,), ())
+    # keywords, equality, hashing and the frozen slots of the dataclass
+    same = Copartition(params=[1, 1, 2], ground=[1], sky=[])
+    assert same == c and hash(same) == hash(c) and same.ground == (1,) and same.sky == ()
+    assert repr(same) == "Copartition((1,1,2), ground=[1], sky=[])"
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(AttributeError):
+        c.sky = (1,)
 
 
 def test_component_validation_errors_are_specific():
@@ -145,6 +152,23 @@ def test_json_rejects_malformed():
         from_json('{"a":1,"b":2,"m":4}')
     with pytest.raises(CopaError):
         from_json('{"a":1,"b":2,"m":4,"ground":[2],"sky":[]}')
+
+
+def test_from_json_reads_one_object_between_whitespace():
+    doc = '{"a":1,"b":2,"m":4,"ground":[9,5],"sky":[6]}'
+    c = make_copartition((1, 2, 4), (9, 5), (6,))
+    for text in (" " + doc + "\n", "\t\r\n" + doc, doc + "  "):
+        assert from_json(text) == c
+    for text in (doc + " x", doc + doc, doc + ",", "", "  ", "x" + doc):
+        with pytest.raises(InvalidPartitionError, match="bad JSON"):
+            from_json(text)
+    for text in ("[]", "1", '"text"', "null"):
+        with pytest.raises(InvalidPartitionError, match="must be an object"):
+            from_json(text)
+    # json.loads would decode bytes; from_json takes a str only
+    for text in (doc.encode(), bytearray(doc.encode()), None):
+        with pytest.raises(InvalidPartitionError, match="must be a str"):
+            from_json(text)
 
 
 @pytest.mark.parametrize(

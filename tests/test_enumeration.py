@@ -39,6 +39,20 @@ def test_golden_order():
     assert listed == GOLDEN_134_12
 
 
+def test_enumeration_order_matches_the_sorted_brute_force():
+    # The documented order: blocks by ascending (ground count, sky count),
+    # and inside a block ground, then sky, reverse-lexicographic.  Two
+    # stable sorts give it: pairs descending, then by the block key.
+    def block(pair):
+        return len(pair[0]), len(pair[1])
+
+    for a, b, m in product(range(4), range(4), range(1, 4)):
+        for n in range(19):
+            listed = [(c.ground, c.sky) for c in enumerate_copartitions((a, b, m), n)]
+            expected = sorted(sorted(brute_copartitions(a, b, m, n), reverse=True), key=block)
+            assert listed == expected, ((a, b, m), n)
+
+
 def test_enumeration_is_deterministic():
     a = list(enumerate_copartitions((2, 3, 5), 17))
     b = list(enumerate_copartitions((2, 3, 5), 17))

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from copa import series
 from copa.enumeration import count_refined
-from copa.errors import CopaError, SeriesError
+from copa.errors import CopaError, DomainError, SeriesError
 from copa.series import (
     TruncatedSeries,
     count_cell,
@@ -334,6 +334,21 @@ def test_series_errors_are_typed():
         with pytest.raises(SeriesError, match=re.escape(message)) as info:
             call()
         assert isinstance(info.value, CopaError) and isinstance(info.value, ValueError)
+
+
+def test_pochhammer_factor_follows_the_int_rule():
+    # order, q_offset and q_step read as every other builder's scalars do
+    assert pochhammer_factor(q_offset=2.0, q_step=3.0, order=9.0) == pochhammer_factor(
+        q_offset=2, q_step=3, order=9
+    )
+    for kwargs, message in (
+        ({"order": 2.5}, "order 2.5 is not an integer"),
+        ({"q_offset": 1.5, "order": 5}, "q_offset 1.5 is not an integer"),
+        ({"q_step": 2.5, "order": 5}, "q_step 2.5 is not an integer"),
+        ({"q_step": "2", "order": 5}, "q_step '2' is not an integer"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            pochhammer_factor(**kwargs)
 
 
 def test_scalar_reads_raise_only_on_a_nonzero_marker_coefficient():
