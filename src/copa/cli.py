@@ -206,7 +206,8 @@ def _read_json(raw: str, fields: dict) -> dict:
     text = sys.stdin.read() if raw == "-" else raw
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # as in copartitions.from_json: bad JSON, too many digits, too deep
         raise BadInputError(f"bad input ({exc})") from exc
     _check_fields(obj, fields)
     return obj

@@ -262,7 +262,9 @@ def from_json(text: str) -> Copartition:
         raise InvalidPartitionError(f"copartition JSON must be a str, got {type(text).__name__}")
     try:
         obj, end = _scan_once(text, _skip_space(text, 0).end())
-    except (StopIteration, json.JSONDecodeError) as exc:
+    except (StopIteration, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an int literal past the
+        # interpreter's digit limit; RecursionError a text nested too deep.
         raise InvalidPartitionError(f"bad JSON: {text!r}") from exc
     if _skip_space(text, end).end() != len(text):
         raise InvalidPartitionError(f"bad JSON: {text!r}")

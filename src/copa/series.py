@@ -1,12 +1,15 @@
 """Truncated formal power series in q over exact integers.
 
 Two marker variables ride along with q: x tracks sky-part counts and y
-tracks ground-part counts.  A series of order N stores one dense list
-[c_0, ..., c_N] of q-coefficients per marker monomial x^i y^j, keyed
-(i, j); a scalar series has only the key (0, 0).  Keys whose list is all
-zero are dropped, so equal series store equal layouts.  Arithmetic results
-carry the minimum order of the operands.  There is no floating point
-anywhere.
+tracks ground-part counts.  A series of order N stores one dense list of
+q-coefficients per marker monomial x^i y^j, keyed (i, j); a scalar series
+has only the key (0, 0).  Each list holds at least N + 1 entries
+[c_0, ..., c_N], and nothing reads past c_N: a truncation shares its
+source's lists instead of slicing them, so callers must not mutate them.
+Keys whose list is zero through c_N are dropped, so equal series have equal
+keys, and leads holds each kept list's first nonzero index.  Arithmetic
+results carry the minimum order of the operands.  There is no floating
+point anywhere.
 
 The shared kernels are scalar: each works in place on one coefficient
 list.  Infinite Pochhammer products are expanded factor by factor by two of
@@ -38,15 +41,15 @@ Every builder below is memoized through one store.  A series of order N is
 the truncation of any higher-order series of the same family, so for each
 builder and each argument tuple without the order the store keeps only the
 highest-order series built so far.  A request at or below that order gets
-the stored series' truncation (the series itself at its own order); a
-higher order N > 0 is built at N rounded up to a multiple of 16 and
-replaces it, so an ascending sweep of orders builds once per 16 of them.
-Orders <= 0 are built as asked.  _stored hands out the stored series
-itself, untruncated: count_series reads its coefficient there, building in
-64-wide chunks of n, and the refined counts read one column of the marked
-double sum there.  The store grows with the number of distinct families
-asked for, not with the number of orders, and drops the least recently
-used family past a fixed number of them.
+the stored series' truncation, which shares its rows (the series itself at
+its own order); a higher order N > 0 is built at N rounded up to a multiple
+of 16 and replaces it, so an ascending sweep of orders builds once per 16
+of them.  Orders <= 0 are built as asked.  _stored hands out the stored
+series itself, untruncated: count_series reads its coefficient there,
+building in 64-wide chunks of n, and the refined counts read one column of
+the marked double sum there.  The store grows with the number of distinct
+families asked for, not with the number of orders, and drops the least
+recently used family past a fixed number of them.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import inspect
 import threading
 from collections import OrderedDict
 from functools import wraps
+from itertools import compress
 from operator import add, sub
 from typing import Callable, Optional
 
@@ -96,9 +100,16 @@ def _divide_geometric(row: list[int], t: int, c: int) -> None:
 
 
 class TruncatedSeries:
-    """Immutable by convention: no public operation mutates coefficients."""
+    """Immutable by convention: no public operation mutates coefficients.
 
-    __slots__ = ("order", "rows")
+    rows maps each key to its q-coefficients, a list of at least order + 1
+    entries of which only the first order + 1 are read; leads maps each key
+    to the index of its row's first nonzero entry, at most the order.  A
+    truncation and a store hit at the stored order share their source's row
+    lists, so a caller must not mutate rows.
+    """
+
+    __slots__ = ("order", "rows", "leads")
 
     def __init__(self, order: int, coeffs: Optional[dict[int, dict[Key, int]]] = None):
         """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order are dropped."""
@@ -113,14 +124,24 @@ class TruncatedSeries:
                 for key, c in poly.items():
                     if c:
                         rows.setdefault(key, [0] * (order + 1))[n] = c
-        self.rows = rows
+        self._adopt(rows)
 
     @classmethod
     def _of_rows(cls, order: int, rows: Rows) -> "TruncatedSeries":
         # Adopts rows (each of length order + 1) without copying them.
         out = cls(order)
-        out.rows = {key: row for key, row in rows.items() if any(row)}
+        out._adopt(rows)
         return out
+
+    def _adopt(self, rows: Rows) -> None:
+        # Keeps the rows with a nonzero entry through the order, and their leads.
+        end = self.order + 1
+        kept, leads = {}, {}
+        for key, row in rows.items():
+            if (lead := next(compress(range(end), row), end)) < end:
+                kept[key] = row
+                leads[key] = lead
+        self.rows, self.leads = kept, leads
 
     def _within(self, n: int) -> None:
         if n > self.order:
@@ -150,7 +171,12 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.rows == other.rows
+        end = self.order + 1
+        return (
+            self.order == other.order
+            and self.leads == other.leads
+            and all(row[:end] == other.rows[key][:end] for key, row in self.rows.items())
+        )
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality through the lower of the two orders."""
@@ -175,11 +201,12 @@ class TruncatedSeries:
         return TruncatedSeries._of_rows(order, out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        """The series through q^order, sharing this series' rows: O(keys)."""
         if order > self.order:
             raise SeriesError(f"cannot extend order {self.order} to {order}")
         out = TruncatedSeries(order)
-        end = order + 1
-        out.rows = {key: cut for key, row in self.rows.items() if any(cut := row[:end])}
+        out.leads = {key: lead for key, lead in self.leads.items() if lead <= order}
+        out.rows = {key: self.rows[key] for key in out.leads}
         return out
 
     def at_markers_one(self) -> "TruncatedSeries":

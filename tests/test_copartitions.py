@@ -190,6 +190,19 @@ def test_from_json_refuses_non_integer_fields(text):
         from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("[" * 100000, RecursionError),  # nested past the decoder's depth
+        ('{"a":1,"b":2,"m":4,"ground":[' + "9" * 5000 + '],"sky":[]}', ValueError),  # > 4300 digits
+    ],
+)
+def test_from_json_refuses_text_the_decoder_cannot_read(text, cause):
+    with pytest.raises(InvalidPartitionError, match="bad JSON") as exc:
+        from_json(text)
+    assert type(exc.value.__cause__) is cause
+
+
 def test_to_json_matches_json_dumps_and_round_trips():
     seen = 0
     for a in range(5):

@@ -112,6 +112,50 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+@settings(max_examples=40)
+@given(any_series)
+def test_truncation_is_the_series_through_its_order(s):
+    for k in range(s.order + 1):
+        cut = s.truncate(k)
+        fresh = TruncatedSeries(k, {n: s.coefficient(n) for n in range(k + 1)})
+        assert cut == fresh and fresh == cut, k
+        assert all(cut.truncate(j) == s.truncate(j) for j in range(k + 1)), k
+        with pytest.raises(SeriesError, match=f"coefficient {k + 1} beyond order {k}"):
+            cut.coefficient(k + 1)
+
+
+@settings(max_examples=30)
+@given(any_series, any_series)
+def test_truncation_commutes_with_products_and_markers_one(s, t):
+    # t's order is ORDER, at least every k; the truncation's rows run past k
+    for k in range(s.order + 1):
+        cut = s.truncate(k)
+        assert cut * t == (s * t).truncate(k), k
+        assert t * cut == (t * s).truncate(k), k
+        assert cut.at_markers_one() == s.at_markers_one().truncate(k), k
+
+
+def test_truncation_drops_a_key_that_is_nonzero_only_past_the_order():
+    s = TruncatedSeries(10, {0: {(0, 0): 1}, 8: {(1, 0): -3}})
+    cut = s.truncate(5)
+    assert cut.rows.keys() == cut.leads.keys() == {(0, 0)}
+    assert cut.leads == {(0, 0): 0} and s.leads == {(0, 0): 0, (1, 0): 8}
+    assert cut == _unit(5)
+    assert s.truncate(8).leads == s.leads
+
+
+@pytest.mark.parametrize(
+    "builder, build", ((gf_product, series._product), (gf_double_sum, series._double_sum))
+)
+def test_a_lower_order_read_shares_the_stored_rows(builder, build):
+    # no row is sliced: every row of the order-100 answer is a stored row
+    top = builder((1, 1, 2), 112)
+    cut = builder((1, 1, 2), 100)
+    assert cut.order == 100 and cut.rows.keys() < top.rows.keys()
+    assert all(row is top.rows[key] for key, row in cut.rows.items())
+    assert cut == build(1, 1, 2, True, 100)
+
+
 def test_pochhammer_against_naive():
     for offset, step in ((1, 1), (2, 4), (3, 5), (2, 2)):
         s = pochhammer_factor(order=30, q_offset=offset, q_step=step)

@@ -779,6 +779,10 @@ def test_bijection_missing_field_exit_2(capsys):
         (["bijection", "copartition-to-pair", "--input", '{"merged":[3],"copartition":5}'],
          "malformed copartition object: 5"),
         (["render", "--input", "[1]"], "bad input (input must be a JSON object)"),
+        # nested past the decoder's depth, and an int past the digit limit
+        (["render", "--input", "[" * 100000], "bad input (maximum recursion depth exceeded"),
+        (["render", "--input", '{"a":' + "1" * 5000 + "}"],
+         "bad input (Exceeds the limit (4300 digits)"),
     ],
 )
 def test_bad_json_input_exit_2(argv, detail, capsys):
