@@ -229,6 +229,12 @@ def to_json(c: Copartition) -> str:
     return f'{{"a":{p.a},"b":{p.b},"m":{p.m},"ground":[{ground}],"sky":[{sky}]}}'
 
 
+def _shown(value) -> str:
+    # repr(value) for an error message, cut to 200 characters
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def from_json_dict(obj: dict) -> Copartition:
     """The copartition a JSON object names.
 
@@ -238,13 +244,13 @@ def from_json_dict(obj: dict) -> Copartition:
     try:
         a, b, m, ground, sky = obj["a"], obj["b"], obj["m"], obj["ground"], obj["sky"]
     except (KeyError, TypeError) as exc:
-        raise InvalidPartitionError(f"malformed copartition object: {obj!r}") from exc
+        raise InvalidPartitionError(f"malformed copartition object: {_shown(obj)}") from exc
     if not (
         type(a) is type(b) is type(m) is int
         and type(ground) is type(sky) is list
         and {int}.issuperset(map(type, ground + sky))
     ):
-        raise InvalidPartitionError(f"malformed copartition object: {obj!r}")
+        raise InvalidPartitionError(f"malformed copartition object: {_shown(obj)}")
     return Copartition((a, b, m), ground, sky)
 
 
@@ -265,9 +271,9 @@ def from_json(text: str) -> Copartition:
     except (StopIteration, ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and an int literal past the
         # interpreter's digit limit; RecursionError a text nested too deep.
-        raise InvalidPartitionError(f"bad JSON: {text!r}") from exc
+        raise InvalidPartitionError(f"bad JSON: {_shown(text)}") from exc
     if _skip_space(text, end).end() != len(text):
-        raise InvalidPartitionError(f"bad JSON: {text!r}")
+        raise InvalidPartitionError(f"bad JSON: {_shown(text)}")
     if not isinstance(obj, dict):
         raise InvalidPartitionError("copartition JSON must be an object")
     return from_json_dict(obj)

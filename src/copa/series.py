@@ -45,9 +45,9 @@ the stored series' truncation, which shares its rows (the series itself at
 its own order); a higher order N > 0 is built at N rounded up to a multiple
 of 16 and replaces it, so an ascending sweep of orders builds once per 16
 of them.  Orders <= 0 are built as asked.  _stored hands out the stored
-series itself, untruncated: count_series reads its coefficient there,
-building in 64-wide chunks of n, and the refined counts read one column of
-the marked double sum there.  The store grows with the number of distinct
+series itself, untruncated: count_series reads its coefficient there, and
+the refined counts read one column of the marked double sum there, under
+the same rounding rule.  The store grows with the number of distinct
 families asked for, not with the number of orders, and drops the least
 recently used family past a fixed number of them.
 """
@@ -58,9 +58,9 @@ import inspect
 import threading
 from collections import OrderedDict
 from functools import wraps
-from itertools import compress
+from itertools import compress, count
 from operator import add, sub
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .copartitions import ParamsLike, coerce_params
 from .errors import SeriesError
@@ -171,12 +171,7 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        end = self.order + 1
-        return (
-            self.order == other.order
-            and self.leads == other.leads
-            and all(row[:end] == other.rows[key][:end] for key, row in self.rows.items())
-        )
+        return self.order == other.order and self.agrees_with(other)
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality through the lower of the two orders."""
@@ -213,7 +208,7 @@ class TruncatedSeries:
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""
         total = [0] * (self.order + 1)
         for row in self.rows.values():
-            total = [u + v for u, v in zip(total, row)]
+            total[:] = map(add, total, row)
         return TruncatedSeries._of_rows(self.order, {(0, 0): total})
 
     def scalar_coeffs(self) -> list[int]:
@@ -230,35 +225,25 @@ _store: OrderedDict[tuple, TruncatedSeries] = OrderedDict()
 _store_lock = threading.RLock()
 
 
-def _touch(store_key: tuple) -> Optional[TruncatedSeries]:
-    """The stored series for a key, now the most recently used; None if
-    absent.  The caller holds _store_lock."""
-    series = _store.get(store_key)
-    if series is not None:
-        _store.move_to_end(store_key)
-    return series
-
-
 # Orders above 0 are built at the next multiple of this.
 _CHUNK = 16
 
 
-def _stored(
-    build: Callable[..., TruncatedSeries], key: tuple, n: int, order: Optional[int] = None
-) -> TruncatedSeries:
+def _stored(build: Callable[..., TruncatedSeries], key: tuple, n: int) -> TruncatedSeries:
     """The stored series of build(*key, order) for some order >= n, untruncated
     and now the most recently used.
 
-    Without one, it is built at order (by default n rounded up to a multiple
-    of _CHUNK, or n itself if n <= 0) and replaces the stored series.  A
-    builder that raises leaves no entry behind.
+    Without one, it is built at n rounded up to a multiple of _CHUNK (n itself
+    if n <= 0) and replaces the stored series.  A builder that raises leaves
+    no entry behind.
     """
     store_key = (build.__name__, *key)
     with _store_lock:
-        series = _touch(store_key)
+        series = _store.get(store_key)
+        if series is not None:
+            _store.move_to_end(store_key)
         if series is None or series.order < n:
-            if order is None:
-                order = -(-n // _CHUNK) * _CHUNK if n > 0 else n
+            order = -(-n // _CHUNK) * _CHUNK if n > 0 else n
             series = _store[store_key] = build(*key, order)
             if len(_store) > _STORE_MAX:
                 _store.popitem(last=False)
@@ -537,8 +522,7 @@ def count_series(params: ParamsLike, n: int) -> int:
         # A class is 0.  Swapping ground and sky is size-preserving, so
         # (a, 0, m) counts as (0, a, m).
         build, key = _degenerate_series, (a + b, m)
-    # 64-wide chunks of n, so sweeps over a range of n share one series
-    return _stored(build, key, n, (n // 64 + 1) * 64).coefficient_int(n)
+    return _stored(build, key, n).coefficient_int(n)
 
 
 def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
@@ -557,6 +541,23 @@ def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries._of_rows(order, {(0, 0): lam})
 
 
+def _single_sum(
+    order: int, expo: Callable[[int], int], steps: Iterator[int], c: int
+) -> TruncatedSeries:
+    # The sum over n >= 0 of q^expo(n) / ((1 - c q^t_0) ... (1 - c q^t_n)),
+    # t_n the n-th of the steps: one running quotient takes the factor of
+    # step t_n (none for a step of 0) before the n-th term is added in.
+    acc = [0] * (order + 1)
+    quotient = _one(order)
+    for n, t in enumerate(steps):
+        if (e := expo(n)) > order:
+            break
+        if t:
+            _divide_geometric(quotient, t, c)
+        acc[e:] = map(add, acc[e:], quotient)
+    return TruncatedSeries._of_rows(order, {(0, 0): acc})
+
+
 @_keep_highest
 def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
     """The two classical sum-product pairs: "G" and "H", "sum" or "product".
@@ -567,15 +568,8 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
     if which not in ("G", "H"):
         raise SeriesError(f"which must be G or H, got {which!r}")
     if form == "sum":
-        acc = [0] * (order + 1)
-        inv = [1] + [0] * order
-        n = 0
-        while (expo := n * n if which == "G" else n * n + n) <= order:
-            if n >= 1:
-                _divide_geometric(inv, n, 1)
-            acc[expo:] = [u + v for u, v in zip(acc[expo:], inv)]
-            n += 1
-        return TruncatedSeries._of_rows(order, {(0, 0): acc})
+        shift = 0 if which == "G" else 1
+        return _single_sum(order, lambda n: n * (n + shift), count(), 1)
     if form == "product":
         row = _one(order)
         _divide_pair(row, order, *((1, 4) if which == "G" else (2, 3)), 5)
@@ -618,15 +612,7 @@ theta_f = theta_sum
 @_keep_highest
 def mock_theta_nu(order: int) -> TruncatedSeries:
     """Sum over n of q^(n^2+n) / (-q; q^2)_(n+1)."""
-    acc = [0] * (order + 1)
-    inv = [1] + [0] * order
-    n = 0
-    while (expo := n * n + n) <= order:
-        # extend the finite product (-q;q^2)_(n+1) by its n-th factor
-        _divide_geometric(inv, 2 * n + 1, -1)
-        acc[expo:] = [u + v for u, v in zip(acc[expo:], inv)]
-        n += 1
-    return TruncatedSeries._of_rows(order, {(0, 0): acc})
+    return _single_sum(order, lambda n: n * n + n, count(1, 2), -1)
 
 
 @_keep_highest

@@ -13,6 +13,7 @@ from copa.copartitions import (
     conjugate_copartition,
     enlarged_sky,
     from_json,
+    from_json_dict,
     make_copartition,
     scale_copartition,
     split_enlarged_sky,
@@ -201,6 +202,21 @@ def test_from_json_refuses_text_the_decoder_cannot_read(text, cause):
     with pytest.raises(InvalidPartitionError, match="bad JSON") as exc:
         from_json(text)
     assert type(exc.value.__cause__) is cause
+    # the message quotes the start of the text, not all of it
+    assert len(str(exc.value)) <= 220
+    assert str(exc.value) == "bad JSON: " + repr(text)[:200] + "..."
+
+
+def test_malformed_object_messages_are_cut():
+    big = {"a": 1, "b": 2, "m": 4, "ground": list(range(50000))}
+    for obj in (big, {**big, "sky": "x"}):
+        with pytest.raises(InvalidPartitionError, match="malformed copartition object") as exc:
+            from_json_dict(obj)
+        assert str(exc.value) == "malformed copartition object: " + repr(obj)[:200] + "..."
+    # a short object is quoted whole
+    with pytest.raises(InvalidPartitionError) as exc:
+        from_json_dict({"a": 1})
+    assert str(exc.value) == "malformed copartition object: {'a': 1}"
 
 
 def test_to_json_matches_json_dumps_and_round_trips():

@@ -96,6 +96,8 @@ def test_truncation_and_min_order():
     b = TruncatedSeries(8, {1: {(0, 0): 1}})
     assert (a * b).order == 8
     assert a.truncate(5).order == 5
+    # the same coefficients through a lower order make a different series
+    assert a.truncate(5).agrees_with(a) and a.truncate(5) != a
 
 
 def test_constructor_drops_zeros():
@@ -133,6 +135,17 @@ def test_truncation_commutes_with_products_and_markers_one(s, t):
         assert cut * t == (s * t).truncate(k), k
         assert t * cut == (t * s).truncate(k), k
         assert cut.at_markers_one() == s.at_markers_one().truncate(k), k
+
+
+@settings(max_examples=40)
+@given(any_series)
+def test_markers_one_sums_each_coefficient(s):
+    # truncations keep rows that run past their order; nothing past it is added
+    for cut in (s, *(s.truncate(k) for k in range(s.order))):
+        one = cut.at_markers_one()
+        assert one.order == cut.order
+        for n in range(cut.order + 1):
+            assert one.coefficient_int(n) == sum(cut.coefficient(n).values()), n
 
 
 def test_truncation_drops_a_key_that_is_nonzero_only_past_the_order():
@@ -453,9 +466,9 @@ def test_count_series_keeps_the_highest_order_series():
     series._store.pop(key, None)
     count_series(params, 200)
     count_series(params, 5)
-    assert series._store[key].order == 256
+    assert series._store[key].order == 208
     assert count_series(params, 300) == gf_product(params, 300, markers=False).coefficient_int(300)
-    assert series._store[key].order == 320
+    assert series._store[key].order == 304
 
 
 # Every stored builder: (call at an order, the raw build, its store key).

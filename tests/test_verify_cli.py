@@ -706,6 +706,94 @@ def test_series_theta_needs_exponents(capsys):
     assert "--x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["--kind", "theta", "--x", "1", "--y", "2"], lambda o: qs.theta_sum(1, 2, o)),
+        (["--kind", "rr-g"], lambda o: qs.rr_function("G", "sum", o)),
+        (["--kind", "rr-g", "--form", "product"], lambda o: qs.rr_function("G", "product", o)),
+        (["--kind", "rr-h"], lambda o: qs.rr_function("H", "sum", o)),
+        (["--kind", "rr-h", "--form", "product"], lambda o: qs.rr_function("H", "product", o)),
+        (["--kind", "nu"], qs.mock_theta_nu),
+        (["--kind", "eo-star"], qs.eo_star_gf),
+    ],
+)
+def test_series_named_kinds_print_their_coefficients(capsys, argv, build):
+    assert main(["series", *argv, "--order", "40"]) == 0
+    rows = [{"n": n, "coeff": c} for n, c in enumerate(build(40).scalar_coeffs())]
+    assert capsys.readouterr().out == json.dumps(rows) + "\n"
+
+
+def test_series_product_needs_its_params(capsys):
+    rc = main(["series", "--kind", "product", "--b", "1", "--m", "2", "--order", "6"])
+    assert rc == 2
+    assert capsys.readouterr().err == "--kind product needs --a --b --m\n"
+
+
+def test_order_cap_above_the_order_keeps_it(monkeypatch, capsys):
+    monkeypatch.setenv("COPA_MAX_ORDER", "50")
+    assert main(["series", "--kind", "nu", "--order", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [row["n"] for row in json.loads(captured.out)] == list(range(11))
+
+
+def test_a_closed_stdout_ends_quietly(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(["series", "--kind", "nu", "--order", "10"]) == 0
+    assert pipe.closed
+
+
+# The paper's worked examples for cp111 and cp001, and one (1,1,2)
+# copartition for the even-odd map: (map, input, its output, the inverse map,
+# the inverse's output), each output as printed.
+BIJECTION_EXAMPLES = [
+    (
+        "partition-to-cp111",
+        {"partition": [8, 6, 5, 3], "ground_count": 5},
+        {"copartition": {"a": 1, "b": 1, "m": 1, "ground": [3, 3, 3, 2, 2], "sky": [3, 1]},
+         "input_size": 27, "output_size": 27, "size_ok": True},
+        "cp111-to-partition",
+        {"partition": [8, 6, 5, 3], "ground_count": 5,
+         "input_size": 27, "output_size": 27, "size_ok": True},
+    ),
+    (
+        "rim-cell-to-cp001",
+        {"partition": [8, 6, 5, 5, 3, 3], "cell": [4, 4]},
+        {"copartition": {"a": 0, "b": 0, "m": 1, "ground": [2, 2, 2, 0], "sky": [4, 2, 1, 1]},
+         "input_size": 30, "output_size": 30, "size_ok": True},
+        "cp001-to-rim-cell",
+        {"partition": [8, 6, 5, 5, 3, 3], "cell": [4, 4],
+         "input_size": 30, "output_size": 30, "size_ok": True},
+    ),
+    (
+        "copartition-to-eo",
+        {"a": 1, "b": 1, "m": 2, "ground": [3, 1, 1], "sky": [1]},
+        {"partition": [7, 7, 6, 2, 2], "input_size": 12, "output_size": 24, "size_ok": True},
+        "eo-to-copartition",
+        {"copartition": {"a": 1, "b": 1, "m": 2, "ground": [3, 1, 1], "sky": [1]},
+         "input_size": 24, "output_size": 12, "size_ok": True},
+    ),
+]
+
+
+@pytest.mark.parametrize("name, doc, out, inverse, back", BIJECTION_EXAMPLES)
+def test_bijection_worked_examples_and_their_inverses(capsys, name, doc, out, inverse, back):
+    assert main(["bijection", name, "--input", json.dumps(doc)]) == 0
+    assert capsys.readouterr().out == json.dumps(out) + "\n"
+    image = out["copartition"] if "copartition" in out else {"partition": out["partition"]}
+    assert main(["bijection", inverse, "--input", json.dumps(image)]) == 0
+    assert capsys.readouterr().out == json.dumps(back) + "\n"
+    # the inverse gives back the input
+    given_back = back["copartition"] if "copartition" in back else {key: back[key] for key in doc}
+    assert given_back == doc
+
+
 def test_bijection_pair_to_copartition(capsys):
     rc = main(["bijection", "pair-to-copartition", "--input", PAIR_DOC])
     assert rc == 0
