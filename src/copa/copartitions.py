@@ -230,8 +230,11 @@ def to_json(c: Copartition) -> str:
 
 
 def _shown(value) -> str:
-    # repr(value) for an error message, cut to 200 characters
-    text = repr(value)
+    # repr(value) cut to 200 characters, or the type name where repr raises
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
     return text if len(text) <= 200 else text[:200] + "..."
 
 

@@ -9,20 +9,17 @@ By default, counts, refined tables and crank tallies come from the series
 engine: the (w, s) term of the marked double sum is exactly the block of
 ground count w and sky count s, so one column of the stored double sum is
 the refined table, and its entries summed by w - s mod k are the crank
-tally.  method="enum" counts the enumeration's blocks instead, without
-listing an object: its totals sum the block-counted table and its crank
-tally folds the same table by w - s.  It is the independent side the
-verify suites check the series against.
+tally.  method="enum", the independent side the verify suites check the
+series against, counts the same blocks without listing an object.
 
-Enumerated counts do not build objects.  One walk, _blocks, yields the
-blocks of a size; the generator expands each block, and the counters count
-it from the sizes of the partition iterators it would expand.  Every such
-iterator is the one bounded-partition walker,
-partitions._bounded_partitions: the ground of a block with a sky runs over
-the sums at most its total, every other component over one exact sum.  The
-sizes are tallied from that walker's own output
-(partitions._bounded_counts), so the enumerated counts stay independent of
-the series engine they are checked against.
+One walk, _blocks, yields the blocks of a size, and the generator expands
+each through the walker partitions._bounded_partitions: the ground of a
+block with a sky runs over the sums at most its total, every other
+component over one exact sum.  The counters take those iterators' sizes
+from p(k, <= j), the partitions of k into at most j parts
+(partitions._bounded_counts), a recurrence that tests pin to the walker and
+that shares nothing with the series engine.  Its rows hold O(n^2) big
+ints, so method="enum" stops at n = ENUM_MAX_N.
 
 The walker's components are valid by construction: non-increasing, in
 their class and at least its least part, and nonempty where a degenerate
@@ -53,10 +50,12 @@ from .partitions import (
     _as_int,
     _bounded_counts,
     _bounded_partitions,
-    divisor_count_in_class,
+    _divisors,
     partition_count,
 )
 from .series import _double_sum, _stored, count_series
+
+ENUM_MAX_N = 1000
 
 
 def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
@@ -109,8 +108,7 @@ def _copartitions(p: CopartitionParams, n: int) -> Iterator[Copartition]:
 @lru_cache(maxsize=4096)
 def _block_count(w: int, s: int, total: int) -> int:
     # How many copartitions enumerate_copartitions expands the block to:
-    # the sky iterator depends only on what the ground leaves over.  Row k
-    # of the tallied rows counts the partitions of k by number of parts.
+    # the sky iterator depends only on what the ground leaves over.
     # Callers pass the shape key, w and s capped at total (s = 0 stays 0).
     rows = _bounded_counts(total)
     if s == 0:
@@ -148,6 +146,8 @@ def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], i
     """Table (w,s) -> count at n.  Each block of enumerate_copartitions is
     counted from the sizes of the iterators it would expand, without
     building its objects.  Callers must not mutate the returned dict."""
+    if n > ENUM_MAX_N:
+        raise DomainError(f"method 'enum' counts n <= {ENUM_MAX_N}, got {n}; use method 'series'")
     table: dict[tuple[int, int], int] = {}
     for w, s, total in _blocks(CopartitionParams(*key), n):
         count = _block_count(min(w, total), min(s, total) if s else 0, total)
@@ -200,7 +200,8 @@ def crank_tally(params: ParamsLike, n: int, modulus: int, method: str = "auto") 
 def count_formula(params: ParamsLike, n: int) -> int:
     """Closed-form counts for the families that have one.
 
-    (1,1,1): partial sums of p.  (0,b,m): a partition-divisor convolution.
+    (1,1,1): partial sums of p.  (0,b,m): a partition-divisor convolution,
+    over the divisors that could be a sky part (in the class, at least b).
     (0,0,1): twice the (0,1,1) value minus p(n).  Anything else raises.
     """
     p = coerce_params(params)
@@ -212,7 +213,7 @@ def count_formula(params: ParamsLike, n: int) -> int:
         return sum(partition_count(k) for k in range(n + 1))
     if a == 0 and b >= 1:
         return sum(
-            partition_count(k) * divisor_count_in_class(n - m * k, b, m)
+            partition_count(k) * sum(d >= b and d % m == b % m for d in _divisors(n - m * k))
             for k in range(0, (n + m - 1) // m)
         )
     if b == 0 and a >= 1:

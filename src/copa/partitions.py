@@ -15,8 +15,7 @@ sequences, so enumerate_partitions(4) yields (4,), (3,1), (2,2), (2,1,1),
 
 Partitions with bounded parts come from one iterative walker,
 _bounded_partitions, with an exact or an at-most sum.  Plain enumeration,
-the tallied "at most j parts" rows, the copartition generator and the
-even-odd shapes all rest on it.
+the copartition generator and the even-odd shapes all rest on it.
 """
 
 from __future__ import annotations
@@ -220,22 +219,18 @@ _by_parts_lock = threading.Lock()
 
 
 def _bounded_counts(max_total: int) -> list[list[int]]:
-    """Row k, for k = 0..max_total at least, holds the number of partitions
-    of k with at most j parts for j = 0..k.
-
-    Each row is tallied by length from _bounded_partitions(k, k, k), not
-    from a recurrence, so counts built on it rest on the generator's
-    output.  Grown once per k and shared: callers must not mutate it.
+    """Row k, for k = 0..max_total at least, holds p(k, <= j), the partitions
+    of k into at most j parts, for j = 0..k, by p(k, <= j) = p(k, <= j-1) +
+    p(k-j, <= j): 1 off each part of one with exactly j parts leaves one of
+    k - j into at most j.  Grown once per k and shared: do not mutate it.
     """
     if max_total >= len(_by_parts):
         with _by_parts_lock:
             while len(_by_parts) <= max_total:
                 k = len(_by_parts)
-                row = [0] * (k + 1)
-                for lam in _bounded_partitions(k, k, k):
-                    row[len(lam)] += 1
+                row = [0]
                 for j in range(1, k + 1):
-                    row[j] += row[j - 1]
+                    row.append(row[-1] + _by_parts[k - j][min(j, k - j)])
                 _by_parts.append(row)
     return _by_parts
 

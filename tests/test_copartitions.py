@@ -217,6 +217,10 @@ def test_malformed_object_messages_are_cut():
     with pytest.raises(InvalidPartitionError) as exc:
         from_json_dict({"a": 1})
     assert str(exc.value) == "malformed copartition object: {'a': 1}"
+    # an int past the interpreter's digit limit has no repr: the type is named
+    with pytest.raises(InvalidPartitionError) as exc:
+        from_json_dict({"a": 10**5000})
+    assert str(exc.value) == "malformed copartition object: <dict>"
 
 
 def test_to_json_matches_json_dumps_and_round_trips():

@@ -2,9 +2,11 @@
 
 import re
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copa.copartitions import coerce_params, from_json, make_copartition, to_json
 from copa.enumeration import (
@@ -126,18 +128,17 @@ def test_bounded_count_matches_the_generator():
             assert by_rows == len(list(_bounded_partitions(t, w, t, at_most=True))), (t, w)
 
 
-def test_tallied_rows_match_the_recurrence():
-    """The rows tallied from the walker's output, past the n = 30 the
-    verify suites read, against p(n, <= j) = p(n, <= j-1) + p(n-j, <= j)."""
+def test_recurrence_rows_match_the_walker_tally():
+    """The rows of p(k, <= j), built by a recurrence, past the n = 30 the
+    verify suites read, against the walker's partitions of k tallied by
+    number of parts."""
     top = 45
-    p = [[1] * (top + 1)] + [[0] * (top + 1) for _ in range(top)]  # p[n][j]
-    for n in range(1, top + 1):
-        for j in range(1, top + 1):
-            p[n][j] = p[n][j - 1] + (p[n - j][j] if j <= n else 0)
     rows = _bounded_counts(top)
-    for n in range(top + 1):
-        for j in range(n + 1):
-            assert rows[n][j] == p[n][j], (n, j)
+    for k in range(top + 1):
+        by_length = [0] * (k + 1)
+        for lam in _bounded_partitions(k, k, k):
+            by_length[len(lam)] += 1
+        assert rows[k] == list(accumulate(by_length)), k
 
 
 def test_enum_count_above_threshold():
@@ -171,7 +172,12 @@ def test_refined_count_negative_size_is_empty():
 
 
 def test_closed_forms_against_brute_force():
-    for params in ((1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 1, 2), (0, 2, 3), (2, 0, 3)):
+    # classes above the modulus included: a divisor below b is in b's class
+    # but is no sky part
+    for params in (
+        (1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 1, 2), (0, 2, 3), (2, 0, 3),
+        (0, 2, 1), (0, 3, 2), (0, 5, 3), (4, 0, 3),
+    ):
         for n in range(16):
             assert count_formula(params, n) == brute_copartition_count(*params, n)
 
@@ -285,6 +291,44 @@ def test_far_congruences_through_the_series():
             assert set(tally.values()) == {count // 5}, n
         if k < 3:
             assert tally == _listed_crank_tally((1, 1, 2), n), n
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 6), st.integers(0, 300), st.data())
+def test_far_counts_agree_on_every_counting_path(a, b, m, n, data):
+    """Past the exhaustive ranges: the enumerated count and refined table
+    against the series, the scalar double sum, the closed form where one
+    exists, and a few drawn cells read from their own double-sum term."""
+    params = (a, b, m)
+    table = count_refined(params, n, "enum").table
+    assert count_refined(params, n).table == table, (params, n)
+    count = count_copartitions(params, n, "enum")
+    assert count == sum(table.values()) == count_copartitions(params, n, "series"), (params, n)
+    assert count == gf_double_sum(params, n, False).coefficient_int(n), (params, n)
+    try:
+        assert count == count_formula(params, n), (params, n)
+    except NoClosedFormError:
+        pass
+    cells = data.draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else []
+    for w, s in cells:
+        assert count_cell(params, n, w, s) == table[(w, s)], (params, n, w, s)
+
+
+def test_enum_counts_stop_at_their_ceiling():
+    # every enumerated count reaches the one check in the block-count
+    # table; the series still answers past it
+    for count in (
+        lambda n: count_copartitions((1, 1, 1), n, "enum"),
+        lambda n: count_refined((1, 1, 1), n, "enum"),
+        lambda n: crank_tally((1, 1, 1), n, 5, method="enum"),
+    ):
+        with pytest.raises(DomainError, match="n <= 1000, got 1001; use method 'series'"):
+            count(1001)
+    assert count_copartitions((1, 1, 1), 1001) > 0
+    params = (1, 1, 1000)  # few blocks: the rows reach total 1 only
+    assert count_copartitions(params, 1000, "enum") == count_series(params, 1000)
+    assert count_refined(params, 1000, "enum").table == count_refined(params, 1000).table
+    assert crank_tally(params, 1000, 5, method="enum") == crank_tally(params, 1000, 5)
 
 
 def test_sizes_and_orders_follow_the_int_rule():

@@ -423,6 +423,21 @@ def test_count_refined_crosscheck_failure_exits_1(monkeypatch, capsys):
     assert err == "crosscheck failed: auto=1, enum=2\n"
 
 
+@pytest.mark.parametrize("abm", [("1", "1", "1"), ("0", "0", "1")])
+def test_count_crosscheck_runs_far(capsys, abm):
+    a, b, m = abm
+    assert main(["count", "--a", a, "--b", b, "--m", m, "--n", "200", "--crosscheck"]) == 0
+    assert int(capsys.readouterr().out) == copa.count_copartitions((int(a), int(b), int(m)), 200)
+
+
+@pytest.mark.parametrize("flags", [["--method", "enum"], ["--crosscheck"]])
+def test_count_past_the_enum_ceiling_exits_2(capsys, flags):
+    assert main(["count", "--a", "1", "--b", "1", "--m", "1", "--n", "1001", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: method 'enum' counts n <= 1000")
+
+
 def test_count_refined(capsys):
     rc = main(
         ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "4",
