@@ -7,10 +7,11 @@ reverse-lexicographically by ground, then by sky.
 
 By default, counts, refined tables and crank tallies come from the series
 engine: the (w, s) term of the marked double sum is exactly the block of
-ground count w and sky count s, so one column of the stored double sum is
-the refined table, and its entries summed by w - s mod k are the crank
-tally.  method="enum", the independent side the verify suites check the
-series against, counts the same blocks without listing an object.
+ground count w and sky count s, so the coefficient of q^n in
+gf_double_sum(params, n) is the refined table, and its entries summed by
+w - s mod k are the crank tally.  method="enum", the independent side the
+verify suites check the series against, counts the same blocks without
+listing an object.
 
 One walk, _blocks, yields the blocks of a size, and the generator expands
 each through the walker partitions._bounded_partitions: the ground of a
@@ -53,7 +54,7 @@ from .partitions import (
     _divisors,
     partition_count,
 )
-from .series import _double_sum, _stored, count_series
+from .series import count_series, gf_double_sum
 
 ENUM_MAX_N = 1000
 
@@ -156,13 +157,6 @@ def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], i
     return table
 
 
-def _series_table(p: CopartitionParams, n: int) -> dict[tuple[int, int], int]:
-    # Column q^n of the stored marked double sum, whose key (s, w) is the
-    # block of w ground and s sky parts; read in place, never truncated.
-    rows = _stored(_double_sum, (p.a, p.b, p.m, True), n).rows
-    return dict(sorted(((w, s), row[n]) for (s, w), row in rows.items() if row[n]))
-
-
 def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCount:
     """Counts of copartitions of n by (ground count, sky count), nonzero
     entries only; empty for n < 0.
@@ -175,7 +169,10 @@ def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCo
     if n < 0:
         return RefinedCount(p, n, {})
     if method in ("auto", "series"):
-        return RefinedCount(p, n, _series_table(p, n))
+        # the key (s, w) of the marked double sum is the block of w ground
+        # and s sky parts
+        column = gf_double_sum(p, n).coefficient(n)
+        return RefinedCount(p, n, dict(sorted(((w, s), c) for (s, w), c in column.items())))
     if method == "enum":
         return RefinedCount(p, n, dict(_refined_table(p.as_tuple(), n)))
     raise DomainError(f"unknown method {method!r}")

@@ -4,12 +4,10 @@ Two marker variables ride along with q: x tracks sky-part counts and y
 tracks ground-part counts.  A series of order N stores one dense list of
 q-coefficients per marker monomial x^i y^j, keyed (i, j); a scalar series
 has only the key (0, 0).  Each list holds at least N + 1 entries
-[c_0, ..., c_N], and nothing reads past c_N: a truncation shares its
-source's lists instead of slicing them, so callers must not mutate them.
-Keys whose list is zero through c_N are dropped, so equal series have equal
-keys, and leads holds each kept list's first nonzero index.  Arithmetic
-results carry the minimum order of the operands.  There is no floating
-point anywhere.
+[c_0, ..., c_N], and nothing reads past c_N or tells a missing key from a
+list of zeros: a truncation shares its source's dict of lists, so callers
+must not mutate them.  Arithmetic results carry the minimum order of the
+operands.  There is no floating point anywhere.
 
 The shared kernels are scalar: each works in place on one coefficient
 list.  Infinite Pochhammer products are expanded factor by factor by two of
@@ -45,8 +43,7 @@ the stored series' truncation, which shares its rows (the series itself at
 its own order); a higher order N > 0 is built at N rounded up to a multiple
 of 16 and replaces it, so an ascending sweep of orders builds once per 16
 of them.  Orders <= 0 are built as asked.  _stored hands out the stored
-series itself, untruncated: count_series reads its coefficient there, and
-the refined counts read one column of the marked double sum there, under
+series itself, untruncated: count_series reads its coefficient there, under
 the same rounding rule.  The store grows with the number of distinct
 families asked for, not with the number of orders, and drops the least
 recently used family past a fixed number of them.
@@ -58,7 +55,7 @@ import inspect
 import threading
 from collections import OrderedDict
 from functools import wraps
-from itertools import compress, count
+from itertools import count
 from operator import add, sub
 from typing import Callable, Iterator, Optional
 
@@ -103,13 +100,12 @@ class TruncatedSeries:
     """Immutable by convention: no public operation mutates coefficients.
 
     rows maps each key to its q-coefficients, a list of at least order + 1
-    entries of which only the first order + 1 are read; leads maps each key
-    to the index of its row's first nonzero entry, at most the order.  A
-    truncation and a store hit at the stored order share their source's row
-    lists, so a caller must not mutate rows.
+    entries of which only the first order + 1 are read; a key may hold a
+    list of zeros.  A truncation and a store hit share their source's rows
+    dict, so a caller must not mutate rows.
     """
 
-    __slots__ = ("order", "rows", "leads")
+    __slots__ = ("order", "rows")
 
     def __init__(self, order: int, coeffs: Optional[dict[int, dict[Key, int]]] = None):
         """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order are dropped."""
@@ -124,24 +120,14 @@ class TruncatedSeries:
                 for key, c in poly.items():
                     if c:
                         rows.setdefault(key, [0] * (order + 1))[n] = c
-        self._adopt(rows)
+        self.rows = rows
 
     @classmethod
     def _of_rows(cls, order: int, rows: Rows) -> "TruncatedSeries":
-        # Adopts rows (each of length order + 1) without copying them.
+        # Adopts rows (each of at least order + 1 entries) without copying them.
         out = cls(order)
-        out._adopt(rows)
+        out.rows = rows
         return out
-
-    def _adopt(self, rows: Rows) -> None:
-        # Keeps the rows with a nonzero entry through the order, and their leads.
-        end = self.order + 1
-        kept, leads = {}, {}
-        for key, row in rows.items():
-            if (lead := next(compress(range(end), row), end)) < end:
-                kept[key] = row
-                leads[key] = lead
-        self.rows, self.leads = kept, leads
 
     def _within(self, n: int) -> None:
         if n > self.order:
@@ -196,13 +182,10 @@ class TruncatedSeries:
         return TruncatedSeries._of_rows(order, out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        """The series through q^order, sharing this series' rows: O(keys)."""
+        """The series through q^order, sharing this series' rows dict: O(1)."""
         if order > self.order:
             raise SeriesError(f"cannot extend order {self.order} to {order}")
-        out = TruncatedSeries(order)
-        out.leads = {key: lead for key, lead in self.leads.items() if lead <= order}
-        out.rows = {key: self.rows[key] for key in out.leads}
-        return out
+        return TruncatedSeries._of_rows(order, self.rows)
 
     def at_markers_one(self) -> "TruncatedSeries":
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""

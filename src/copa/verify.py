@@ -476,11 +476,10 @@ def suite_congruence(max_k: int = 10, eo_max_k: int = 5) -> VerificationReport:
     return ch.done()
 
 
-def suite_crank(
-    points: tuple[int, ...] = (4, 9, 14), modulus: int = 5, transport_max: int = 12
-) -> VerificationReport:
-    """Crank residue classes balance at the verified points, and the
-    even-odd crank is twice the copartition crank."""
+def suite_crank(max_k: int = 2, modulus: int = 5, transport_max: int = 12) -> VerificationReport:
+    """Crank residue classes balance at the points n = 5k + 4, k <= max_k,
+    and the even-odd crank is twice the copartition crank."""
+    points = tuple(5 * k + 4 for k in range(max_k + 1))
     ch = Checker("crank", f"points {points} mod {modulus}, transport n <= {transport_max}")
     for n in points:
         tally = crank_tally((1, 1, 2), n, modulus, method="enum")

@@ -148,13 +148,20 @@ def test_markers_one_sums_each_coefficient(s):
             assert one.coefficient_int(n) == sum(cut.coefficient(n).values()), n
 
 
-def test_truncation_drops_a_key_that_is_nonzero_only_past_the_order():
+def test_a_key_nonzero_only_past_the_order_is_invisible():
+    # the truncation keeps the key's row, and every reader stops at its order
     s = TruncatedSeries(10, {0: {(0, 0): 1}, 8: {(1, 0): -3}})
-    cut = s.truncate(5)
-    assert cut.rows.keys() == cut.leads.keys() == {(0, 0)}
-    assert cut.leads == {(0, 0): 0} and s.leads == {(0, 0): 0, (1, 0): 8}
-    assert cut == _unit(5)
-    assert s.truncate(8).leads == s.leads
+    cut, unit = s.truncate(5), _unit(5)
+    assert cut.rows is s.rows
+    assert [cut.coefficient(n) for n in range(6)] == [{(0, 0): 1}] + [{}] * 5
+    assert cut.scalar_coeffs() == [cut.coefficient_int(n) for n in range(6)] == unit.scalar_coeffs()
+    assert cut.at_markers_one().rows == unit.rows
+    assert cut.agrees_with(unit) and unit.agrees_with(cut) and s.agrees_with(unit)
+    assert cut == unit and unit == cut
+    t = _series({(0, 0, 0): 2, (3, 1, 1): 5, (5, 0, 2): -1}, 10)
+    assert cut * t == t * cut == t.truncate(5)
+    assert cut * cut == unit
+    assert s.truncate(8).coefficient(8) == {(1, 0): -3}
 
 
 @pytest.mark.parametrize(
@@ -164,8 +171,7 @@ def test_a_lower_order_read_shares_the_stored_rows(builder, build):
     # no row is sliced: every row of the order-100 answer is a stored row
     top = builder((1, 1, 2), 112)
     cut = builder((1, 1, 2), 100)
-    assert cut.order == 100 and cut.rows.keys() < top.rows.keys()
-    assert all(row is top.rows[key] for key, row in cut.rows.items())
+    assert cut.order == 100 and cut.rows is top.rows
     assert cut == build(1, 1, 2, True, 100)
 
 
@@ -301,8 +307,9 @@ def test_marked_product_matches_the_factor_oracle():
         for order in (0, 1, 2, m + 1, 17, 35, 36):
             s = gf_product((a, b, m), order)
             assert s == oracle.truncate(order), ((a, b, m), order)
-            # no key past its least copartition size
-            assert all(m * w * k + a * w + b * k <= order for k, w in s.rows), ((a, b, m), order)
+            # a build makes no key past its least copartition size
+            built = series._product(a, b, m, True, order)
+            assert all(m * w * k + a * w + b * k <= order for k, w in built.rows), ((a, b, m), order)
 
 
 def test_marked_product_truncates_across_row_lengths():

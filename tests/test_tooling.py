@@ -192,3 +192,23 @@ def test_verify_counts_through_the_public_api():
         ):
             private.append(f"{node.lineno}: {node.value.id}.{node.attr}")
     assert modules and not private, private
+
+
+def test_only_the_series_module_imports_its_private_names():
+    """No other copa module imports an underscore name from .series, so the
+    layout of the store and of the rows stays series.py's own."""
+    private = []
+    for path in sorted(Path(copa.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, "series"),
+                (0, "copa.series"),
+            ):
+                private += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, private

@@ -16,7 +16,7 @@ import copa.cli
 import copa.verify
 from copa import SUITES, run_suite
 from copa import series as qs
-from copa import copartitions, enumeration
+from copa import copartitions
 from copa.bijections import (
     copartition_to_pair,
     cp001_to_rim_cell,
@@ -48,7 +48,7 @@ REDUCED_BOUNDS = {
     "scaling": dict(max_n=10, classes=2, scales=(2,), object_max=5),
     "conjugation": dict(max_n=12, refined_max=10, classes=3),
     "congruence": dict(max_k=2, eo_max_k=1),
-    "crank": dict(points=(4,), transport_max=8),
+    "crank": dict(max_k=0, transport_max=8),
 }
 
 PAIR_DOC = json.dumps(
@@ -167,7 +167,7 @@ def _break_copartition_to_pair(mu, cp):
         ),
         (
             "crank",
-            dict(points=(4,), transport_max=1),
+            dict(max_k=0, transport_max=1),
             "eo_crank",
             lambda e: 1,
             lambda: f"transport failed on {_first((1, 1, 2))!r}",
@@ -337,15 +337,17 @@ def test_default_pass_counts_match_the_benchmark_and_fit_the_table_memo():
 
 def test_the_suites_enumerate_their_refined_side_without_the_series(monkeypatch):
     """The refined tables and crank tallies the suites check the series
-    against come from the enumeration: reading the stored double sum for a
+    against come from the enumeration: reading the marked double sum for a
     refined column fails the run, and every suite still passes its count."""
 
     def no_column(*args):
         raise AssertionError("a suite read the refined series column")
 
-    monkeypatch.setattr(copa.enumeration, "_stored", no_column)
+    monkeypatch.setattr(copa.enumeration, "gf_double_sum", no_column)
+    with pytest.raises(AssertionError, match="refined series column"):
+        copa.count_refined((1, 1, 2), 9)
     for name, bounds, attempted in (
-        ("crank", dict(points=(4, 9), transport_max=8), 61),
+        ("crank", dict(max_k=1, transport_max=8), 61),
         ("conjugation", dict(max_n=12, refined_max=10, classes=3), 886),
         ("gf-triple", dict(max_n=12, refined_max=10, classes=3), 678),
     ):
@@ -564,20 +566,17 @@ def test_table_csv_refined_rejected(capsys):
 def test_table_builds_each_family_once(monkeypatch, capsys):
     # the top order is read first, so every lower row is a store hit
     builds = []
+    stored = qs._stored
 
-    def spy(module, name):
-        build = getattr(module, name)
-
+    def spy(build, key, n):
         @functools.wraps(build)
         def counted(*args):
-            builds.append((name, *args[:-1]))
+            builds.append((build.__name__, *args[:-1]))
             return build(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        return stored(counted, key, n)
 
-    spy(qs, "_product")
-    spy(qs, "_degenerate_series")
-    spy(enumeration, "_double_sum")
+    monkeypatch.setattr(qs, "_stored", spy)
     runs = (
         (["--a", "1", "--b", "2", "--m", "4", "--format", "json", "--refined"],
          [("_product", 1, 2, 4, False), ("_double_sum", 1, 2, 4, True)]),
@@ -664,6 +663,16 @@ def test_verify_bound_flag_mismatch_exit_2(capsys):
     rc = main(["verify", "crank", "--order", "50"])
     assert rc == 2
     assert "--order" in capsys.readouterr().err
+
+
+def test_verify_crank_takes_max_k(capsys):
+    # far balance at n = 5k + 4 through the CLI, up to n = 204
+    rc = main(["verify", "crank", "--max-k", "40", "--format", "json"])
+    assert rc == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["ranges"].startswith("points (4, 9, 14, 19, ") and "204) mod 5" in report["ranges"]
+    assert report["attempted"] == report["passed"] == 181 + 2 * 38
+    assert report["ok"] is True
 
 
 def test_verify_order_cap_env(monkeypatch, capsys):
