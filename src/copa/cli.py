@@ -114,7 +114,7 @@ def _cmd_table(args) -> int:
         if args.refined:
             table = count_refined(params, n).table
             row["refined"] = [
-                {"w": w, "s": s, "count": c} for (w, s), c in sorted(table.items())
+                {"w": w, "s": s, "count": c} for (w, s), c in table.items()
             ]
         rows.append(row)
     print(json.dumps({"a": args.a, "b": args.b, "m": args.m, "rows": rows}))

@@ -189,7 +189,7 @@ def scale_copartition(c: Copartition, s: int) -> Copartition:
         raise DomainError(f"scale factor must be positive, got {s}")
     p = c.params
     return Copartition(
-        CopartitionParams(p.a * s, p.b * s, p.m * s),
+        (p.a * s, p.b * s, p.m * s),
         tuple(g * s for g in c.ground),
         tuple(k * s for k in c.sky),
     )
@@ -205,7 +205,7 @@ def unscale_copartition(c: Copartition, s: int) -> Copartition:
         if v % s:
             raise DomainError(f"{v} not divisible by {s}")
     return Copartition(
-        CopartitionParams(p.a // s, p.b // s, p.m // s),
+        (p.a // s, p.b // s, p.m // s),
         tuple(g // s for g in c.ground),
         tuple(k // s for k in c.sky),
     )

@@ -159,7 +159,7 @@ def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], i
 
 def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCount:
     """Counts of copartitions of n by (ground count, sky count), nonzero
-    entries only; empty for n < 0.
+    entries only, keyed (w, s) in ascending order; empty for n < 0.
 
     method "auto" or "series" reads the marked double sum, "enum" counts the
     enumeration blocks without building objects.

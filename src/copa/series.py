@@ -16,13 +16,20 @@ recurrence out[n] = in[n] + c out[n - t].  Every factor's c is 1 or -1, so
 they add or subtract and never multiply; other c raise.  A third kernel
 multiplies or divides by the theta series theta(x, y), the sum over all n
 of (-1)^n q^(x n(n+1)/2 + y n(n-1)/2), which has about 2 sqrt(2N / (x + y))
-terms through order N.  Euler's pentagonal theorem makes (q^m; q^m)_inf
-theta(m, 2m), and the triple product makes (q^x; q^m)_inf (q^y; q^m)_inf
-theta(x, y) / (q^m; q^m)_inf when x + y = m.  So (q^(j*m); q^m)_inf, j >= 1,
-and two denominators in classes x, y >= 1 with x + y = m go in whole, and
-the two kernels undo the leading factors, when that walks fewer
+terms through order N; a product walks each nonzero entry against each
+term when that walks fewer coefficients than one slice map per term.
+Euler's pentagonal theorem makes (q^m; q^m)_inf theta(m, 2m), so
+(q^r; q^2r)_inf is theta(r, 2r) / theta(2r, 4r), and the triple product
+makes (q^x; q^m)_inf (q^y; q^m)_inf theta(x, y) / (q^m; q^m)_inf when
+x + y = m.  So (q^(j*m); q^m)_inf, j >= 1, (q^((2j+1)r); q^2r)_inf, and two
+denominators in classes x, y >= 1 with x + y = m (this route first) go in
+whole, and the two kernels undo the leading factors, when that walks fewer
 coefficients than the factors through the order do.  Every scalar builder
-runs the kernels on one list and wraps it once as the key (0, 0).
+lists its kernel steps and runs them on one list, wrapped once as the key
+(0, 0): products first, while the list is still sparse, then divisions, a
+theta division last; a product and a division by the same theta series
+cancel.  For a + b = m the product form is theta(m, 2m)^2 / theta(a, b):
+two sparse products and one recurrence.
 
 Only the marked product form carries markers through its build, on a
 sparser layout: key (s, w) only ever holds powers q^(b*s + a*w + m*i), so
@@ -40,11 +47,17 @@ the truncation of any higher-order series of the same family, so for each
 builder and each argument tuple without the order the store keeps only the
 highest-order series built so far.  A request at or below that order gets
 the stored series' truncation, which shares its rows (the series itself at
-its own order); a higher order N > 0 is built at N rounded up to a multiple
-of 16 and replaces it, so an ascending sweep of orders builds once per 16
-of them.  Orders <= 0 are built as asked.  _stored hands out the stored
-series itself, untruncated: count_series reads its coefficient there, under
-the same rounding rule.  The store grows with the number of distinct
+its own order); a higher order N > 0 is built at N rounded up to a
+multiple of 16 and replaces it, so an ascending sweep of orders builds
+once per 16 of them.  Orders <= 0 are built as asked.  The two scalar
+builders that count_series reads, the product without markers and the
+degenerate series, continue the series they replace: they compute the
+input of their last theta division at the new order, copy the stored
+coefficients through the old order into a new list (earlier truncations
+share the old one) and run the recurrence only past it; a build that does
+not end in a theta division starts over.  _stored hands out the stored
+series itself, untruncated: count_series reads its coefficient there,
+under the same rounding rule.  The store grows with the number of distinct
 families asked for, not with the number of orders, and drops the least
 recently used family past a fixed number of them.
 """
@@ -56,8 +69,8 @@ import threading
 from collections import OrderedDict
 from functools import wraps
 from itertools import count
-from operator import add, sub
-from typing import Callable, Iterator, Optional
+from operator import add, itemgetter, sub
+from typing import Callable, Iterator, Optional, Sequence
 
 from .copartitions import ParamsLike, coerce_params
 from .errors import SeriesError
@@ -227,7 +240,12 @@ def _stored(build: Callable[..., TruncatedSeries], key: tuple, n: int) -> Trunca
             _store.move_to_end(store_key)
         if series is None or series.order < n:
             order = -(-n // _CHUNK) * _CHUNK if n > 0 else n
-            series = _store[store_key] = build(*key, order)
+            if series is not None and build in (_product, _degenerate_series):
+                # the scalar builders continue the series they replace
+                series = build(*key, order, head=series)
+            else:
+                series = build(*key, order)
+            _store[store_key] = series
             if len(_store) > _STORE_MAX:
                 _store.popitem(last=False)
     return series
@@ -250,10 +268,11 @@ def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., Trunca
     return cached
 
 
-def _theta(row: list[int], order: int, x: int, y: int, invert: bool) -> None:
-    # row *= theta(x, y), or divides by it when x, y >= 1, in place.  Its
-    # terms past n = 0 are listed one per n in ascending d: for x = y each d
-    # comes twice, from n and -n.
+def _theta(row: list[int], order: int, x: int, y: int, invert: bool, start: int = 0) -> None:
+    # row *= theta(x, y), or divides by it when x, y >= 1, in place; a
+    # division leaves the entries below start as they are, taking them for
+    # the quotient's.  Its terms past n = 0 are listed one per n in
+    # ascending d: for x = y each d comes twice, from n and -n.
     def power(n: int) -> int:
         return x * n * (n + 1) // 2 + y * n * (n - 1) // 2
 
@@ -263,20 +282,28 @@ def _theta(row: list[int], order: int, x: int, y: int, invert: bool) -> None:
         k += 1
     terms.sort()
     if not invert:
-        # past its last nonzero entry src adds nothing, so a unit row costs
-        # one step per term
-        src = list(row)
-        while src and not src[-1]:
-            src.pop()
+        # past its last nonzero entry the row adds nothing; each nonzero
+        # entry goes to each term by itself when that walks fewer
+        # coefficients than one slice map per term
+        nonzero = [(i, c) for i, c in enumerate(row) if c]
+        size = nonzero[-1][0] + 1 if nonzero else 0
+        if len(nonzero) * len(terms) < sum(min(size, len(row) - d) for d, _ in terms):
+            for d, odd in terms:
+                for i, c in nonzero:
+                    if i + d > order:
+                        break
+                    row[i + d] += -c if odd else c
+            return
+        src = row[:size]
         for d, odd in terms:
-            row[d : d + len(src)] = map(sub if odd else add, row[d : d + len(src)], src)
+            row[d : d + size] = map(sub if odd else add, row[d : d + size], src)
         return
     # out[i] = in[i] + out[i - d] for each term of odd n, minus it for each
     # of even n; between two consecutive d the same terms reach back
     ups, downs = [], []
     for (d, odd), end in zip(terms, [e for e, _ in terms[1:]] + [len(row)]):
         (ups if odd else downs).append(d)
-        for n in range(d, end):
+        for n in range(max(d, start), end):
             acc = row[n]
             for e in ups:
                 acc += row[n - e]
@@ -290,40 +317,80 @@ def _walk(order: int, *passes: range) -> int:
     return sum(len(ts) * (order + 1) - sum(ts) for ts in passes)
 
 
-def _apply_pochhammer(
-    row: list[int], order: int, offset: int, step: int, *, sign: int = 1, invert: bool = False
-) -> None:
-    # row *= (sign q^offset; q^step)_infinity, or divides by it, in place;
-    # through Euler's theorem at a multiple of step when cheaper.
+# A marker-free series is built by kernel steps on one row, each
+# (rank, kernel, args) for kernel(row, *args).  _run takes them by rank:
+# theta products while the row is still sparse, binomial products, geometric
+# divisions, theta divisions.
+_THETA_TIMES, _TIMES, _DIVIDE, _THETA_DIVIDE = range(4)
+
+
+def _theta_step(order: int, x: int, y: int, invert: bool) -> tuple:
+    return (_THETA_DIVIDE if invert else _THETA_TIMES, _theta, (order, x, y, invert))
+
+
+def _factor_steps(ts: range, sign: int, invert: bool) -> list[tuple]:
+    # times (1 - sign q^t) for each t in ts, or divided by it
+    if invert:
+        return [(_DIVIDE, _divide_geometric, (t, sign)) for t in ts]
+    return [(_TIMES, _times_binomial, (t, -sign)) for t in ts]
+
+
+def _pochhammer(
+    order: int, offset: int, step: int, *, sign: int = 1, invert: bool = False
+) -> list[tuple]:
+    # The steps of row *= (sign q^offset; q^step)_inf, or of dividing by it.
+    # At a multiple of step Euler's theorem gives theta(step, 2 step), and at
+    # an odd multiple of r = step / 2, (q^r; q^2r)_inf is
+    # theta(r, 2r) / theta(2r, 4r); either then undoes the leading factors,
+    # when that walks fewer coefficients than the factors through the order.
     factors = range(offset, order + 1, step)
-    leading = range(step, min(offset, order + 1), step)
-    if sign == 1 and offset >= step and offset % step == 0 and (
-        _walk(order, leading) < _walk(order, factors)
-    ):
-        _theta(row, order, step, 2 * step, invert)
-        factors, invert = leading, not invert
-    for t in factors:
-        if invert:
-            _divide_geometric(row, t, sign)
-        else:
-            _times_binomial(row, t, -sign)
+    if sign == 1 and offset >= step and offset % step == 0:
+        first, thetas = step, ((step, 2 * step, invert),)
+    elif sign == 1 and step % 2 == 0 and offset % step == step // 2:
+        first = r = step // 2
+        thetas = ((r, 2 * r, invert), (2 * r, 4 * r, not invert))
+    else:
+        return _factor_steps(factors, sign, invert)
+    leading = range(first, min(offset, order + 1), step)
+    if _walk(order, leading) >= _walk(order, factors):
+        return _factor_steps(factors, sign, invert)
+    return [_theta_step(order, *theta) for theta in thetas] + _factor_steps(
+        leading, sign, not invert
+    )
 
 
-def _divide_pair(row: list[int], order: int, r: int, s: int, step: int) -> None:
-    # row /= (q^r; q^step)_inf (q^s; q^step)_inf, in place; through the
-    # triple product for complementary classes when cheaper.
+def _divide_pair(order: int, r: int, s: int, step: int) -> list[tuple]:
+    # The steps of dividing by (q^r; q^step)_inf (q^s; q^step)_inf: through
+    # the triple product for complementary classes when cheaper.
     x, y = r % step, s % step
     leading = [range(c, min(o, order + 1), step) for c, o in ((x, r), (y, s))]
     direct = [range(o, order + 1, step) for o in (r, s)]
     if x and x + y == step and _walk(order, *leading) < _walk(order, *direct):
-        _theta(row, order, x, y, True)
-        _theta(row, order, step, 2 * step, False)
-        for ts in leading:
-            for t in ts:
-                _times_binomial(row, t, -1)
-        return
-    for offset in (r, s):
-        _apply_pochhammer(row, order, offset, step, invert=True)
+        return [
+            _theta_step(order, step, 2 * step, False),
+            *(t for ts in leading for t in _factor_steps(ts, 1, False)),
+            _theta_step(order, x, y, True),
+        ]
+    return _pochhammer(order, r, step, invert=True) + _pochhammer(order, s, step, invert=True)
+
+
+def _run(row: list[int], steps: list[tuple], head: Sequence[int] = ()) -> None:
+    # The steps on row, in place and by rank; a theta product and a division
+    # by the same theta series cancel.  Given head, this series'
+    # coefficients through a lower order, a last theta division starts from
+    # them and runs its recurrence only past them.
+    steps = sorted(steps, key=itemgetter(0))
+    for times in [step for step in steps if step[0] == _THETA_TIMES]:
+        order, x, y, _ = times[2]
+        if (divide := _theta_step(order, x, y, True)) in steps:
+            steps.remove(times)
+            steps.remove(divide)
+    last = steps.pop() if head and steps and steps[-1][0] == _THETA_DIVIDE else None
+    for _, kernel, args in steps:
+        kernel(row, *args)
+    if last:
+        row[: len(head)] = head
+        last[1](row, *last[2], len(head))
 
 
 def pochhammer_factor(
@@ -352,7 +419,7 @@ def pochhammer_factor(
     if invert and q_offset == 0:
         raise SeriesError("cannot invert a factor with constant term != 1")
     row = _one(order)
-    _apply_pochhammer(row, order, q_offset, q_step, sign=coeff_sign, invert=invert)
+    _run(row, _pochhammer(order, q_offset, q_step, sign=coeff_sign, invert=invert))
     return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 
@@ -379,12 +446,15 @@ def _run_line(pairs: list[tuple[list[int], list[int]]], op: Callable[[int, int],
         k += 1
 
 
-def _product(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
-    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf).
+def _product(
+    a: int, b: int, m: int, markers: bool, order: int, head: Optional[TruncatedSeries] = None
+) -> TruncatedSeries:
+    # (xy q^(a+b); q^m)_inf / ((x q^b; q^m)_inf (y q^a; q^m)_inf).  Without
+    # markers, head is the stored series this one replaces.
     if not markers:
         row = _one(order)
-        _divide_pair(row, order, b, a, m)
-        _apply_pochhammer(row, order, a + b, m)
+        steps = _pochhammer(order, a + b, m) + _divide_pair(order, b, a, m)
+        _run(row, steps, head.rows[(0, 0)][: head.order + 1] if head is not None else ())
         return TruncatedSeries._of_rows(order, {(0, 0): row})
     # Marked, factor by factor.  The k-th factor multiplies in x^dx y^dy
     # q^(b*dx + a*dy + k*m), so key (s, w) only ever holds powers
@@ -508,17 +578,23 @@ def count_series(params: ParamsLike, n: int) -> int:
     return _stored(build, key, n).coefficient_int(n)
 
 
-def _degenerate_series(b: int, m: int, order: int) -> TruncatedSeries:
+def _degenerate_series(
+    b: int, m: int, order: int, head: Optional[TruncatedSeries] = None
+) -> TruncatedSeries:
     # Partition series in q^m times the Lambert-style series that counts
     # divisors in the class of b mod m.  For b = 0 it counts multiples of m,
     # and cp001's identity, dilated by m, gives (2 row - 1) / (q^m; q^m) + 1.
+    # head is the stored series this one replaces.
     lam = [0] * (order + 1)
     for s in range(b or m, order + 1, m):
         for mult in range(s, order + 1, s):
             lam[mult] += 1
+    done = head.rows[(0, 0)][: head.order + 1] if head is not None else []
     if not b:
         lam = [-1] + [2 * c for c in lam[1:]]
-    _apply_pochhammer(lam, order, m, m, invert=True)
+        # the quotient's own constant term is -1, before the + 1 below
+        done = [-1, *done[1:]] if done else done
+    _run(lam, _pochhammer(order, m, m, invert=True), done)
     if not b:
         lam[0] = 0
     return TruncatedSeries._of_rows(order, {(0, 0): lam})
@@ -555,7 +631,7 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
         return _single_sum(order, lambda n: n * (n + shift), count(), 1)
     if form == "product":
         row = _one(order)
-        _divide_pair(row, order, *((1, 4) if which == "G" else (2, 3)), 5)
+        _run(row, _divide_pair(order, *((1, 4) if which == "G" else (2, 3)), 5))
         return TruncatedSeries._of_rows(order, {(0, 0): row})
     raise SeriesError(f"form must be sum or product, got {form!r}")
 
@@ -582,8 +658,7 @@ def theta_product(x_exp: int, y_exp: int, order: int) -> TruncatedSeries:
     _check_theta_exponents(x_exp, y_exp)
     total = x_exp + y_exp
     row = _one(order)
-    for off in (x_exp, y_exp, total):
-        _apply_pochhammer(row, order, off, total)
+    _run(row, [step for off in (x_exp, y_exp, total) for step in _pochhammer(order, off, total)])
     return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 

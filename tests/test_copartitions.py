@@ -319,6 +319,13 @@ def test_scale_round_trip():
         unscale_copartition(make_copartition((1, 1, 2), (1,), ()), 2)
 
 
+def test_scaled_copartitions_share_the_params_of_their_triple():
+    c = make_copartition((1, 3, 4), (5, 1), (3,))
+    d = scale_copartition(c, 3)
+    assert d.params is coerce_params((3, 9, 12))
+    assert unscale_copartition(d, 3).params is coerce_params((1, 3, 4))
+
+
 def test_values_are_immutable_and_hashable():
     c = make_copartition((1, 3, 4), (5,), (3,))
     assert c == make_copartition((1, 3, 4), [5], [3])

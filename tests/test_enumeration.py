@@ -164,6 +164,15 @@ def test_count_negative_size_is_zero():
     assert count_copartitions((1, 1, 2), -1) == 0
 
 
+def test_refined_tables_list_their_keys_in_ascending_order():
+    # the CLI prints a table's cells in the order count_refined returns them
+    for a, b, m in product(range(5), range(5), range(1, 5)):
+        for n in range(41):
+            for method in ("series", "enum"):
+                keys = list(count_refined((a, b, m), n, method).table)
+                assert keys == sorted(keys), ((a, b, m), n, method)
+
+
 def test_refined_count_negative_size_is_empty():
     for params in ((1, 1, 2), (0, 0, 1), (2, 3, 5), (0, 2, 3)):
         rc = count_refined(params, -1)

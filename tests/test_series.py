@@ -239,6 +239,56 @@ def test_large_classes_keep_the_factor_by_factor_build(monkeypatch):
     assert collections.Counter(calls) == {"_divide_geometric": 2 * 525, "_times_binomial": 25}
 
 
+@pytest.mark.parametrize("r", range(1, 5))
+def test_pochhammer_at_an_odd_multiple_of_half_its_step_against_naive(r, monkeypatch):
+    # (q^(r + 2rj); q^2r)_inf goes through theta(r, 2r) / theta(2r, 4r)
+    calls = _spy_kernels(monkeypatch, ("_theta",))
+    for j in range(4):
+        naive = poly_pochhammer(r + 2 * r * j, 2 * r, 300)
+        ref = TruncatedSeries(300, {n: {(0, 0): c} for n, c in naive.items()})
+        kw = dict(q_offset=r + 2 * r * j, q_step=2 * r, order=300)
+        calls.clear()
+        assert pochhammer_factor(**kw) == ref, j
+        assert pochhammer_factor(**kw, invert=True) * ref == _unit(300), j
+        assert calls == ["_theta"] * 4, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_multiplying_by_theta_in_place_is_multiplying_by_the_theta_sum(x, y, data):
+    # sparse rows walk each nonzero entry against each term, dense ones
+    # take one slice map per term
+    order = data.draw(st.integers(0, 300))
+    entries = data.draw(
+        st.dictionaries(st.integers(0, order), st.integers(-(2**70), 2**70), max_size=8)
+    )
+    if x + y < 1:
+        return
+    row = [entries.get(n, 0) for n in range(order + 1)]
+    expected = TruncatedSeries._of_rows(order, {(0, 0): list(row)}) * theta_sum(x, y, order)
+    series._theta(row, order, x, y, False)
+    assert TruncatedSeries._of_rows(order, {(0, 0): row}) == expected
+
+
+def test_forward_theta_passes_walk_sparse_rows(monkeypatch):
+    # For a + b = m the product is theta(m, 2m)^2 / theta(a, b): each theta
+    # product finds the unit row or theta(m, 2m) itself, never a quotient.
+    entries = []
+    theta = series._theta
+
+    def spy(row, order, x, y, invert, *start):
+        if not invert:
+            entries.append(sum(map(bool, row)))
+        return theta(row, order, x, y, invert, *start)
+
+    monkeypatch.setattr(series, "_theta", spy)
+    for a, b, m in ((1, 1, 2), (1, 3, 4), (2, 3, 5), (2, 1, 3)):
+        terms = sum(map(bool, theta_sum(m, 2 * m, 3000).scalar_coeffs()))
+        entries.clear()
+        series._product(a, b, m, False, 3000)
+        assert sorted(entries) == [1, terms], (a, b, m)
+
+
 def test_pochhammer_refuses_divergent_inverse():
     with pytest.raises(CopaError):
         pochhammer_factor(order=10, q_offset=0, q_step=2, invert=True)
@@ -601,6 +651,59 @@ def test_count_series_shares_the_store(params):
         assert gf_product(params, 64, markers=False) is stored
     else:
         assert series._stored(series._degenerate_series, key[1:], 64) is stored
+
+
+def _count_builder(a: int, b: int, m: int):
+    # the builder count_series stores for these params, and its key
+    if a and b:
+        return series._product, (a, b, m, False)
+    return series._degenerate_series, (a + b, m)
+
+
+@pytest.mark.parametrize(
+    "params",
+    (
+        (1, 1, 2),
+        (2, 3, 5),
+        (5, 3, 4),  # a complementary pair with a leading factor
+        (1, 3, 2),  # an Euler numerator with a leading factor
+        (1, 1, 1),
+        (1, 2, 4),
+        (0, 1, 1),
+        (0, 2, 3),
+        (0, 0, 1),
+        (0, 0, 3),
+    ),
+)
+@pytest.mark.parametrize("n0, n1", ((16, 300), (416, 432), (640, 704)))
+def test_a_continued_series_equals_a_fresh_build(params, n0, n1):
+    build, key = _count_builder(*params)
+    series._store.pop((build.__name__, *key), None)
+    old = series._stored(build, key, n0)
+    rows = {k: list(row) for k, row in old.rows.items()}
+    grown = series._stored(build, key, n1)
+    assert grown.order == -(-n1 // 16) * 16
+    assert grown == build(*key, grown.order)
+    # the replaced series, which earlier truncations share, is unchanged
+    assert old.rows == rows and old == build(*key, n0)
+
+
+def test_an_ascending_count_sweep_divides_each_coefficient_once(monkeypatch):
+    # each build above a stored series runs its theta recurrence from one
+    # past the stored order
+    starts = []
+    theta = series._theta
+
+    def spy(row, order, x, y, invert, start=0):
+        if invert:
+            starts.append((order, start))
+        return theta(row, order, x, y, invert, start)
+
+    monkeypatch.setattr(series, "_theta", spy)
+    series._store.pop(("_product", 1, 1, 2, False), None)
+    counts = [count_series((1, 1, 2), n) for n in range(401)]
+    assert starts == [(order, order - 15) for order in range(16, 401, 16)]
+    assert counts == series._product(1, 1, 2, False, 400).scalar_coeffs()
 
 
 def test_the_store_keeps_the_most_recently_used_families_within_its_bound():
