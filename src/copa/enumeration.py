@@ -48,6 +48,7 @@ from typing import Iterator
 from .copartitions import Copartition, CopartitionParams, ParamsLike, _built_valid, coerce_params
 from .errors import DomainError, NoClosedFormError
 from .partitions import (
+    ENUM_MAX_N,
     _as_int,
     _bounded_counts,
     _bounded_partitions,
@@ -55,8 +56,6 @@ from .partitions import (
     partition_count,
 )
 from .series import count_series, gf_double_sum
-
-ENUM_MAX_N = 1000
 
 
 def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:

@@ -15,14 +15,15 @@ sequences, so enumerate_partitions(4) yields (4,), (3,1), (2,2), (2,1,1),
 
 Partitions with bounded parts come from one iterative walker,
 _bounded_partitions, with an exact or an at-most sum.  Plain enumeration,
-the copartition generator and the even-odd shapes all rest on it.
+the copartition generator and the even-odd shapes all rest on it; counts
+and statistics come from tables grown once per size, not from a walk.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import add
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InvalidPartitionError, MinimumPartError, ResidueError, ZeroPartError
@@ -80,8 +81,8 @@ def as_partition(parts: Sequence[int]) -> Partition:
 
 
 # The operations on one plain partition check it with as_partition; the
-# bijections and partition_statistics, whose partitions are checked or
-# walked already, call the unchecked cores _conjugate and _is_rim_cell.
+# bijections, whose partitions are checked already, call the unchecked
+# cores _conjugate and _is_rim_cell.
 
 
 def conjugate(parts: Sequence[int]) -> Partition:
@@ -214,8 +215,9 @@ def _bounded_partitions(
             parts.append(r)
 
 
+ENUM_MAX_N = 1000  # the enumerated side's ceiling: its tables hold O(n^2) big ints
+_tables_lock = threading.Lock()  # guards the growth of _p_cache, _by_parts and _by_least
 _by_parts: list[list[int]] = [[1]]
-_by_parts_lock = threading.Lock()
 
 
 def _bounded_counts(max_total: int) -> list[list[int]]:
@@ -224,35 +226,35 @@ def _bounded_counts(max_total: int) -> list[list[int]]:
     p(k-j, <= j): 1 off each part of one with exactly j parts leaves one of
     k - j into at most j.  Grown once per k and shared: do not mutate it.
     """
-    if max_total >= len(_by_parts):
-        with _by_parts_lock:
-            while len(_by_parts) <= max_total:
-                k = len(_by_parts)
-                row = [0]
-                for j in range(1, k + 1):
-                    row.append(row[-1] + _by_parts[k - j][min(j, k - j)])
-                _by_parts.append(row)
+    with _tables_lock:
+        while len(_by_parts) <= max_total:
+            k = len(_by_parts)
+            row = [0]
+            for j in range(1, k + 1):
+                row.append(row[-1] + _by_parts[k - j][min(j, k - j)])
+            _by_parts.append(row)
     return _by_parts
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, reverse-lexicographic."""
+    n = _as_int(n, "size", scalar=True)
     if n < 0:
         raise InvalidPartitionError(f"cannot partition {n}")
     return _bounded_partitions(n, n, n)
 
 
 _p_cache = [1]
-_p_lock = threading.Lock()
 
 
 def partition_count(n: int) -> int:
     """p(n) by the pentagonal-number recurrence (exact, memoized)."""
+    n = _as_int(n, "size", scalar=True)
     if n < 0:
         raise InvalidPartitionError(f"p({n}) undefined")
     if n < len(_p_cache):
         return _p_cache[n]
-    with _p_lock:
+    with _tables_lock:
         while len(_p_cache) <= n:
             k = len(_p_cache)
             total = 0
@@ -285,12 +287,12 @@ def _divisors(n: int) -> list[int]:
 
 def divisor_count_in_class(n: int, residue: int, modulus: int) -> int:
     """Number of divisors of n congruent to residue (mod modulus)."""
+    n, residue, modulus = (_as_int(x, "argument", scalar=True) for x in (n, residue, modulus))
     if n < 1:
         raise DomainError(f"divisor count of {n} undefined")
     if modulus < 1:
         raise DomainError(f"modulus must be positive, got {modulus}")
-    r = residue % modulus
-    return sum(1 for d in _divisors(n) if d % modulus == r)
+    return sum(d % modulus == residue % modulus for d in _divisors(n))
 
 
 @dataclass(frozen=True)
@@ -305,33 +307,32 @@ class PartitionStatistics:
     spt: int
 
 
-@lru_cache(maxsize=64)
-def partition_statistics(n: int) -> PartitionStatistics:
-    """One enumeration pass over the partitions of n.
+# Row k, column v (1 <= v <= k + 1): (count, parts, distinct sizes, largest
+# parts, copies of v) over the partitions of k with every part at least v;
+# column k + 1 holds only (), whose largest part an added v becomes.
+_by_least: list[list[tuple[int, ...]]] = [[(0,) * 5, (1, 0, 0, 0, 0)]]
 
-    spt sums, over every partition, the multiplicity of its smallest part.
-    All fields are 0 at n = 0 (the empty partition has perimeter 0).
-    """
-    total_parts = 0
-    sum_largest = 0
-    sum_perims = 0
-    ones = 0
-    div_sum = 0
-    spt = 0
-    for lam in enumerate_partitions(n):
-        if not lam:
-            continue
-        total_parts += len(lam)
-        sum_largest += lam[0]
-        sum_perims += lam[0] + len(lam) - 1
-        div_sum += len(set(lam))
-        smallest = lam[-1]
-        mult = 0
-        for p in reversed(lam):
-            if p != smallest:
-                break
-            mult += 1
-        spt += mult
-        if smallest == 1:
-            ones += mult
-    return PartitionStatistics(total_parts, sum_largest, sum_perims, ones, div_sum, spt)
+
+def partition_statistics(n: int) -> PartitionStatistics:
+    """Sums over the partitions of n <= ENUM_MAX_N (DomainError above); spt
+    sums each one's multiplicity of its smallest part.  All are 0 at n = 0."""
+    n = _as_int(n, "size", scalar=True)
+    if n < 0:
+        raise InvalidPartitionError(f"cannot partition {n}")
+    if n > ENUM_MAX_N:
+        raise DomainError(f"partition statistics need n <= {ENUM_MAX_N}, got {n}")
+    with _tables_lock:
+        while len(_by_least) <= n:
+            k = len(_by_least)
+            row = [(0,) * 5] * (k + 2)
+            for v in range(k, 0, -1):
+                # column v + 1 (no v), plus column v of row k - v with one more v
+                rest = _by_least[k - v]
+                c, parts, distinct, largest, copies = rest[min(v, k - v + 1)]
+                no_v = rest[min(v + 1, k - v + 1)][0]  # these gain a distinct size
+                with_v = (c, parts + c, distinct + no_v, largest + (v if v == k else 0))
+                row[v] = (*map(add, row[v + 1], with_v), copies + c)
+            _by_least.append(row)
+    count, parts, distinct, largest, ones = _by_least[n][1]
+    spt = sum(cell[4] for cell in _by_least[n])  # over v, the copies of v in column v
+    return PartitionStatistics(parts, largest, largest + parts - count if n else 0, ones, distinct, spt)

@@ -34,6 +34,19 @@ def brute_partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def reference_partition_statistics(n: int) -> tuple[int, ...]:
+    """The fields of partitions.PartitionStatistics, in order, summed over
+    one walk of brute_partitions(n): parts, largest part, perimeter
+    (largest + parts - 1), ones, distinct sizes, and the multiplicity of
+    the smallest part (spt)."""
+    per_partition = [
+        (len(lam), lam[0], lam[0] + len(lam) - 1, lam.count(1), len(set(lam)), lam.count(lam[-1]))
+        for lam in brute_partitions(n)
+        if lam
+    ]
+    return tuple(map(sum, zip(*per_partition))) if per_partition else (0,) * 6
+
+
 def reference_bounded_partitions(total: int, max_parts: int, max_part: int):
     """Partitions of total with at most max_parts parts, each at most
     max_part, reverse-lexicographic: one recursive frame per part, each

@@ -1,10 +1,13 @@
 """Plain partition machinery: counting, conjugation, rim, statistics."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from copa.errors import InvalidPartitionError, MinimumPartError, ResidueError, ZeroPartError
+from copa import partitions as partitions_module
+from copa.errors import DomainError, InvalidPartitionError, MinimumPartError, ResidueError, ZeroPartError
 from copa.partitions import (
     _bounded_partitions,
     as_partition,
@@ -25,6 +28,7 @@ from oracles import (
     brute_partitions,
     reference_all_bounded,
     reference_bounded_partitions,
+    reference_partition_statistics,
     reference_progression_partitions,
 )
 
@@ -193,10 +197,16 @@ def test_statistics_small_values():
     assert (s4.parts_of_size_one, s4.diversity_sum, s4.spt) == (7, 7, 10)
 
 
+def test_statistics_match_the_walk():
+    for n in range(36):
+        assert astuple(partition_statistics(n)) == reference_partition_statistics(n), n
+
+
 def test_statistics_identities():
     """Conjugation swaps part count with largest part, and the perimeter
-    of each partition is largest + count - 1."""
-    for n in range(1, 41):
+    of each partition is largest + count - 1.  No walk of the partitions
+    reaches n = 400 (p(400) is about 6.7e18)."""
+    for n in (*range(1, 41), 60, 200, 400):
         s = partition_statistics(n)
         assert s.total_parts == s.sum_largest_parts
         assert s.sum_perimeters == s.total_parts + s.sum_largest_parts - partition_count(n)
@@ -206,9 +216,39 @@ def test_statistics_identities():
 
 
 def test_ones_count_equals_diversity_sum():
-    for n in range(1, 31):
+    for n in (*range(1, 31), 60, 200, 400):
         s = partition_statistics(n)
         assert s.parts_of_size_one == s.diversity_sum
+
+
+def test_statistics_stop_at_the_enumerated_ceiling(monkeypatch):
+    # a table of its own, so the 1000 rows go when the test ends
+    monkeypatch.setattr(partitions_module, "_by_least", partitions_module._by_least[:1])
+    assert partitions_module.ENUM_MAX_N == 1000
+    assert partition_statistics(1000).total_parts > 0
+    with pytest.raises(DomainError):
+        partition_statistics(1001)
+
+
+@pytest.mark.parametrize(
+    "count",
+    (
+        partition_count,
+        partition_statistics,
+        lambda n: list(enumerate_partitions(n)),
+        lambda n: divisor_count_in_class(n, 1, 2),
+        lambda residue: divisor_count_in_class(12, residue, 5),
+        lambda modulus: divisor_count_in_class(12, 1, modulus),
+    ),
+    ids=("partition_count", "partition_statistics", "enumerate_partitions", "divisor_n",
+         "divisor_residue", "divisor_modulus"),
+)
+def test_partition_counters_follow_the_int_rule(count):
+    # the one int rule: a value is taken only when it equals an int
+    assert count(2.0) == count(2)
+    for bad in (2.5, "3", None):
+        with pytest.raises(DomainError):
+            count(bad)
 
 
 def test_pair_merge_domains_match_the_recursive_reference():

@@ -16,7 +16,7 @@ import copa.cli
 import copa.verify
 from copa import SUITES, run_suite
 from copa import series as qs
-from copa import copartitions
+from copa import copartitions, partitions
 from copa.bijections import (
     copartition_to_pair,
     cp001_to_rim_cell,
@@ -27,7 +27,6 @@ from copa.bijections import (
 )
 from copa.cli import main
 from copa.enumeration import enumerate_copartitions
-from copa.partitions import partition_statistics
 from copa.reporting import Checker
 
 # Reduced bounds keep the whole registry affordable inside the unit run;
@@ -268,18 +267,19 @@ def test_mock_theta_checks_the_even_part_against_the_listing(monkeypatch):
     assert report.counterexample == f"series vs listing n=2: {g2 + 1} != {g2}"
 
 
-def test_default_suites_fit_the_bounded_caches():
-    """The partition-statistics and pair-merge domain caches are bounded,
-    and the suites that fill them evict nothing at default bounds."""
-    caches = (partition_statistics, copa.verify._family)
-    for cache in caches:
-        assert 0 < cache.cache_info().maxsize < 10_000
-        cache.cache_clear()
+def test_default_suites_fit_the_bounded_caches(monkeypatch):
+    """The pair-merge domain cache is bounded, and the suites that fill it
+    evict nothing at default bounds; they grow the partition-statistics
+    table to no more than n = 30."""
+    monkeypatch.setattr(partitions, "_by_least", partitions._by_least[:1])
+    cache = copa.verify._family
+    assert 0 < cache.cache_info().maxsize < 10_000
+    cache.cache_clear()
     for name in ("phi", "cp111", "cp011", "cp001"):
         assert run_suite(name).ok
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.currsize == info.misses > 0
+    info = cache.cache_info()
+    assert info.currsize == info.misses > 0
+    assert 1 < len(partitions._by_least) <= 31
 
 
 def test_family_keeps_its_params_out_of_the_shared_cache():
