@@ -35,12 +35,13 @@ Only the marked product form carries markers through its build, on a
 sparser layout: key (s, w) only ever holds powers q^(b*s + a*w + m*i), so
 its row keeps just those.  The rows of every key whose least copartition
 size m*w*s + a*w + b*s is within the order are allocated once, up front,
-and no other key is made.  Each Pochhammer product then runs factor by
-factor along lines of keys (s for the sky denominator, the diagonal for the
-numerator, w for the ground denominator), one slice map per pair of
-consecutive rows; the rows are spread out to the dense layout once, at the
-end.  The tests check it against the three marked Pochhammer series
-multiplied out from their definition, in tests/oracles.py.
+and no other key is made.  The product's two q-difference equations, in x
+and in y, then give each row from one or two earlier rows: at most one
+slice map and one geometric recurrence per key.  The rows are spread out
+to the dense layout once, at the end.  The build reads nothing of the
+double sum, which the gf-triple suite compares it with; the tests check it
+against the three marked Pochhammer series multiplied out from their
+definition, in tests/oracles.py.
 
 Every builder below is memoized through one store.  A series of order N is
 the truncation of any higher-order series of the same family, so for each
@@ -434,18 +435,6 @@ def _marked_rows(a: int, b: int, m: int, order: int) -> Rows:
     }
 
 
-def _run_line(pairs: list[tuple[list[int], list[int]]], op: Callable[[int, int], int]) -> None:
-    # One Pochhammer product along one line of keys: for each factor k in
-    # turn, hi[i + k] op= lo[i] for every (lo, hi) pair of consecutive rows,
-    # in the order given.  A pair stops once hi has no slot past k; lo is
-    # never the shorter row, so every slice keeps its length.
-    k = 0
-    while pairs := [(lo, hi) for lo, hi in pairs if len(hi) > k]:
-        for lo, hi in pairs:
-            hi[k:] = map(op, hi[k:], lo)
-        k += 1
-
-
 def _product(
     a: int, b: int, m: int, markers: bool, order: int, head: Optional[TruncatedSeries] = None
 ) -> TruncatedSeries:
@@ -456,34 +445,24 @@ def _product(
         steps = _pochhammer(order, a + b, m) + _divide_pair(order, b, a, m)
         _run(row, steps, head.rows[(0, 0)][: head.order + 1] if head is not None else ())
         return TruncatedSeries._of_rows(order, {(0, 0): row})
-    # Marked, factor by factor.  The k-th factor multiplies in x^dx y^dy
-    # q^(b*dx + a*dy + k*m), so key (s, w) only ever holds powers
-    # q^(b*s + a*w + m*i), and the k-th factor adds each row, shifted by k,
-    # into the next key along its line: s for the sky denominator, the
-    # diagonal for the numerator, w for the ground denominator.  Factors
-    # only raise s and w, so the keys within the order feed only each other.
-    # The sky denominator runs while only the w = 0 line is nonzero, and the
-    # numerator along each diagonal from it, top down, so that each row is
-    # read before it is changed.
+    # Marked, from the q-difference equations P(x q^m, 0) = (1 - x q^b) P(x, 0)
+    # and P(x, y q^m) (1 - xy q^(a+b)) = (1 - y q^a) P(x, y).  Key (s, w)
+    # only ever holds powers q^(b*s + a*w + m*i), and in q^m its row is
+    # row (s-1, 0) / (1 - q^(m*s)) when w = 0, else
+    # (row (s, w-1) - q^(m*(w-1)) row (s-1, w-1)) / (1 - q^(m*w)).
+    # Both inputs come before the key in s-major order, and are longer.
     rows = _marked_rows(a, b, m, order)
-    if rows:  # a negative order has none, and TruncatedSeries refuses it
-        rows[(0, 0)][0] = 1
-
-    def line(s: int, ds: int, dw: int) -> list[tuple[list[int], list[int]]]:
-        # (lo, hi) pairs of consecutive rows along (s + j*ds, j*dw), j >= 0
-        found = []
-        w = 0
-        while (s, w) in rows:
-            found.append(rows[(s, w)])
-            s, w = s + ds, w + dw
-        return list(zip(found, found[1:]))
-
-    tops = range(order // b + 1)
-    _run_line(line(0, 1, 0), add)
-    for s in tops:
-        _run_line(line(s, 1, 1)[::-1], sub)
-    for s in tops:
-        _run_line(line(s, 0, 1), add)
+    for (s, w), row in rows.items():
+        if w:
+            row[:] = rows[(s, w - 1)][: len(row)]
+            if s:
+                row[w - 1 :] = map(sub, row[w - 1 :], rows[(s - 1, w - 1)])
+            _divide_geometric(row, w, 1)
+        elif s:
+            row[:] = rows[(s - 1, 0)][: len(row)]
+            _divide_geometric(row, s, 1)
+        else:
+            row[0] = 1
     dense: Rows = {}
     for (s, w), row in rows.items():
         dense[(s, w)] = [0] * (order + 1)

@@ -84,8 +84,9 @@ def _eta_theta_quotient_check(checker: Checker, a: int, m: int, order: int) -> N
 
     Verified in cross-multiplied form.  eta (by Euler's pentagonal theorem)
     and theta_sum both come from the one theta kernel; the copartition
-    product is the marked one at x = y = 1, built factor by factor, since
-    the marker-free product divides by this very quotient.
+    product is the marked one at x = y = 1, built from its q-difference
+    equations with no theta series, since the marker-free product divides
+    by this very quotient.
     """
     if not (1 <= a < m):
         raise DomainError(f"need 1 <= a < m, got ({a},{m})")
@@ -181,8 +182,10 @@ def suite_phi(max_total: int = 22, cardinality_max: int = 25) -> VerificationRep
                         ):
                             image.add((mu, cp))
             for j in range(n + 1):
+                if not (family := _family(a + b, m, j)):
+                    continue
                 copartitions = list(enumerate_copartitions((a, b, m), n - j))
-                for mu in _family(a + b, m, j):
+                for mu in family:
                     for cp in copartitions:
                         ch.check(
                             (mu, cp) in image,

@@ -417,6 +417,16 @@ def test_marked_product_matches_the_double_sum_at_the_refined_orders(params, ord
         assert product == series._double_sum(*params, True, order), order
 
 
+def test_marked_product_matches_the_double_sum_far_out():
+    # order 200 against the double sum, and classes up to 7 against the oracle
+    for params in ((1, 1, 1), (1, 1, 2)):
+        product = series._product(*params, True, 200)
+        assert product == series._double_sum(*params, True, 200), params
+    for a, b, m in ((5, 7, 3), (7, 5, 6), (6, 6, 7)):
+        oracle = _series(reference_marked_product(a, b, m, 28), 28)
+        assert series._product(a, b, m, True, 28) == oracle, (a, b, m)
+
+
 def test_one_cell_is_its_one_double_sum_term():
     # the floors included: no s = 0 when a = 0, no w = 0 when b = 0, and
     # nothing at a negative count

@@ -212,3 +212,21 @@ def test_only_the_series_module_imports_its_private_names():
                     if alias.name.startswith("_")
                 ]
     assert not private, private
+
+
+def test_the_marked_product_does_not_read_the_double_sum():
+    """gf-triple and --crosscheck compare the product form with the double
+    sum, so the product's builder must name neither the double sum nor a
+    reader of it; otherwise the comparison checks a series against itself."""
+    tree = ast.parse((Path(copa.__file__).parent / "series.py").read_text(encoding="utf-8"))
+    (product,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_product"
+    ]
+    forbidden = {"_double_sum", "_gf_double_sum_cached", "gf_double_sum", "count_cell"}
+    named = [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(product)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in forbidden
+    ]
+    assert not named, named
