@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
 from .copartitions import Copartition, CopartitionParams, ParamsLike, _built_valid, coerce_params
@@ -52,7 +53,7 @@ from .partitions import (
     _as_int,
     _bounded_counts,
     _bounded_partitions,
-    _divisors,
+    _partition_counts,
     partition_count,
 )
 from .series import count_series, gf_double_sum
@@ -206,12 +207,15 @@ def count_formula(params: ParamsLike, n: int) -> int:
         return 0
     a, b, m = p.as_tuple()
     if (a, b, m) == (1, 1, 1):
-        return sum(partition_count(k) for k in range(n + 1))
+        return sum(_partition_counts(n)[: n + 1])
     if a == 0 and b >= 1:
-        return sum(
-            partition_count(k) * sum(d >= b and d % m == b % m for d in _divisors(n - m * k))
-            for k in range(0, (n + m - 1) // m)
-        )
+        # hits[v] counts the divisors of v in the class, at least b: one
+        # sieve over the divisors d, each marking its multiples
+        hits = [0] * (n + 1)
+        for d in range(b, n + 1, m):
+            for v in range(d, n + 1, d):
+                hits[v] += 1
+        return sum(map(mul, _partition_counts(n // m), hits[n::-m]))
     if b == 0 and a >= 1:
         return count_formula((0, a, m), n)
     if (a, b, m) == (0, 0, 1):

@@ -216,7 +216,7 @@ def _bounded_partitions(
 
 
 ENUM_MAX_N = 1000  # the enumerated side's ceiling: its tables hold O(n^2) big ints
-_tables_lock = threading.Lock()  # guards the growth of _p_cache, _by_parts and _by_least
+_tables_lock = threading.Lock()  # guards the growth of _p_cache, _pentagonal, _by_parts, _by_least
 _by_parts: list[list[int]] = [[1]]
 
 
@@ -245,6 +245,25 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 _p_cache = [1]
+# The generalized pentagonal numbers j(3j - 1)/2 and j(3j + 1)/2, j >= 1,
+# that p's recurrence has reached, ascending, each joining at the k equal to
+# it: the offsets of odd j add p(k - g), those of even j subtract it.
+_pentagonal: tuple[list[int], list[int]] = ([], [])
+
+
+def _partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n) at least, grown once per size and shared: do not
+    mutate it."""
+    with _tables_lock:
+        p, (adds, subs) = _p_cache, _pentagonal
+        while len(p) <= n:
+            k = len(p)
+            i = len(adds) + len(subs)
+            j = i // 2 + 1
+            if (g := j * (3 * j - 1 + 2 * (i % 2)) // 2) <= k:
+                (adds if j % 2 else subs).append(g)
+            p.append(sum([p[k - g] for g in adds]) - sum([p[k - g] for g in subs]))
+    return p
 
 
 def partition_count(n: int) -> int:
@@ -252,25 +271,7 @@ def partition_count(n: int) -> int:
     n = _as_int(n, "size", scalar=True)
     if n < 0:
         raise InvalidPartitionError(f"p({n}) undefined")
-    if n < len(_p_cache):
-        return _p_cache[n]
-    with _tables_lock:
-        while len(_p_cache) <= n:
-            k = len(_p_cache)
-            total = 0
-            j = 1
-            while True:
-                g = j * (3 * j - 1) // 2
-                if g > k:
-                    break
-                sign = 1 if j % 2 else -1
-                total += sign * _p_cache[k - g]
-                g2 = j * (3 * j + 1) // 2
-                if g2 <= k:
-                    total += sign * _p_cache[k - g2]
-                j += 1
-            _p_cache.append(total)
-    return _p_cache[n]
+    return _p_cache[n] if n < len(_p_cache) else _partition_counts(n)[n]
 
 
 def _divisors(n: int) -> list[int]:

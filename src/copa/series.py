@@ -10,26 +10,30 @@ must not mutate them.  Arithmetic results carry the minimum order of the
 operands.  There is no floating point anywhere.
 
 The shared kernels are scalar: each works in place on one coefficient
-list.  Infinite Pochhammer products are expanded factor by factor by two of
-them: times (1 + c q^t), and divide by (1 - c q^t), which is the geometric
-recurrence out[n] = in[n] + c out[n - t].  Every factor's c is 1 or -1, so
-they add or subtract and never multiply; other c raise.  A third kernel
-multiplies or divides by the theta series theta(x, y), the sum over all n
-of (-1)^n q^(x n(n+1)/2 + y n(n-1)/2), which has about 2 sqrt(2N / (x + y))
-terms through order N; a product walks each nonzero entry against each
-term when that walks fewer coefficients than one slice map per term.
+list.  Two take one factor: times (1 + c q^t), and divide by (1 - c q^t),
+which is the geometric recurrence out[n] = in[n] + c out[n - t].  Every
+factor's c is 1 or -1, so they add or subtract and never multiply; other c
+raise.  A third multiplies or divides by the theta series theta(x, y), the
+sum over all n of (-1)^n q^(x n(n+1)/2 + y n(n-1)/2), which has about
+2 sqrt(2N / (x + y)) terms through order N; a product walks each nonzero
+entry against each term when that walks fewer coefficients than one slice
+map per term.  A fourth adds up a single sum: one running term, divided by
+a few factors per step and cut to the entries that still reach the order.
 Euler's pentagonal theorem makes (q^m; q^m)_inf theta(m, 2m), so
 (q^r; q^2r)_inf is theta(r, 2r) / theta(2r, 4r), and the triple product
 makes (q^x; q^m)_inf (q^y; q^m)_inf theta(x, y) / (q^m; q^m)_inf when
 x + y = m.  So (q^(j*m); q^m)_inf, j >= 1, (q^((2j+1)r); q^2r)_inf, and two
 denominators in classes x, y >= 1 with x + y = m (this route first) go in
-whole, and the two kernels undo the leading factors, when that walks fewer
-coefficients than the factors through the order do.  Every scalar builder
-lists its kernel steps and runs them on one list, wrapped once as the key
-(0, 0): products first, while the list is still sparse, then divisions, a
-theta division last; a product and a division by the same theta series
-cancel.  For a + b = m the product form is theta(m, 2m)^2 / theta(a, b):
-two sparse products and one recurrence.
+whole, and the factor kernels undo the leading factors, when that walks
+fewer coefficients than the factors through the order do.  Any other
+Pochhammer product goes in through Euler's sum, or its reciprocal through
+Cauchy's, O(sqrt(N / step)) terms, unless its factors walk fewer
+coefficients one by one.  Every scalar builder lists its kernel steps and
+runs them on one list, wrapped once as the key (0, 0): products first,
+while the list is still sparse, then divisions, a theta division last; a
+product and a division by the same theta series cancel.  For a + b = m the
+product form is theta(m, 2m)^2 / theta(a, b): two sparse products and one
+recurrence.
 
 Only the marked product form carries markers through its build, on a
 sparser layout: key (s, w) only ever holds powers q^(b*s + a*w + m*i), so
@@ -69,9 +73,9 @@ import inspect
 import threading
 from collections import OrderedDict
 from functools import wraps
-from itertools import count
+from itertools import count, takewhile
 from operator import add, itemgetter, sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .copartitions import ParamsLike, coerce_params
 from .errors import SeriesError
@@ -300,17 +304,20 @@ def _theta(row: list[int], order: int, x: int, y: int, invert: bool, start: int 
             row[d : d + size] = map(sub if odd else add, row[d : d + size], src)
         return
     # out[i] = in[i] + out[i - d] for each term of odd n, minus it for each
-    # of even n; between two consecutive d the same terms reach back
+    # of even n; between two consecutive d the same terms reach back.  For
+    # x = y each d, listed twice in a row, is walked once and added twice.
+    twice = x == y
+    terms = terms[:: 1 + twice]
     ups, downs = [], []
     for (d, odd), end in zip(terms, [e for e, _ in terms[1:]] + [len(row)]):
         (ups if odd else downs).append(d)
         for n in range(max(d, start), end):
-            acc = row[n]
+            acc = 0 if twice else row[n]
             for e in ups:
                 acc += row[n - e]
             for e in downs:
                 acc -= row[n - e]
-            row[n] = acc
+            row[n] = row[n] + acc + acc if twice else acc
 
 
 def _walk(order: int, *passes: range) -> int:
@@ -320,8 +327,8 @@ def _walk(order: int, *passes: range) -> int:
 
 # A marker-free series is built by kernel steps on one row, each
 # (rank, kernel, args) for kernel(row, *args).  _run takes them by rank:
-# theta products while the row is still sparse, binomial products, geometric
-# divisions, theta divisions.
+# theta products while the row is still sparse, other products (a factor or
+# Euler's sum), other divisions (a factor or Cauchy's sum), theta divisions.
 _THETA_TIMES, _TIMES, _DIVIDE, _THETA_DIVIDE = range(4)
 
 
@@ -336,6 +343,38 @@ def _factor_steps(ts: range, sign: int, invert: bool) -> list[tuple]:
     return [(_TIMES, _times_binomial, (t, -sign)) for t in ts]
 
 
+def _terms(order: int, term: Callable[[int], tuple]) -> list[tuple]:
+    # term(n) for n = 0, 1, ... while its exponent, term(n)[0], is within the order
+    return list(takewhile(lambda t: t[0] <= order, map(term, count())))
+
+
+def _single_sum(row: list[int], order: int, terms: list[tuple]) -> None:
+    # row <- the sum over the terms (e, sign, factors) of sign q^e row divided
+    # by each factor (t, c), 1 - c q^t, of that term and of the earlier ones,
+    # in place.  One running term takes each term's factors, cut first to the
+    # order + 1 - e entries that reach the order, and is added in at e.
+    acc = [0] * (order + 1)
+    term = row[: order + 1]
+    for e, sign, factors in terms:
+        del term[order + 1 - e :]
+        for t, c in factors:
+            _divide_geometric(term, t, c)
+        acc[e:] = map(_ADD[sign], acc[e:], term)
+    row[:] = acc
+
+
+def _euler_cauchy(order: int, offset: int, step: int, sign: int, invert: bool) -> list[tuple]:
+    # The single-sum terms of (sign q^offset; q^step)_inf, or of its
+    # reciprocal.  Euler's sum has terms (-sign)^n q^(step n(n-1)/2 + offset n)
+    # over (q^step; q^step)_n; Cauchy's, for the reciprocal, sign^n
+    # q^(step n^2 + (offset - step) n) over (q^step; q^step)_n (sign q^offset; q^step)_n.
+    return _terms(order, lambda n: (
+        step * n * (n - 1) // (1 if invert else 2) + offset * n,
+        sign**n if invert else (-sign) ** n,
+        ((step * n, 1), (offset + step * (n - 1), sign))[: 1 + invert] if n else (),
+    ))
+
+
 def _pochhammer(
     order: int, offset: int, step: int, *, sign: int = 1, invert: bool = False
 ) -> list[tuple]:
@@ -344,20 +383,24 @@ def _pochhammer(
     # an odd multiple of r = step / 2, (q^r; q^2r)_inf is
     # theta(r, 2r) / theta(2r, 4r); either then undoes the leading factors,
     # when that walks fewer coefficients than the factors through the order.
+    # Otherwise the single sum goes in, when its terms walk fewer
+    # coefficients than the factors, and else the factors one by one.
     factors = range(offset, order + 1, step)
+    first, thetas = 0, ()
     if sign == 1 and offset >= step and offset % step == 0:
         first, thetas = step, ((step, 2 * step, invert),)
     elif sign == 1 and step % 2 == 0 and offset % step == step // 2:
         first = r = step // 2
         thetas = ((r, 2 * r, invert), (2 * r, 4 * r, not invert))
-    else:
-        return _factor_steps(factors, sign, invert)
     leading = range(first, min(offset, order + 1), step)
-    if _walk(order, leading) >= _walk(order, factors):
-        return _factor_steps(factors, sign, invert)
-    return [_theta_step(order, *theta) for theta in thetas] + _factor_steps(
-        leading, sign, not invert
-    )
+    if thetas and _walk(order, leading) < _walk(order, factors):
+        return [_theta_step(order, *theta) for theta in thetas] + _factor_steps(
+            leading, sign, not invert
+        )
+    terms = _euler_cauchy(order, offset, step, sign, invert)
+    if sum((order + 1 - e) * (len(f) + 1) for e, _, f in terms) < _walk(order, factors):
+        return [(_DIVIDE if invert else _TIMES, _single_sum, (order, terms))]
+    return _factor_steps(factors, sign, invert)
 
 
 def _divide_pair(order: int, r: int, s: int, step: int) -> list[tuple]:
@@ -579,21 +622,11 @@ def _degenerate_series(
     return TruncatedSeries._of_rows(order, {(0, 0): lam})
 
 
-def _single_sum(
-    order: int, expo: Callable[[int], int], steps: Iterator[int], c: int
-) -> TruncatedSeries:
-    # The sum over n >= 0 of q^expo(n) / ((1 - c q^t_0) ... (1 - c q^t_n)),
-    # t_n the n-th of the steps: one running quotient takes the factor of
-    # step t_n (none for a step of 0) before the n-th term is added in.
-    acc = [0] * (order + 1)
-    quotient = _one(order)
-    for n, t in enumerate(steps):
-        if (e := expo(n)) > order:
-            break
-        if t:
-            _divide_geometric(quotient, t, c)
-        acc[e:] = map(add, acc[e:], quotient)
-    return TruncatedSeries._of_rows(order, {(0, 0): acc})
+def _sum_series(order: int, term: Callable[[int], tuple]) -> TruncatedSeries:
+    # The single sum of the terms term(n) = (e, sign, factors), acting on 1
+    row = _one(order)
+    _single_sum(row, order, _terms(order, term))
+    return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 
 @_keep_highest
@@ -607,7 +640,7 @@ def rr_function(which: str, form: str, order: int) -> TruncatedSeries:
         raise SeriesError(f"which must be G or H, got {which!r}")
     if form == "sum":
         shift = 0 if which == "G" else 1
-        return _single_sum(order, lambda n: n * (n + shift), count(), 1)
+        return _sum_series(order, lambda n: (n * (n + shift), 1, ((n, 1),) if n else ()))
     if form == "product":
         row = _one(order)
         _run(row, _divide_pair(order, *((1, 4) if which == "G" else (2, 3)), 5))
@@ -649,7 +682,7 @@ theta_f = theta_sum
 @_keep_highest
 def mock_theta_nu(order: int) -> TruncatedSeries:
     """Sum over n of q^(n^2+n) / (-q; q^2)_(n+1)."""
-    return _single_sum(order, lambda n: n * n + n, count(1, 2), -1)
+    return _sum_series(order, lambda n: (n * n + n, 1, ((2 * n + 1, -1),)))
 
 
 @_keep_highest
@@ -657,5 +690,6 @@ def eo_star_gf(order: int) -> TruncatedSeries:
     """Even-odd partition counts: the even part (nu(q) + nu(-q)) / 2 of the
     nu series, that is nu's coefficients at even exponents and 0 at odd
     ones."""
-    nu = mock_theta_nu(order).scalar_coeffs()
-    return TruncatedSeries._of_rows(order, {(0, 0): [0 if n % 2 else c for n, c in enumerate(nu)]})
+    row = mock_theta_nu(order).rows[(0, 0)][: order + 1]
+    row[1::2] = [0] * ((order + 1) // 2)
+    return TruncatedSeries._of_rows(order, {(0, 0): row})

@@ -13,13 +13,17 @@ from functools import lru_cache
 
 def brute_partition_count(n: int) -> int:
     """Coin-change DP over part sizes 1..n."""
-    if n < 0:
-        return 0
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
+    return _coin_change_table(n)[n] if n >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _coin_change_table(top: int) -> tuple[int, ...]:
+    """p(0), ..., p(top) by the coin-change DP over part sizes 1..top."""
+    table = [1] + [0] * top
+    for part in range(1, top + 1):
+        for total in range(part, top + 1):
             table[total] += table[total - part]
-    return table[n]
+    return tuple(table)
 
 
 def brute_partitions(n: int, max_part: int | None = None):
@@ -164,6 +168,34 @@ def poly_pochhammer(offset: int, step: int, order: int) -> dict[int, int]:
         out = poly_mul(out, {0: 1, e: -1}, order)
         e += step
     return out
+
+
+def reference_pochhammer(
+    row: list[int], offset: int, step: int, sign: int = 1, invert: bool = False
+) -> list[int]:
+    """row times (sign q^offset; q^step)_inf through its last entry, or row
+    divided by it, one factor 1 - sign q^e at a time for e = offset,
+    offset + step, ...: a product takes away sign times the row shifted by
+    e, and a quotient adds, coin-change style, each way to take one more
+    part e, with weight sign per part."""
+    out = list(row)
+    for e in range(offset, len(out), step):
+        if invert:
+            for n in range(e, len(out)):
+                out[n] += out[n - e] if sign == 1 else -out[n - e]
+        else:
+            out[e:] = [u - sign * v for u, v in zip(out[e:], out)]
+    return out
+
+
+def reference_class_divisor_counts(b: int, m: int, top: int) -> list[int]:
+    """The (0, b, m) closed form for n = 0..top read off its definition: over
+    k with n - m k >= 0, p(k) times the divisors d of n - m k with d >= b
+    and d = b (mod m), found by trial division; p from the coin-change
+    table."""
+    p = _coin_change_table(top)
+    divisors = [sum(1 for d in range(b, v + 1, m) if v % d == 0) for v in range(top + 1)]
+    return [sum(p[k] * divisors[n - m * k] for k in range(n // m + 1)) for n in range(top + 1)]
 
 
 def _marked_mul(

@@ -21,7 +21,11 @@ from copa.errors import DomainError, NoClosedFormError
 from copa.partitions import _bounded_counts, _bounded_partitions, partition_count
 from copa.series import count_cell, count_series, gf_double_sum, gf_product
 
-from oracles import brute_copartition_count, brute_copartitions
+from oracles import (
+    brute_copartition_count,
+    brute_copartitions,
+    reference_class_divisor_counts,
+)
 
 GOLDEN_134_12 = [
     '{"a":1,"b":3,"m":4,"ground":[],"sky":[3,3,3,3]}',
@@ -189,6 +193,14 @@ def test_closed_forms_against_brute_force():
     ):
         for n in range(16):
             assert count_formula(params, n) == brute_copartition_count(*params, n)
+
+
+def test_class_divisor_closed_forms_against_trial_division():
+    # every n <= 300 for sky classes 1..6 and moduli 1..6, classes above
+    # the modulus included
+    for b, m in product(range(1, 7), range(1, 7)):
+        expected = reference_class_divisor_counts(b, m, 300)
+        assert [count_formula((0, b, m), n) for n in range(301)] == expected, (b, m)
 
 
 def test_partial_sum_family():

@@ -45,6 +45,7 @@ def test_partition_count_against_dp():
 def test_partition_count_known_values():
     assert partition_count(12) == 77
     assert partition_count(100) == 190569292
+    assert partition_count(1000) == 24061467864032622473692149727991
     with pytest.raises(InvalidPartitionError):
         partition_count(-3)
 

@@ -35,6 +35,7 @@ from oracles import (
     poly_mul,
     poly_pochhammer,
     reference_marked_product,
+    reference_pochhammer,
 )
 
 ORDER = 24
@@ -233,10 +234,53 @@ def test_scalar_builders_do_not_fall_back_to_factor_by_factor(monkeypatch):
 def test_large_classes_keep_the_factor_by_factor_build(monkeypatch):
     # At order 1024, undoing the 999 leading factors of (q^1000; q)_inf, or
     # the 499 of (q^500; q)_inf, walks more coefficients than the 25 and
-    # 525 factors through the order do.
-    calls = _spy_kernels(monkeypatch, ("_theta", "_divide_geometric", "_times_binomial"))
+    # 525 factors through the order do, so no theta series comes in.  The
+    # 25 factors also walk fewer than Euler's sum, whose first term is the
+    # whole row; each denominator takes Cauchy's sum, whose terms at q^500
+    # and q^1002 take two geometric factors each.
+    names = ("_theta", "_divide_geometric", "_times_binomial", "_single_sum")
+    calls = _spy_kernels(monkeypatch, names)
     series._product(500, 500, 1, False, 1024)
-    assert collections.Counter(calls) == {"_divide_geometric": 2 * 525, "_times_binomial": 25}
+    assert collections.Counter(calls) == {
+        "_times_binomial": 25,
+        "_single_sum": 2,
+        "_divide_geometric": 2 * 4,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.integers(1, 8),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+    st.integers(0, 400),
+    st.data(),
+)
+def test_both_single_sums_match_the_factor_reference(offset, step, sign, invert, order, data):
+    # Euler's sum multiplies a row by (sign q^offset; q^step)_inf and
+    # Cauchy's divides it, whatever route the cost rule would pick there
+    offset = max(offset, invert)
+    entries = data.draw(
+        st.dictionaries(st.integers(0, order), st.integers(-(2**70), 2**70), max_size=8)
+    )
+    row = [entries.get(n, 0) for n in range(order + 1)]
+    expected = reference_pochhammer(row, offset, step, sign, invert)
+    series._single_sum(row, order, series._euler_cauchy(order, offset, step, sign, invert))
+    assert row == expected
+
+
+@pytest.mark.parametrize("a, b, m, sums", ((3, 5, 7, 3), (1, 2, 7, 3), (1, 2, 4, 2)))
+def test_far_lone_classes_match_the_factor_reference(a, b, m, sums, monkeypatch):
+    # Of these Pochhammer products only (q^2; q^4)_inf has a theta route, so
+    # at order 3000 every other one goes in through its single sum.
+    order = 3000
+    expected = reference_pochhammer([1] + [0] * order, a + b, m)
+    for c in (b, a):
+        expected = reference_pochhammer(expected, c, m, invert=True)
+    calls = _spy_kernels(monkeypatch, ("_single_sum",))
+    assert series._product(a, b, m, False, order).rows[(0, 0)] == expected
+    assert len(calls) == sums
 
 
 @pytest.mark.parametrize("r", range(1, 5))

@@ -230,3 +230,39 @@ def test_the_marked_product_does_not_read_the_double_sum():
         if name in forbidden
     ]
     assert not named, named
+
+
+def test_the_closed_forms_do_not_read_the_series_engine():
+    """The formula counting path is checked against the series, so
+    count_formula names nothing that enumeration.py imports from .series,
+    and partitions.py, whose tables it reads, imports nothing from there."""
+    package = Path(copa.__file__).parent
+    tree = ast.parse((package / "enumeration.py").read_text(encoding="utf-8"))
+    from_series = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "series"
+        for alias in node.names
+    }
+    assert from_series, "enumeration.py imports nothing from .series"
+    (formula,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "count_formula"
+    ]
+    named = [
+        f"enumeration.py:{node.lineno}: {node.id}"
+        for node in ast.walk(formula)
+        if isinstance(node, ast.Name) and node.id in from_series | {"series"}
+    ]
+    for node in ast.walk(ast.parse((package / "partitions.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        named += [
+            f"partitions.py:{node.lineno}: {m}" for m in modules if m.split(".")[-1] == "series"
+        ]
+    assert not named, named
