@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from operator import itemgetter
 
 from . import series as qs
 from .bijections import (
@@ -100,22 +101,25 @@ def _cmd_table(args) -> int:
     # the top order first, so each family's series is built once, not once
     # per chunk of the sweep
     count_copartitions(params, args.max_n)
-    if args.refined:
-        count_refined(params, args.max_n)
     ns = range(args.max_n + 1)
     if args.format == "csv":
         print("a,b,m,n,count")
         for n in ns:
             print(f"{args.a},{args.b},{args.m},{n},{count_copartitions(params, n)}")
         return 0
+    if args.refined and ns:
+        # count_refined's table at every n, from one pass over the marked
+        # double sum, whose key (s, w) is the block of w ground and s sky
+        # parts: walked in (w, s) order, as the table lists them
+        refined = qs.gf_double_sum(params, args.max_n).columns(key=itemgetter(1, 0))
     rows = []
     for n in ns:
         row: dict = {"n": n, "count": count_copartitions(params, n)}
         if args.refined:
-            table = count_refined(params, n).table
             row["refined"] = [
-                {"w": w, "s": s, "count": c} for (w, s), c in table.items()
+                {"w": w, "s": s, "count": c} for (s, w), c in refined[n].items()
             ]
+            refined[n] = None  # listed: drop it before the JSON text is made
         rows.append(row)
     print(json.dumps({"a": args.a, "b": args.b, "m": args.m, "rows": rows}))
     return 0
@@ -238,14 +242,8 @@ def _cmd_enumerate(args) -> int:
 def _series_rows(s, refined: bool) -> list[dict]:
     if refined:
         return [
-            {
-                "n": n,
-                "terms": [
-                    {"s": xd, "w": yd, "coeff": coeff}
-                    for (xd, yd), coeff in sorted(s.coefficient(n).items())
-                ],
-            }
-            for n in range(s.order + 1)
+            {"n": n, "terms": [{"s": xd, "w": yd, "coeff": c} for (xd, yd), c in column.items()]}
+            for n, column in enumerate(s.columns())
         ]
     return [{"n": n, "coeff": s.coefficient_int(n)} for n in range(s.order + 1)]
 

@@ -1,13 +1,15 @@
 """Truncated formal power series in q over exact integers.
 
 Two marker variables ride along with q: x tracks sky-part counts and y
-tracks ground-part counts.  A series of order N stores one dense list of
-q-coefficients per marker monomial x^i y^j, keyed (i, j); a scalar series
-has only the key (0, 0).  Each list holds at least N + 1 entries
-[c_0, ..., c_N], and nothing reads past c_N or tells a missing key from a
-list of zeros: a truncation shares its source's dict of lists, so callers
-must not mutate them.  Arithmetic results carry the minimum order of the
-operands.  There is no floating point anywhere.
+tracks ground-part counts.  A series of order N stores one list of
+q-coefficients per marker monomial x^s y^w, keyed (s, w), laid out by the
+series' family (a, b, m): row (s, w) holds q^(b*s + a*w + m*i) at index i,
+through q^N.  A scalar series has only the key (0, 0), and it and every
+other series but the marked ones are dense, family (0, 0, 1): entry i is
+q^i.  Nothing reads past q^N or tells a missing key from a list of zeros:
+a truncation shares its source's dict of lists, so callers must not mutate
+them.  Arithmetic results carry the minimum order of the operands, on the
+dense layout.  There is no floating point anywhere.
 
 The shared kernels are scalar: each works in place on one coefficient
 list.  Two take one factor: times (1 + c q^t), and divide by (1 - c q^t),
@@ -35,17 +37,19 @@ product and a division by the same theta series cancel.  For a + b = m the
 product form is theta(m, 2m)^2 / theta(a, b): two sparse products and one
 recurrence.
 
-Only the marked product form carries markers through its build, on a
-sparser layout: key (s, w) only ever holds powers q^(b*s + a*w + m*i), so
-its row keeps just those.  The rows of every key whose least copartition
-size m*w*s + a*w + b*s is within the order are allocated once, up front,
-and no other key is made.  The product's two q-difference equations, in x
-and in y, then give each row from one or two earlier rows: at most one
-slice map and one geometric recurrence per key.  The rows are spread out
-to the dense layout once, at the end.  The build reads nothing of the
-double sum, which the gf-triple suite compares it with; the tests check it
-against the three marked Pochhammer series multiplied out from their
-definition, in tests/oracles.py.
+The marked product and double sum of (a, b, m) keep their family's
+layout, from build to read: key (s, w) only ever holds powers
+q^(b*s + a*w + m*i), so its row keeps just those, and it is zero below
+index w*s, the key's least copartition size m*w*s + a*w + b*s.  Only keys
+whose least size is within the order are made, in ascending least size,
+so a read of q^n stops at the first key past n.  The double sum's (w, s)
+term is its key's whole row, after w*s zeros.  The product's two
+q-difference equations, in x and in y, give each row from one or two rows
+of smaller least size: one slice, at most one slice map and one geometric
+recurrence per key.  The product's build reads nothing of the double sum,
+which the gf-triple suite compares it with; the tests check it against the
+three marked Pochhammer series multiplied out from their definition, in
+tests/oracles.py.
 
 Every builder below is memoized through one store.  A series of order N is
 the truncation of any higher-order series of the same family, so for each
@@ -83,6 +87,9 @@ from .partitions import _as_int
 
 Key = tuple[int, int]
 Rows = dict[Key, list[int]]
+# (a, b, m): row (s, w) holds q^(b*s + a*w + m*i) at index i
+Family = tuple[int, int, int]
+_DENSE: Family = (0, 0, 1)
 
 
 def _one(order: int) -> list[int]:
@@ -117,19 +124,21 @@ def _divide_geometric(row: list[int], t: int, c: int) -> None:
 class TruncatedSeries:
     """Immutable by convention: no public operation mutates coefficients.
 
-    rows maps each key to its q-coefficients, a list of at least order + 1
-    entries of which only the first order + 1 are read; a key may hold a
-    list of zeros.  A truncation and a store hit share their source's rows
-    dict, so a caller must not mutate rows.
+    Row (s, w) holds q^(b*s + a*w + m*i) at index i for the family
+    (a, b, m), through the order, and may run past it.  A marked family's
+    rows come in ascending least size, each zero below index w*s (see the
+    module docstring).  A truncation and a store hit share their source's
+    rows dict, so a caller must not mutate rows.
     """
 
-    __slots__ = ("order", "rows")
+    __slots__ = ("order", "rows", "family")
 
     def __init__(self, order: int, coeffs: Optional[dict[int, dict[Key, int]]] = None):
         """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order are dropped."""
         if order < 0:
             raise SeriesError(f"order must be non-negative, got {order}")
         self.order = order
+        self.family = _DENSE
         rows: Rows = {}
         for n, poly in (coeffs or {}).items():
             if n < 0:
@@ -141,10 +150,12 @@ class TruncatedSeries:
         self.rows = rows
 
     @classmethod
-    def _of_rows(cls, order: int, rows: Rows) -> "TruncatedSeries":
-        # Adopts rows (each of at least order + 1 entries) without copying them.
-        out = cls(order)
-        out.rows = rows
+    def _of_rows(cls, order: int, rows: Rows, family: Family = _DENSE) -> "TruncatedSeries":
+        # Adopts rows on the family's layout without copying them.
+        if order < 0:
+            raise SeriesError(f"order must be non-negative, got {order}")
+        out = object.__new__(cls)
+        out.order, out.rows, out.family = order, rows, family
         return out
 
     def _within(self, n: int) -> None:
@@ -156,21 +167,40 @@ class TruncatedSeries:
         self._within(n)
         if n < 0:
             return {}
-        return {key: row[n] for key, row in self.rows.items() if row[n]}
+        if self.family == _DENSE:
+            return {key: row[n] for key, row in self.rows.items() if row[n]}
+        # a marked family's rows come in ascending least size: stop past n
+        a, b, m = self.family
+        out = {}
+        for key, row in self.rows.items():
+            s, w = key
+            start = b * s + a * w
+            if start + m * w * s > n:
+                break
+            if not (n - start) % m and (c := row[(n - start) // m]):
+                out[key] = c
+        return out
 
     def coefficient_int(self, n: int) -> int:
         """Scalar coefficient of q^n; raises if a marker key has a nonzero
         coefficient there."""
-        self._within(n)
-        if n < 0:
-            return 0
-        rows = self.rows
-        if len(rows) > ((0, 0) in rows) and any(
-            row[n] for key, row in rows.items() if key != (0, 0)
-        ):
+        column = self.coefficient(n)
+        if len(column) > ((0, 0) in column):
             raise SeriesError("series carries marker degrees; specialize first")
-        row = rows.get((0, 0))
-        return 0 if row is None else row[n]
+        return column.get((0, 0), 0)
+
+    def columns(self, key: Optional[Callable[[Key], object]] = None) -> list[dict[Key, int]]:
+        """Every coefficient polynomial, q^0 through q^order, from one pass
+        over the rows; each lists its keys in ascending order of key(k), or
+        of k itself."""
+        (a, b, m), order = self.family, self.order
+        out: list[dict[Key, int]] = [{} for _ in range(order + 1)]
+        for k in sorted(self.rows, key=key):
+            s, w = k
+            for n, c in zip(range(b * s + a * w, order + 1, m), self.rows[k]):
+                if c:
+                    out[n][k] = c
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -179,22 +209,22 @@ class TruncatedSeries:
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Coefficientwise equality through the lower of the two orders."""
-        size = min(self.order, other.order) + 1
-        zero = [0] * size
-        return all(
-            self.rows.get(key, zero)[:size] == other.rows.get(key, zero)[:size]
-            for key in self.rows.keys() | other.rows.keys()
-        )
+        order = min(self.order, other.order)
+        return self.truncate(order).columns() == other.truncate(order).columns()
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = min(self.order, other.order)
+        # each factor on the dense layout, through the dict constructor
+        left, right = (
+            TruncatedSeries(order, dict(enumerate(f.truncate(order).columns()))) for f in (self, other)
+        )
         out: Rows = {}
-        for (xa, ya), p in self.rows.items():
-            for (xb, yb), q in other.rows.items():
+        for (xa, ya), p in left.rows.items():
+            for (xb, yb), q in right.rows.items():
                 acc = out.setdefault((xa + xb, ya + yb), [0] * (order + 1))
-                for i, c in enumerate(p[: order + 1]):
+                for i, c in enumerate(p):
                     if c:
                         acc[i:] = [u + c * v for u, v in zip(acc[i:], q)]
         return TruncatedSeries._of_rows(order, out)
@@ -203,13 +233,15 @@ class TruncatedSeries:
         """The series through q^order, sharing this series' rows dict: O(1)."""
         if order > self.order:
             raise SeriesError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries._of_rows(order, self.rows)
+        return TruncatedSeries._of_rows(order, self.rows, self.family)
 
     def at_markers_one(self) -> "TruncatedSeries":
         """Specialize x = y = 1, collapsing each coefficient to a scalar."""
+        a, b, m = self.family
         total = [0] * (self.order + 1)
-        for row in self.rows.values():
-            total[:] = map(add, total, row)
+        for (s, w), row in self.rows.items():
+            start = b * s + a * w
+            total[start::m] = map(add, total[start::m], row)
         return TruncatedSeries._of_rows(self.order, {(0, 0): total})
 
     def scalar_coeffs(self) -> list[int]:
@@ -467,15 +499,10 @@ def pochhammer_factor(
     return TruncatedSeries._of_rows(order, {(0, 0): row})
 
 
-def _marked_rows(a: int, b: int, m: int, order: int) -> Rows:
-    # Zero rows for the marked product, a, b >= 1: one per key (s, w) whose
-    # least copartition size m*w*s + a*w + b*s is within the order, holding
-    # the powers q^(b*s + a*w + m*i) for i < (order - b*s - a*w)//m + 1.
-    return {
-        (s, w): [0] * ((order - b * s - a * w) // m + 1)
-        for s in range(order // b + 1)
-        for w in range((order - b * s) // (m * s + a) + 1)
-    }
+def _least_first(a: int, b: int, m: int, keys) -> list[Key]:
+    # The keys (s, w) in ascending least copartition size m*w*s + a*w + b*s,
+    # then ascending key: the order of a marked family's rows.
+    return sorted(keys, key=lambda k: (m * k[0] * k[1] + a * k[1] + b * k[0], k))
 
 
 def _product(
@@ -489,28 +516,30 @@ def _product(
         _run(row, steps, head.rows[(0, 0)][: head.order + 1] if head is not None else ())
         return TruncatedSeries._of_rows(order, {(0, 0): row})
     # Marked, from the q-difference equations P(x q^m, 0) = (1 - x q^b) P(x, 0)
-    # and P(x, y q^m) (1 - xy q^(a+b)) = (1 - y q^a) P(x, y).  Key (s, w)
-    # only ever holds powers q^(b*s + a*w + m*i), and in q^m its row is
+    # and P(x, y q^m) (1 - xy q^(a+b)) = (1 - y q^a) P(x, y).  On the
+    # family's layout, in q^m, row (s, w) is
     # row (s-1, 0) / (1 - q^(m*s)) when w = 0, else
     # (row (s, w-1) - q^(m*(w-1)) row (s-1, w-1)) / (1 - q^(m*w)).
-    # Both inputs come before the key in s-major order, and are longer.
-    rows = _marked_rows(a, b, m, order)
-    for (s, w), row in rows.items():
+    # Both inputs have a smaller least size, so they come first, and are
+    # longer: each row is sliced from one.  No key past the order is made.
+    keys = (
+        (s, w) for s in range(order // b + 1) for w in range((order - b * s) // (m * s + a) + 1)
+    )
+    rows: Rows = {}
+    for s, w in _least_first(a, b, m, keys):
+        size = (order - b * s - a * w) // m + 1
         if w:
-            row[:] = rows[(s, w - 1)][: len(row)]
+            row = rows[(s, w - 1)][:size]
             if s:
                 row[w - 1 :] = map(sub, row[w - 1 :], rows[(s - 1, w - 1)])
             _divide_geometric(row, w, 1)
         elif s:
-            row[:] = rows[(s - 1, 0)][: len(row)]
+            row = rows[(s - 1, 0)][:size]
             _divide_geometric(row, s, 1)
         else:
-            row[0] = 1
-    dense: Rows = {}
-    for (s, w), row in rows.items():
-        dense[(s, w)] = [0] * (order + 1)
-        dense[(s, w)][b * s + a * w :: m] = row
-    return TruncatedSeries._of_rows(order, dense)
+            row = _one(size - 1)
+        rows[(s, w)] = row
+    return TruncatedSeries._of_rows(order, rows, (a, b, m))
 
 
 _gf_product_cached = _keep_highest(_product)
@@ -534,7 +563,10 @@ def _double_sum(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedS
     # with the floors of enumeration._blocks: w >= 1 when b = 0, s >= 1 when
     # a = 0.  The quotient lives on multiples of m, so it is kept as a list
     # in q^m, and the geometric kernel adds one factor to it per step in w or s.
+    # With markers it is the whole row of its key, on the family's layout
+    # after w*s leading zeros; without, every term goes into one dense row.
     rows: Rows = {}
+    total = [0] * (order + 1)
     ground = [1] + [0] * (order // m)
     w = 1 if b == 0 else 0
     s_min = 1 if a == 0 else 0
@@ -547,11 +579,16 @@ def _double_sum(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedS
             del term[(order - base) // m + 1 :]
             if s:
                 _divide_geometric(term, s, 1)
-            row = rows.setdefault((s, w) if markers else (0, 0), [0] * (order + 1))
-            row[base::m] = [u + v for u, v in zip(row[base::m], term)]
+            if markers:
+                rows[(s, w)] = [0] * (w * s) + term
+            else:
+                total[base::m] = map(add, total[base::m], term)
             s += 1
         w += 1
-    return TruncatedSeries._of_rows(order, rows)
+    if not markers:
+        return TruncatedSeries._of_rows(order, {(0, 0): total})
+    rows = {key: rows[key] for key in _least_first(a, b, m, rows)}
+    return TruncatedSeries._of_rows(order, rows, (a, b, m))
 
 
 _gf_double_sum_cached = _keep_highest(_double_sum)

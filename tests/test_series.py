@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import random
 import re
 import threading
 from itertools import product as iproduct
@@ -416,32 +417,88 @@ def test_marked_product_truncates_across_row_lengths():
                 assert longer.truncate(order) == gf_product((a, b, m), order), ((a, b, m), order, j)
 
 
-def test_marked_product_never_creates_a_key_past_the_order(monkeypatch):
-    # Every row is allocated once, up front: one per key (s, w) whose least
-    # copartition size is within the order, at its sparse length.  The build
-    # adds no key and resizes no row, and the result is those rows spread out.
-    allocated = []
-    marked_rows = series._marked_rows
-
-    def recording(*args):
-        allocated.append(marked_rows(*args))
-        return allocated[-1]
-
-    monkeypatch.setattr(series, "_marked_rows", recording)
+def test_marked_product_never_creates_a_key_past_the_order():
+    # One row per key (s, w) whose least copartition size is within the
+    # order, at its progression length, and no other key.  Row (s, w) holds
+    # exactly the product's coefficients of q^(b*s + a*w + m*i): zero below
+    # i = w*s, and nonzero there, at the key's least copartition.
     for (a, b, m), order in (((1, 1, 1), 30), ((1, 1, 2), 40), ((2, 3, 5), 40), ((3, 1, 4), 9)):
-        allocated.clear()
         built = series._product(a, b, m, True, order)
-        (rows,) = allocated
+        oracle = _series(reference_marked_product(a, b, m, order), order)
         keys = iproduct(range(order + 1), repeat=2)
         down_set = {(k, w) for k, w in keys if m * w * k + a * w + b * k <= order}
-        assert rows.keys() == down_set, (a, b, m)
-        spread = {}
-        for (k, w), row in rows.items():
-            assert len(row) == (order - b * k - a * w) // m + 1, ((a, b, m), (k, w))
-            if any(row):
-                spread[(k, w)] = [0] * (order + 1)
-                spread[(k, w)][b * k + a * w :: m] = row
-        assert built.rows == spread, (a, b, m)
+        assert built.family == (a, b, m) and built.rows.keys() == down_set, (a, b, m)
+        for (k, w), row in built.rows.items():
+            start = b * k + a * w
+            assert len(row) == (order - start) // m + 1, ((a, b, m), (k, w))
+            assert not any(row[: w * k]) and row[w * k], ((a, b, m), (k, w))
+            column = [oracle.coefficient(start + m * i).get((k, w), 0) for i in range(len(row))]
+            assert row == column, ((a, b, m), (k, w))
+
+
+@pytest.mark.parametrize("build", (series._product, series._double_sum))
+def test_marked_rows_come_in_ascending_least_size(build):
+    # A read of q^n stops at the first row whose least copartition size is
+    # past n, so a row out of this order would drop its key from the reads.
+    for a, b, m in iproduct(range(5), range(5), range(1, 5)):
+        if build is series._product and not (a and b):
+            continue
+        for order in (0, 1, m, 17, 36):
+            built = build(a, b, m, True, order)
+            least = [(m * w * k + a * w + b * k, (k, w)) for k, w in built.rows]
+            assert least == sorted(least), ((a, b, m), order)
+            assert all(size <= order for size, _ in least), ((a, b, m), order)
+
+
+def _marked_grid():
+    for a, b, m in iproduct(range(5), range(5), range(1, 5)):
+        builds = [series._double_sum] + [series._product] * bool(a and b)
+        for build, order in iproduct(builds, (0, 1, m, 17, 36)):
+            yield build(a, b, m, True, order)
+
+
+def _dense_copy(built: TruncatedSeries) -> TruncatedSeries:
+    # The dict constructor's series of the coefficients in built's rows,
+    # placed by the layout rule: row (s, w) holds q^(b*s + a*w + m*i) at i.
+    a, b, m = built.family
+    coeffs: dict[int, dict[tuple[int, int], int]] = {}
+    for (s, w), row in built.rows.items():
+        for i, c in enumerate(row):
+            coeffs.setdefault(b * s + a * w + m * i, {})[(s, w)] = c
+    return TruncatedSeries(built.order, coeffs)
+
+
+def test_every_reader_of_a_marked_series_reads_its_dense_copy():
+    # Each marked build, and its truncations to 0 and to the m orders below
+    # its own, where row lengths step, read as their dense copies do, and
+    # equality and products hold across the two layouts.
+    probe = _series({(0, 0, 0): 1, (1, 1, 0): -1}, 36)
+    for built in _marked_grid():
+        order, m = built.order, built.family[2]
+        dense = _dense_copy(built)
+        assert dense.family == series._DENSE
+        for n in range(order + 1):
+            column = dense.coefficient(n)
+            assert built.coefficient(n) == column, (built.family, order, n)
+            if column.keys() - {(0, 0)}:
+                with pytest.raises(SeriesError, match="marker degrees"):
+                    built.coefficient_int(n)
+            else:
+                assert built.coefficient_int(n) == column.get((0, 0), 0), (built.family, n)
+        for k in sorted({0, *range(max(0, order - m), order + 1)}):
+            cut, copy = built.truncate(k), dense.truncate(k)
+            label = (built.family, order, k)
+            assert cut.columns() == [copy.coefficient(n) for n in range(k + 1)], label
+            assert cut.at_markers_one() == copy.at_markers_one(), label
+            assert cut == copy and copy.agrees_with(built), label
+            with pytest.raises(SeriesError, match="beyond order"):
+                cut.coefficient(k + 1)
+        cut = built.truncate(max(0, order - 1))
+        assert probe * cut == probe * dense.truncate(cut.order) == cut * probe, built.family
+        if order:
+            # one coefficient changed is seen across the layouts
+            nudged = _sum(dense, TruncatedSeries(order, {order: {(1, 1): 1}}))
+            assert not built.agrees_with(nudged) and built != nudged, built.family
 
 
 @pytest.mark.parametrize(
@@ -933,6 +990,28 @@ def test_far_scaling_of_the_degenerate_families():
             scaled = gf_double_sum((s * a, s * b, s * m), s * order, markers=False)
             expected = [0 if k % s else counts[k // s] for k in range(s * order + 1)]
             assert scaled.scalar_coeffs() == expected, ((a, b, m), s)
+
+
+def test_far_even_odd_counts_are_the_halved_copartition_counts():
+    # The mock-theta relation to order 2000: even-odd partitions of 2n are
+    # the (1,1,2)-copartitions of n, and none has an odd size.
+    coeffs = eo_star_gf(2000).scalar_coeffs()
+    assert coeffs[::2] == gf_product((1, 1, 2), 1000, markers=False).scalar_coeffs()
+    assert not any(coeffs[1::2])
+
+
+@pytest.mark.parametrize("x, y", ((1, 2), (2, 3), (2, 2)))
+def test_far_theta_division_is_undone_by_the_theta_product(x, y):
+    # A random row divided by theta(x, y) at an order of the ones copa count
+    # serves, and multiplied back: the quotient is right through its last
+    # coefficient.  x = y walks each doubled term once.
+    rng = random.Random(f"{x},{y}")
+    order = rng.randrange(6000, 8001)
+    row = [rng.randrange(-9, 10) for _ in range(order + 1)]
+    quotient = list(row)
+    series._theta(quotient, order, x, y, True)
+    series._theta(quotient, order, x, y, False)
+    assert quotient == row
 
 
 def _route_orders(a: int, b: int, m: int):

@@ -214,6 +214,22 @@ def test_only_the_series_module_imports_its_private_names():
     assert not private, private
 
 
+def test_only_the_series_module_reads_the_rows():
+    """No other copa module reads a series' rows or family or adopts rows
+    through _of_rows, so the layout of the rows stays series.py's own."""
+    layout = {"rows", "family", "_of_rows"}
+    sites = {
+        path.name: [
+            f"{node.lineno}: .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in layout
+        ]
+        for path in sorted(Path(copa.__file__).parent.glob("*.py"))
+    }
+    assert sites.pop("series.py")
+    assert not any(sites.values()), {name: found for name, found in sites.items() if found}
+
+
 def test_the_marked_product_does_not_read_the_double_sum():
     """gf-triple and --crosscheck compare the product form with the double
     sum, so the product's builder must name neither the double sum nor a
