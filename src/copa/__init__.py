@@ -7,23 +7,12 @@ closed form and by truncated q-series, draws their diagrams, applies
 the size-preserving bijections that explain their identities, and ships
 the verification suites that check every claim against independent
 computations.
+
+Importing the package loads only the counting core.  The bijection,
+diagram, reporting and verify modules and their names load on first use
+(PEP 562), and import and list as the others do.
 """
 
-from .bijections import (
-    copartition_to_eo,
-    copartition_to_pair,
-    cp001_to_rim_cell,
-    cp111_to_partition,
-    enumerate_eo_star,
-    eo_crank,
-    eo_to_copartition,
-    inverse_match_table,
-    is_eo_star,
-    pair_to_copartition,
-    partition_to_cp111,
-    render_pair_merge,
-    rim_cell_to_cp001,
-)
 from .copartitions import (
     Copartition,
     CopartitionParams,
@@ -39,7 +28,6 @@ from .copartitions import (
     to_json_dict,
     unscale_copartition,
 )
-from .diagrams import diagram_cells, render_ascii, render_diagram, render_svg
 from .enumeration import (
     CrankTally,
     RefinedCount,
@@ -50,6 +38,7 @@ from .enumeration import (
     enumerate_copartitions,
 )
 from .errors import (
+    AttributeAccessError,
     BadInputError,
     CopaError,
     DomainError,
@@ -76,7 +65,6 @@ from .partitions import (
     perimeter,
     rim_cells,
 )
-from .reporting import VerificationReport
 from .series import (
     TruncatedSeries,
     count_cell,
@@ -91,6 +79,46 @@ from .series import (
     theta_product,
     theta_sum,
 )
-from .verify import SUITES, run_all, run_suite
 
 __version__ = "0.1.0"
+
+# Each name that loads on first use, with its module.
+_DEFERRED = {
+    name: module
+    for module, names in (
+        ("bijections", "copartition_to_eo copartition_to_pair cp001_to_rim_cell "
+         "cp111_to_partition enumerate_eo_star eo_crank eo_to_copartition "
+         "inverse_match_table is_eo_star pair_to_copartition partition_to_cp111 "
+         "render_pair_merge rim_cell_to_cp001"),
+        ("diagrams", "diagram_cells render_ascii render_diagram render_svg"),
+        ("reporting", "VerificationReport"),
+        ("verify", "SUITES run_all run_suite"),
+    )
+    for name in names.split()
+}
+_SUBMODULES = ("bijections", "diagrams", "reporting", "verify")
+
+# What `from copa import *` binds: the names above, the submodules that
+# importing them bound, and the deferred names and modules.
+__all__ = [name for name in globals() if name[0] != "_"] + [*_DEFERRED, *_SUBMODULES]
+
+
+def __getattr__(name: str):
+    """A deferred name or module, imported on first use.  Every call binds
+    the names of each deferred module loaded so far, so later reads are
+    plain lookups, and once all four are loaded the hook is dropped:
+    CPython specializes attribute reads only on modules without one."""
+    import importlib
+    module = name if name in _SUBMODULES else _DEFERRED.get(name)
+    if module is None:
+        raise AttributeAccessError(f"module {__name__!r} has no attribute {name!r}")
+    importlib.import_module(f"{__name__}.{module}")
+    names = globals()
+    names.update({n: getattr(names[m], n) for n, m in _DEFERRED.items() if m in names})
+    if all(m in names for m in _SUBMODULES):
+        names.pop("__getattr__", None)
+    return names[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED, *_SUBMODULES})

@@ -3,12 +3,14 @@
 Batch-oriented: stdout carries data (plain integers, CSV, JSON, JSON
 Lines), stderr carries warnings and timing, and exit codes are stable:
 0 success, 1 verification failure, 2 usage error.
+
+The verify, bijection and diagram modules, and inspect, are imported by
+the handlers that run them, so the counting commands start without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -16,20 +18,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import series as qs
-from .bijections import (
-    copartition_to_eo,
-    copartition_to_pair,
-    cp001_to_rim_cell,
-    cp111_to_partition,
-    eo_to_copartition,
-    inverse_match_table,
-    pair_to_copartition,
-    partition_to_cp111,
-    render_pair_merge,
-    rim_cell_to_cp001,
-)
 from .copartitions import from_json_dict, to_json, to_json_dict
-from .diagrams import render_diagram
 from .enumeration import (
     count_copartitions,
     count_refined,
@@ -37,7 +26,6 @@ from .enumeration import (
     enumerate_copartitions,
 )
 from .errors import BadInputError, CopaError, NoClosedFormError
-from .verify import SUITES
 
 MAX_ORDER_ENV = "COPA_MAX_ORDER"
 
@@ -134,6 +122,7 @@ _BOUND_FLAGS = (
 
 
 def _suite_kwargs(fn, args, strict: bool):
+    import inspect
     accepted = inspect.signature(fn).parameters
     kwargs = {}
     for flag, names, transform in _BOUND_FLAGS:
@@ -149,6 +138,7 @@ def _suite_kwargs(fn, args, strict: bool):
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
     if args.suite != "all" and args.suite not in SUITES:
         known = ", ".join(SUITES)
         print(f"unknown suite {args.suite!r} (known: {known}, all)", file=sys.stderr)
@@ -218,6 +208,7 @@ def _read_json(raw: str, fields: dict) -> dict:
 
 
 def _cmd_render(args) -> int:
+    from .diagrams import render_diagram
     c = from_json_dict(_read_json(args.input, {}))
     out = render_diagram(c, args.format)
     if out and not out.endswith("\n"):
@@ -280,6 +271,7 @@ def _cmd_series(args) -> int:
 
 
 def _bij_pair_to_copartition(obj: dict) -> dict:
+    from .bijections import pair_to_copartition
     merged, c = pair_to_copartition(
         obj["ground_source"], obj["sky_source"], (obj["a"], obj["b"], obj["m"])
     )
@@ -295,6 +287,7 @@ def _bij_pair_to_copartition(obj: dict) -> dict:
 
 
 def _bij_copartition_to_pair(obj: dict) -> dict:
+    from .bijections import copartition_to_pair, inverse_match_table
     c = from_json_dict(obj["copartition"])
     merged = tuple(obj["merged"])
     table = inverse_match_table(merged, c)
@@ -312,6 +305,7 @@ def _bij_copartition_to_pair(obj: dict) -> dict:
 
 
 def _bij_copartition_to_eo(obj: dict) -> dict:
+    from .bijections import copartition_to_eo
     c = from_json_dict(obj)
     e = copartition_to_eo(c)
     return {
@@ -323,6 +317,7 @@ def _bij_copartition_to_eo(obj: dict) -> dict:
 
 
 def _bij_eo_to_copartition(obj: dict) -> dict:
+    from .bijections import eo_to_copartition
     c = eo_to_copartition(obj["partition"])
     total = sum(obj["partition"])
     return {
@@ -334,6 +329,7 @@ def _bij_eo_to_copartition(obj: dict) -> dict:
 
 
 def _bij_partition_to_cp111(obj: dict) -> dict:
+    from .bijections import partition_to_cp111
     c = partition_to_cp111(obj["partition"], obj["ground_count"])
     total = sum(obj["partition"]) + obj["ground_count"]
     return {
@@ -345,6 +341,7 @@ def _bij_partition_to_cp111(obj: dict) -> dict:
 
 
 def _bij_cp111_to_partition(obj: dict) -> dict:
+    from .bijections import cp111_to_partition
     c = from_json_dict(obj)
     lam, k = cp111_to_partition(c)
     return {
@@ -357,6 +354,7 @@ def _bij_cp111_to_partition(obj: dict) -> dict:
 
 
 def _bij_rim_cell_to_cp001(obj: dict) -> dict:
+    from .bijections import rim_cell_to_cp001
     c = rim_cell_to_cp001(obj["partition"], tuple(obj["cell"]))
     total = sum(obj["partition"])
     return {
@@ -368,6 +366,7 @@ def _bij_rim_cell_to_cp001(obj: dict) -> dict:
 
 
 def _bij_cp001_to_rim_cell(obj: dict) -> dict:
+    from .bijections import cp001_to_rim_cell
     c = from_json_dict(obj)
     lam, cell = cp001_to_rim_cell(c)
     return {
@@ -405,6 +404,7 @@ def _cmd_bijection(args) -> int:
         if args.name != "pair-to-copartition":
             print("--illustrate only applies to pair-to-copartition", file=sys.stderr)
             return 2
+        from .bijections import render_pair_merge
         sys.stdout.write(
             render_pair_merge(
                 obj["ground_source"], obj["sky_source"], (obj["a"], obj["b"], obj["m"])

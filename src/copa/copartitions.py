@@ -14,33 +14,63 @@ are explicit, so a ground of (2,) and one of (2, 0) are different values.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import DomainError, EmptyGroundError, EmptySkyError, InvalidPartitionError, SplitError
+from .errors import (
+    AttributeAccessError,
+    DomainError,
+    EmptyGroundError,
+    EmptySkyError,
+    InvalidPartitionError,
+    SplitError,
+)
 from .partitions import _as_int, _check_component
 
 ParamsLike = Union["CopartitionParams", tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
-class CopartitionParams:
+class _ReadOnly:
+    # Slots set once, by the class's own __init__; any later write raises.
+    # Equality and hashing are each class's own, written out: the verify
+    # suites' image sets compare and hash these by the thousand.
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeAccessError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeAccessError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through __init__, and checked again
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class CopartitionParams(_ReadOnly):
     """The triple (a, b, m): ground class, sky class, modulus.  Each field
     follows the int rule of parts (1.0 is 1; 1.5 and "1" are refused)."""
 
-    a: int
-    b: int
-    m: int
+    __slots__ = ("a", "b", "m")
 
-    def __post_init__(self) -> None:
-        for name, what in (("a", "class a"), ("b", "class b"), ("m", "modulus")):
-            object.__setattr__(self, name, _as_int(getattr(self, name), what, scalar=True))
+    def __init__(self, a: int, b: int, m: int) -> None:
+        for name, value, what in (("a", a, "class a"), ("b", b, "class b"), ("m", m, "modulus")):
+            object.__setattr__(self, name, _as_int(value, what, scalar=True))
         if self.m < 1:
             raise DomainError(f"modulus must be positive, got {self.m}")
         if self.a < 0 or self.b < 0:
             raise DomainError(f"classes must be non-negative, got ({self.a}, {self.b})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.m) == (other.a, other.b, other.m)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.m))
+
+    def __repr__(self) -> str:
+        return f"CopartitionParams(a={self.a!r}, b={self.b!r}, m={self.m!r})"
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.m)
@@ -50,7 +80,7 @@ class CopartitionParams:
 
 
 # lru_cache keeps no entry for a call that raises, so a bad triple is
-# refused by __post_init__ every time it is asked for.
+# refused by __init__ every time it is asked for.
 _shared_params = lru_cache(maxsize=256)(CopartitionParams)
 
 
@@ -64,14 +94,11 @@ def coerce_params(params: ParamsLike) -> CopartitionParams:
         raise DomainError(f"params must be three integers, got {params!r}") from None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Copartition:
+class Copartition(_ReadOnly):
     """Validating constructor; params may be a triple, and the rectangle is
     derived, never supplied."""
 
-    params: CopartitionParams
-    ground: tuple[int, ...]
-    sky: tuple[int, ...]
+    __slots__ = ("params", "ground", "sky")
 
     def __init__(self, params: ParamsLike, ground: Sequence[int], sky: Sequence[int]) -> None:
         # Checked first, then each slot set once.
@@ -111,6 +138,14 @@ class Copartition:
     def rectangle(self) -> tuple[int, ...]:
         """Derived rectangle parts: one per sky part, each m * len(ground)."""
         return (self.params.m * len(self.ground),) * len(self.sky)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.params, self.ground, self.sky) == (other.params, other.ground, other.sky)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.ground, self.sky))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -257,11 +292,14 @@ def from_json_dict(obj: dict) -> Copartition:
     return Copartition((a, b, m), ground, sky)
 
 
-# The decoder call that json.loads reaches through two more layers: it reads
-# one JSON value at an index and does not look past it, so from_json skips
-# the whitespace around the value itself and refuses anything else.
-_scan_once = json.JSONDecoder().scan_once
-_skip_space = json.decoder.WHITESPACE.match
+@lru_cache(maxsize=None)
+def _decoder():
+    # The decoder call that json.loads reaches through two more layers: it
+    # reads one JSON value at an index and does not look past it, so
+    # from_json skips the whitespace around the value itself and refuses
+    # anything else.  json loads on the first call, not with the package.
+    import json
+    return json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
 
 
 def from_json(text: str) -> Copartition:
@@ -269,13 +307,14 @@ def from_json(text: str) -> Copartition:
     allowed around it and nothing else.  The text must be a str."""
     if not isinstance(text, str):
         raise InvalidPartitionError(f"copartition JSON must be a str, got {type(text).__name__}")
+    scan_once, skip_space = _decoder()
     try:
-        obj, end = _scan_once(text, _skip_space(text, 0).end())
+        obj, end = scan_once(text, skip_space(text, 0).end())
     except (StopIteration, ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and an int literal past the
         # interpreter's digit limit; RecursionError a text nested too deep.
         raise InvalidPartitionError(f"bad JSON: {_shown(text)}") from exc
-    if _skip_space(text, end).end() != len(text):
+    if skip_space(text, end).end() != len(text):
         raise InvalidPartitionError(f"bad JSON: {_shown(text)}")
     if not isinstance(obj, dict):
         raise InvalidPartitionError("copartition JSON must be an object")

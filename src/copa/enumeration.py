@@ -41,10 +41,9 @@ the total, and the total), so one bounded memo serves every family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .copartitions import Copartition, CopartitionParams, ParamsLike, _built_valid, coerce_params
 from .errors import DomainError, NoClosedFormError
@@ -117,8 +116,7 @@ def _block_count(w: int, s: int, total: int) -> int:
     return sum(rows[k][min(w, k)] * rows[total - k][min(s, total - k)] for k in range(total + 1))
 
 
-@dataclass(frozen=True)
-class RefinedCount:
+class RefinedCount(NamedTuple):
     """Counts of copartitions of n split by (ground count, sky count)."""
 
     params: CopartitionParams
@@ -130,8 +128,7 @@ class RefinedCount:
         return sum(self.table.values())
 
 
-@dataclass(frozen=True)
-class CrankTally:
+class CrankTally(NamedTuple):
     """Crank residues (mod modulus) with exact counts, zero-filled."""
 
     modulus: int
@@ -157,6 +154,17 @@ def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], i
     return table
 
 
+def _cells(p: CopartitionParams, n: int, method: str) -> Iterable[tuple[tuple[int, int], int]]:
+    # ((w, s), count) for the nonzero blocks of size n >= 0, in no set order
+    if method in ("auto", "series"):
+        # the key (s, w) of the marked double sum is the block of w ground
+        # and s sky parts
+        return (((w, s), c) for (s, w), c in gf_double_sum(p, n).coefficient(n).items())
+    if method == "enum":
+        return _refined_table(p.as_tuple(), n).items()
+    raise DomainError(f"unknown method {method!r}")
+
+
 def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCount:
     """Counts of copartitions of n by (ground count, sky count), nonzero
     entries only, keyed (w, s) in ascending order; empty for n < 0.
@@ -168,29 +176,27 @@ def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCo
     n = _as_int(n, "size", scalar=True)
     if n < 0:
         return RefinedCount(p, n, {})
-    if method in ("auto", "series"):
-        # the key (s, w) of the marked double sum is the block of w ground
-        # and s sky parts
-        column = gf_double_sum(p, n).coefficient(n)
-        return RefinedCount(p, n, dict(sorted(((w, s), c) for (s, w), c in column.items())))
-    if method == "enum":
+    if method == "enum":  # its blocks come in (w, s) order
         return RefinedCount(p, n, dict(_refined_table(p.as_tuple(), n)))
-    raise DomainError(f"unknown method {method!r}")
+    return RefinedCount(p, n, dict(sorted(_cells(p, n, method))))
 
 
 def crank_tally(params: ParamsLike, n: int, modulus: int, method: str = "auto") -> CrankTally:
     """Tally crank residues over all copartitions of n.
 
     The crank is the ground count minus the sky count, so the tally is the
-    refined table of count_refined(params, n, method) summed by w - s.
+    blocks of count_refined(params, n, method) summed by w - s, read
+    without ordering them.
     """
     n = _as_int(n, "size", scalar=True)
     modulus = _as_int(modulus, "modulus", scalar=True)
     if modulus < 1:
         raise DomainError(f"modulus must be positive, got {modulus}")
+    p = coerce_params(params)
     counts = {r: 0 for r in range(modulus)}
-    for (w, s), c in count_refined(params, n, method).table.items():
-        counts[(w - s) % modulus] += c
+    if n >= 0:
+        for (w, s), c in _cells(p, n, method):
+            counts[(w - s) % modulus] += c
     return CrankTally(modulus, counts)
 
 

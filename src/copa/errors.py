@@ -58,3 +58,9 @@ class SeriesError(CopaError):
 
 class BadInputError(CopaError):
     """A JSON document given on the command line lacks a field or has the wrong types."""
+
+
+class AttributeAccessError(CopaError, AttributeError):
+    """A name the package does not have was read, or a field of a read-only
+    value was set or deleted.  As an AttributeError, hasattr reads it as a
+    missing name."""

@@ -22,9 +22,8 @@ and statistics come from tables grown once per size, not from a walk.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidPartitionError, MinimumPartError, ResidueError, ZeroPartError
 
@@ -296,8 +295,7 @@ def divisor_count_in_class(n: int, residue: int, modulus: int) -> int:
     return sum(d % modulus == residue % modulus for d in _divisors(n))
 
 
-@dataclass(frozen=True)
-class PartitionStatistics:
+class PartitionStatistics(NamedTuple):
     """Aggregates over all partitions of one n."""
 
     total_parts: int

@@ -73,7 +73,6 @@ recently used family past a fixed number of them.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from collections import OrderedDict
 from functools import wraps
@@ -289,13 +288,19 @@ def _stored(build: Callable[..., TruncatedSeries], key: tuple, n: int) -> Trunca
 
 
 def _keep_highest(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
-    """Memoize build(*key, order) through the store; order is the last argument."""
-    signature = inspect.signature(build)
+    """Memoize build(*key, order) through the store; order is the last of
+    build's parameters without a default, and each may be passed by keyword."""
 
     @wraps(build)
     def cached(*args, **kwargs) -> TruncatedSeries:
         if kwargs:
-            args = signature.bind(*args, **kwargs).args
+            code = build.__code__
+            names = code.co_varnames[len(args) : code.co_argcount - len(build.__defaults__ or ())]
+            if kwargs.keys() != set(names):
+                # a keyword build does not take, or one missing or repeated:
+                # the call itself raises the interpreter's TypeError
+                return build(*args, **kwargs)
+            args += tuple(map(kwargs.get, names))
         *key, order = args
         order = _as_int(order, "order", scalar=True)
         series = _stored(build, key, order)

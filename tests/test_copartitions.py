@@ -1,6 +1,8 @@
 """Copartition values: validation, size, JSON, conjugation, scaling."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -22,7 +24,13 @@ from copa.copartitions import (
     unscale_copartition,
 )
 from copa.diagrams import render_diagram
-from copa.enumeration import count_copartitions, crank_tally, enumerate_copartitions
+from copa.enumeration import (
+    CrankTally,
+    RefinedCount,
+    count_copartitions,
+    crank_tally,
+    enumerate_copartitions,
+)
 from copa.errors import (
     CopaError,
     DomainError,
@@ -34,7 +42,7 @@ from copa.errors import (
     SplitError,
     ZeroPartError,
 )
-from copa.partitions import divisor_count_in_class
+from copa.partitions import PartitionStatistics, divisor_count_in_class
 from copa.reporting import Checker
 from copa.verify import _eta_theta_quotient_check
 
@@ -77,6 +85,36 @@ def test_the_class_is_the_validating_constructor():
     assert not hasattr(c, "__dict__")
     with pytest.raises(AttributeError):
         c.sky = (1,)
+
+
+@pytest.mark.parametrize(
+    "record, fields, shown",
+    [
+        (CopartitionParams, dict(a=1, b=2, m=4), "CopartitionParams(a=1, b=2, m=4)"),
+        (Copartition, dict(params=CopartitionParams(1, 1, 2), ground=(3, 1), sky=(1,)),
+         "Copartition((1,1,2), ground=[3, 1], sky=[1])"),
+        (RefinedCount, dict(params=CopartitionParams(1, 1, 2), n=2, table={(1, 0): 1}),
+         "RefinedCount(params=CopartitionParams(a=1, b=1, m=2), n=2, table={(1, 0): 1})"),
+        (CrankTally, dict(modulus=2, counts={0: 1, 1: 0}), "CrankTally(modulus=2, counts={0: 1, 1: 0})"),
+        (PartitionStatistics, dict(zip(PartitionStatistics._fields, range(6))),
+         "PartitionStatistics(total_parts=0, sum_largest_parts=1, sum_perimeters=2, "
+         "parts_of_size_one=3, diversity_sum=4, spt=5)"),
+    ],
+)
+def test_records_are_read_only_values(record, fields, shown):
+    """Each record takes its fields by keyword, refuses every write, keeps
+    no __dict__, compares by value, and survives a copy and a pickle round
+    trip (the two checked classes are rebuilt through their checks)."""
+    value = record(**fields)
+    assert value == record(*fields.values()) and repr(value) == shown
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    for write in (lambda: setattr(value, next(iter(fields)), 0), lambda: delattr(value, "n")):
+        with pytest.raises(AttributeError):
+            write()
+    assert not hasattr(value, "__dict__")
+    assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+    if record not in (RefinedCount, CrankTally):  # those hold a dict
+        assert hash(copy.deepcopy(value)) == hash(value)
 
 
 def test_component_validation_errors_are_specific():

@@ -1,5 +1,6 @@
 """Enumeration order, refined counts, closed forms, crank tallies."""
 
+import random
 import re
 from collections import Counter
 from itertools import accumulate, product
@@ -18,7 +19,13 @@ from copa.enumeration import (
     enumerate_copartitions,
 )
 from copa.errors import DomainError, NoClosedFormError
-from copa.partitions import _bounded_counts, _bounded_partitions, partition_count
+from copa.partitions import (
+    ENUM_MAX_N,
+    _bounded_counts,
+    _bounded_partitions,
+    _partition_counts,
+    partition_count,
+)
 from copa.series import count_cell, count_series, gf_double_sum, gf_product
 
 from oracles import (
@@ -333,6 +340,29 @@ def test_far_counts_agree_on_every_counting_path(a, b, m, n, data):
     cells = data.draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else []
     for w, s in cells:
         assert count_cell(params, n, w, s) == table[(w, s)], (params, n, w, s)
+
+
+def test_far_rows_of_the_bounded_counts():
+    """Every row k <= ENUM_MAX_N of p(k, <= j) against three closed forms:
+    p(k, <= k) = p(k) from the pentagonal recurrence, p(k, <= 2) = k // 2 + 1,
+    and p(k, <= 3) = the nearest integer to (k + 3)^2 / 12."""
+    rows = _bounded_counts(ENUM_MAX_N)
+    p = _partition_counts(ENUM_MAX_N)
+    for k in range(ENUM_MAX_N + 1):
+        row = rows[k]
+        assert row[k] == p[k], k
+        assert row[min(2, k)] == k // 2 + 1, k
+        assert row[min(3, k)] == ((k + 3) ** 2 + 6) // 12, k  # (k + 3)^2 is 0, 1, 4 or 9 mod 12
+
+
+def test_far_closed_forms_match_the_series():
+    """The partition-divisor convolutions of count_formula against the
+    series at n = ENUM_MAX_N and at four drawn n in 900..999, past the
+    n <= 300 that the other closed-form checks reach."""
+    drawn = random.Random(1000).sample(range(900, ENUM_MAX_N), 4)
+    for params in ((0, 1, 1), (0, 2, 3), (0, 1, 2), (0, 3, 2)):
+        for n in (ENUM_MAX_N, *drawn):
+            assert count_formula(params, n) == count_series(params, n), (params, n)
 
 
 def test_enum_counts_stop_at_their_ceiling():

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -282,3 +284,69 @@ def test_the_closed_forms_do_not_read_the_series_engine():
             f"partitions.py:{node.lineno}: {m}" for m in modules if m.split(".")[-1] == "series"
         ]
     assert not named, named
+
+
+# Modules a counting call never runs, and what importing them would load.
+_DEFERRED_MODULES = {"copa.bijections", "copa.diagrams", "copa.reporting", "copa.verify"}
+_HEAVY_STDLIB = {"dataclasses", "inspect"}
+_DEFERRED_NAMES = {
+    "bijections": (
+        "copartition_to_eo", "copartition_to_pair", "cp001_to_rim_cell", "cp111_to_partition",
+        "enumerate_eo_star", "eo_crank", "eo_to_copartition", "inverse_match_table", "is_eo_star",
+        "pair_to_copartition", "partition_to_cp111", "render_pair_merge", "rim_cell_to_cp001",
+    ),
+    "diagrams": ("diagram_cells", "render_ascii", "render_diagram", "render_svg"),
+    "reporting": ("VerificationReport",),
+    "verify": ("SUITES", "run_all", "run_suite"),
+}
+
+
+def _loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code, less those
+    it holds after running nothing."""
+
+    def loaded(code: str) -> set[str]:
+        script = f"{code}\nimport sys\nprint(*sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(copa.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.splitlines()[-1].split())
+
+    return loaded(code) - loaded("")
+
+
+def test_importing_the_package_loads_only_the_counting_core():
+    loaded = _loaded_by("import copa")
+    core = {"errors", "partitions", "copartitions", "series", "enumeration"}
+    assert {"copa", *(f"copa.{name}" for name in core)} <= loaded
+    assert not loaded & (_DEFERRED_MODULES | _HEAVY_STDLIB | {"json"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--a", "1", "--b", "1", "--m", "2", "--n", "30"],
+        ["series", "--kind", "product", "--a", "1", "--b", "2", "--m", "4", "--order", "20"],
+        ["table", "--a", "1", "--b", "1", "--m", "2", "--max-n", "10", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_counting_commands_load_only_what_they_run(argv):
+    loaded = _loaded_by(f"import copa.cli\nassert copa.cli.main({argv!r}) == 0")
+    assert not loaded & (_DEFERRED_MODULES | _HEAVY_STDLIB)
+
+
+def test_every_deferred_name_is_its_modules_own():
+    star: dict = {}
+    exec("from copa import *", star)
+    listed = dir(copa)
+    for module, names in _DEFERRED_NAMES.items():
+        source = importlib.import_module(f"copa.{module}")
+        assert module in listed and getattr(copa, module) is source
+        for name in names:
+            assert getattr(copa, name) is getattr(source, name) is star[name], name
+            assert name in vars(copa) and name in listed, name
+    with pytest.raises(AttributeError):
+        copa.no_such_name

@@ -1,6 +1,5 @@
 """Verification suites at reduced bounds, plus the command-line surface."""
 
-import dataclasses
 import functools
 import io
 import json
@@ -26,7 +25,7 @@ from copa.bijections import (
     rim_cell_to_cp001,
 )
 from copa.cli import main
-from copa.enumeration import enumerate_copartitions
+from copa.enumeration import RefinedCount, enumerate_copartitions
 from copa.reporting import Checker
 
 # Reduced bounds keep the whole registry affordable inside the unit run;
@@ -412,7 +411,7 @@ def test_count_refined_crosscheck_failure_exits_1(monkeypatch, capsys):
         result = real(params, n, method)
         if method != "enum":
             return result
-        return dataclasses.replace(result, table={k: v + 1 for k, v in result.table.items()})
+        return RefinedCount(result.params, result.n, {k: v + 1 for k, v in result.table.items()})
 
     monkeypatch.setattr(copa.cli, "count_refined", enum_off_by_one)
     rc = main(
@@ -904,12 +903,13 @@ def test_bad_json_input_exit_2(argv, detail, capsys):
 
 
 def test_fault_inside_a_map_is_not_bad_input(monkeypatch, capsys):
-    import copa.cli
+    import copa.bijections
 
     def broken(parts):
         raise TypeError("internal fault")
 
-    monkeypatch.setattr(copa.cli, "eo_to_copartition", broken)
+    # the handler reads the map from its module when it runs
+    monkeypatch.setattr(copa.bijections, "eo_to_copartition", broken)
     with pytest.raises(TypeError, match="internal fault"):
         main(["bijection", "eo-to-copartition", "--input", '{"partition":[4]}'])
     assert "bad input" not in capsys.readouterr().err
