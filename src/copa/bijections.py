@@ -14,8 +14,6 @@ Indexing follows the usual convention for partitions: parts are 1-based,
 largest first.
 """
 
-from __future__ import annotations
-
 from itertools import groupby
 from typing import Sequence
 
@@ -54,15 +52,16 @@ def _merge(
     ground_source: Sequence[int], sky_source: Sequence[int], p: CopartitionParams
 ) -> tuple[Partition, Partition, Partition, Copartition]:
     # The checked sources too, which render_pair_merge draws.
-    if p.a < 1 or p.b < 1:
-        raise CopaError(f"pair merge needs a, b >= 1, got ({p.a},{p.b},{p.m})")
-    pi = _check_component(ground_source, p.a, p.m, "ground source")
-    lam = _check_component(sky_source, p.b, p.m, "sky source")
+    a, b, m = p
+    if a < 1 or b < 1:
+        raise CopaError(f"pair merge needs a, b >= 1, got ({a},{b},{m})")
+    pi = _check_component(ground_source, a, m, "ground source")
+    lam = _check_component(sky_source, b, m, "sky source")
     np_, nl = len(pi), len(lam)
     k = nl + 1
     for cand in range(1, nl + 1):
         # the left side is strictly decreasing in the candidate index
-        if (lam[cand - 1] - p.b) // p.m + nl - cand < np_:
+        if (lam[cand - 1] - b) // m + nl - cand < np_:
             k = cand
             break
     merged: list[int] = []
@@ -71,7 +70,7 @@ def _merge(
     for j in range(k, nl + 1):
         # the matched index i rises strictly with j (lam is non-increasing),
         # so the ground parts between two matches are one run of pi
-        i = np_ - (nl - j) - (lam[j - 1] - p.b) // p.m
+        i = np_ - (nl - j) - (lam[j - 1] - b) // m
         unmatched += pi[done : i - 1]
         done = i
         merged.append(lam[j - 1] + pi[i - 1])
@@ -91,14 +90,14 @@ def _inverse_steps(merged: Partition, c: Copartition) -> list[tuple[int, int]]:
     under), which stands in for an unbounded top comparison.  Offsets are
     chosen against the copartition's original ground throughout.
     """
-    p = c.params
+    _, b, m = c.params
     gamma = c.ground
     ng = len(gamma)
     rows = []
     for val in reversed(merged):
         jk = ng
         for j in range(ng):
-            if val - p.m * j - p.b <= gamma[ng - 1 - j]:
+            if val - m * j - b <= gamma[ng - 1 - j]:
                 jk = j
                 break
         rows.append((val, jk))
@@ -115,14 +114,14 @@ def copartition_to_pair(
     and enlarged sky, and the two piles are the original pair.
     """
     c = copartition
-    p = c.params
-    if p.a < 1 or p.b < 1:
-        raise CopaError(f"pair split needs a, b >= 1, got ({p.a},{p.b},{p.m})")
-    mu = _check_component(merged, p.a + p.b, p.m, "combined")
+    a, b, m = c.params
+    if a < 1 or b < 1:
+        raise CopaError(f"pair split needs a, b >= 1, got ({a},{b},{m})")
+    mu = _check_component(merged, a + b, m, "combined")
     ground_pile = list(c.ground)
     sky_pile = list(enlarged_sky(c))
     for val, jk in _inverse_steps(mu, c):
-        piece = p.m * jk + p.b
+        piece = m * jk + b
         sky_pile.append(piece)
         ground_pile.append(val - piece)
     return tuple(sorted(ground_pile, reverse=True)), tuple(sorted(sky_pile, reverse=True))
@@ -210,8 +209,8 @@ def copartition_to_eo(c: Copartition) -> Partition:
     Each enlarged-sky part appears twice (the odd block); the ground's
     conjugate doubles into the even block.  Size doubles.
     """
-    if c.params.as_tuple() != (1, 1, 2):
-        raise CopaError(f"even-odd map needs params (1,1,2), got {c.params.as_tuple()}")
+    if c.params != (1, 1, 2):
+        raise CopaError(f"even-odd map needs params (1,1,2), got {tuple(c.params)}")
     # Each enlarged-sky part is odd and at least 2w + 1 (w ground parts),
     # each doubled conjugate part even and at most 2w, so the odd block
     # followed by the even block is already non-increasing: no sort.
@@ -251,8 +250,8 @@ def partition_to_cp111(parts: Sequence[int], ground_count: int) -> Copartition:
 
 def cp111_to_partition(c: Copartition) -> tuple[Partition, int]:
     """Exact inverse of partition_to_cp111; the count is the ground size."""
-    if c.params.as_tuple() != (1, 1, 1):
-        raise CopaError(f"threshold map needs params (1,1,1), got {c.params.as_tuple()}")
+    if c.params != (1, 1, 1):
+        raise CopaError(f"threshold map needs params (1,1,1), got {tuple(c.params)}")
     return enlarged_sky(c) + _conjugate(c.ground)[1:], len(c.ground)
 
 
@@ -275,8 +274,8 @@ def rim_cell_to_cp001(parts: Sequence[int], cell: tuple[int, int]) -> Copartitio
 
 def cp001_to_rim_cell(c: Copartition) -> tuple[Partition, tuple[int, int]]:
     """Exact inverse of rim_cell_to_cp001."""
-    if c.params.as_tuple() != (0, 0, 1):
-        raise CopaError(f"rim map needs params (0,0,1), got {c.params.as_tuple()}")
+    if c.params != (0, 0, 1):
+        raise CopaError(f"rim map needs params (0,0,1), got {tuple(c.params)}")
     j = len(c.ground)
     lower = _conjugate(tuple(g for g in c.ground if g))
     return tuple(s + j for s in c.sky) + lower, (len(c.sky), j)

@@ -8,8 +8,6 @@ The verify, bijection and diagram modules, and inspect, are imported by
 the handlers that run them, so the counting commands start without them.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

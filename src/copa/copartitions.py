@@ -12,75 +12,52 @@ mirrors that, and a = b = 0 requires both components nonempty.  Zero parts
 are explicit, so a ground of (2,) and one of (2, 0) are different values.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from .errors import (
-    AttributeAccessError,
-    DomainError,
-    EmptyGroundError,
-    EmptySkyError,
-    InvalidPartitionError,
-    SplitError,
-)
+from .errors import DomainError, EmptyGroundError, EmptySkyError, InvalidPartitionError, SplitError
 from .partitions import _as_int, _check_component
 
 ParamsLike = Union["CopartitionParams", tuple[int, int, int]]
 
-
-class _ReadOnly:
-    # Slots set once, by the class's own __init__; any later write raises.
-    # Equality and hashing are each class's own, written out: the verify
-    # suites' image sets compare and hash these by the thousand.
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeAccessError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeAccessError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through __init__, and checked again
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+# Each record is a named tuple of its fields, subclassed for a __new__ that
+# checks them (a NamedTuple body may not define one).  _make, and so
+# _replace, goes through that __new__, as do copies and pickles, through
+# __getnewargs__.
 
 
-class CopartitionParams(_ReadOnly):
+class _ParamsFields(NamedTuple):
+    a: int
+    b: int
+    m: int
+
+
+class CopartitionParams(_ParamsFields):
     """The triple (a, b, m): ground class, sky class, modulus.  Each field
     follows the int rule of parts (1.0 is 1; 1.5 and "1" are refused)."""
 
-    __slots__ = ("a", "b", "m")
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int, m: int) -> None:
-        for name, value, what in (("a", a, "class a"), ("b", b, "class b"), ("m", m, "modulus")):
-            object.__setattr__(self, name, _as_int(value, what, scalar=True))
-        if self.m < 1:
-            raise DomainError(f"modulus must be positive, got {self.m}")
-        if self.a < 0 or self.b < 0:
-            raise DomainError(f"classes must be non-negative, got ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int, m: int) -> "CopartitionParams":
+        a = _as_int(a, "class a", scalar=True)
+        b = _as_int(b, "class b", scalar=True)
+        m = _as_int(m, "modulus", scalar=True)
+        if m < 1:
+            raise DomainError(f"modulus must be positive, got {m}")
+        if a < 0 or b < 0:
+            raise DomainError(f"classes must be non-negative, got ({a}, {b})")
+        return tuple.__new__(cls, (a, b, m))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.m) == (other.a, other.b, other.m)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.m))
-
-    def __repr__(self) -> str:
-        return f"CopartitionParams(a={self.a!r}, b={self.b!r}, m={self.m!r})"
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.m)
+    @classmethod
+    def _make(cls, fields) -> "CopartitionParams":
+        return cls(*fields)
 
     def swapped(self) -> "CopartitionParams":
         return CopartitionParams(self.b, self.a, self.m)
 
 
 # lru_cache keeps no entry for a call that raises, so a bad triple is
-# refused by __init__ every time it is asked for.
+# refused by __new__ every time it is asked for.
 _shared_params = lru_cache(maxsize=256)(CopartitionParams)
 
 
@@ -94,24 +71,34 @@ def coerce_params(params: ParamsLike) -> CopartitionParams:
         raise DomainError(f"params must be three integers, got {params!r}") from None
 
 
-class Copartition(_ReadOnly):
+class _CopartitionFields(NamedTuple):
+    params: CopartitionParams
+    ground: tuple[int, ...]
+    sky: tuple[int, ...]
+
+
+class Copartition(_CopartitionFields):
     """Validating constructor; params may be a triple, and the rectangle is
     derived, never supplied."""
 
-    __slots__ = ("params", "ground", "sky")
+    __slots__ = ()
 
-    def __init__(self, params: ParamsLike, ground: Sequence[int], sky: Sequence[int]) -> None:
-        # Checked first, then each slot set once.
+    def __new__(
+        cls, params: ParamsLike, ground: Sequence[int], sky: Sequence[int]
+    ) -> "Copartition":
         p = coerce_params(params)
-        ground = _check_component(ground, p.a, p.m, "ground")
-        sky = _check_component(sky, p.b, p.m, "sky")
-        if p.a == 0 and not sky:
+        a, b, m = p
+        ground = _check_component(ground, a, m, "ground")
+        sky = _check_component(sky, b, m, "sky")
+        if a == 0 and not sky:
             raise EmptySkyError("a = 0 requires a nonempty sky")
-        if p.b == 0 and not ground:
+        if b == 0 and not ground:
             raise EmptyGroundError("b = 0 requires a nonempty ground")
-        _set_params(self, p)
-        _set_ground(self, ground)
-        _set_sky(self, sky)
+        return tuple.__new__(cls, (p, ground, sky))
+
+    @classmethod
+    def _make(cls, fields) -> "Copartition":
+        return cls(*fields)
 
     @property
     def a(self) -> int:
@@ -139,14 +126,6 @@ class Copartition(_ReadOnly):
         """Derived rectangle parts: one per sky part, each m * len(ground)."""
         return (self.params.m * len(self.ground),) * len(self.sky)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.params, self.ground, self.sky) == (other.params, other.ground, other.sky)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.ground, self.sky))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Copartition(({self.a},{self.b},{self.m}), "
@@ -154,24 +133,14 @@ class Copartition(_ReadOnly):
         )
 
 
-_new = object.__new__
-_set_params = Copartition.params.__set__
-_set_ground = Copartition.ground.__set__
-_set_sky = Copartition.sky.__set__
-
-
 def _built_valid(
     p: CopartitionParams, ground: tuple[int, ...], sky: tuple[int, ...]
 ) -> Copartition:
-    """A Copartition from components its caller built valid, set slot by
-    slot without the checks of __init__.  The enumeration walker calls it,
-    and each bijection for the image it computes from its checked arguments;
-    every public constructor validates."""
-    c = _new(Copartition)
-    _set_params(c, p)
-    _set_ground(c, ground)
-    _set_sky(c, sky)
-    return c
+    """A Copartition from components its caller built valid, without the
+    checks of __new__.  The enumeration walker calls it, and each bijection
+    for the image it computes from its checked arguments; every public
+    constructor validates."""
+    return tuple.__new__(Copartition, (p, ground, sky))
 
 
 make_copartition = Copartition
@@ -187,11 +156,12 @@ def _unfuse(fused: Sequence[int], ground_count: int, p: CopartitionParams) -> tu
     # The fused parts less m * ground_count each, refused only when one falls
     # below b.  Order and class carry over from the fused parts, so a caller
     # whose fused parts are a checked sky source's need no further check.
-    bump = p.m * ground_count
+    _, b, m = p
+    bump = m * ground_count
     out = []
     for f in fused:
         s = f - bump
-        if s < p.b:
+        if s < b:
             raise SplitError(
                 f"fused part {f} too small for ground count {ground_count}"
             )

@@ -12,8 +12,6 @@ ASCII that is a "|" between rectangle and sky cells plus a dashed line
 between the blocks; the SVG draws the same polyline.
 """
 
-from __future__ import annotations
-
 from .copartitions import Copartition
 from .errors import DomainError
 
@@ -24,12 +22,12 @@ def diagram_cells(c: Copartition) -> tuple[tuple[int, ...], ...]:
     For parameters with a = b = m distinct copartitions can share a grid;
     otherwise the grid determines the copartition.
     """
-    m = c.m
+    a, b, m = c.params
     w = len(c.ground)
     rows: list[tuple[int, ...]] = []
     for part in c.sky:
-        rows.append((m,) * w + (c.b,) + (m,) * ((part - c.b) // m))
-    ground_rows = [(c.a,) + (m,) * ((g - c.a) // m) for g in c.ground]
+        rows.append((m,) * w + (b,) + (m,) * ((part - b) // m))
+    ground_rows = [(a,) + (m,) * ((g - a) // m) for g in c.ground]
     height = max((len(r) for r in ground_rows), default=0)
     for t in range(height):
         rows.append(tuple(r[t] for r in ground_rows if len(r) > t))

@@ -39,8 +39,6 @@ A block's count depends only on its shape (ground and sky counts capped at
 the total, and the total), so one bounded memo serves every family.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -61,7 +59,7 @@ from .series import count_series, gf_double_sum
 def _blocks(p: CopartitionParams, n: int) -> Iterator[tuple[int, int, int]]:
     # The blocks of size n in output order: (ground count w, sky count s,
     # total), where total is what the shifted parts (part - class) / m sum to.
-    a, b, m = p.a, p.b, p.m
+    a, b, m = p
     w = 1 if b == 0 else 0
     s_min = 1 if a == 0 else 0
     while a * w + (m * w + b) * s_min <= n:
@@ -83,7 +81,7 @@ def enumerate_copartitions(params: ParamsLike, n: int) -> Iterator[Copartition]:
 
 
 def _copartitions(p: CopartitionParams, n: int) -> Iterator[Copartition]:
-    a, b, m = p.a, p.b, p.m
+    a, b, m = p
     if n < 0:
         return
     for w, s, total in _blocks(p, n):
@@ -140,14 +138,14 @@ class CrankTally(NamedTuple):
 
 
 @lru_cache(maxsize=8192)
-def _refined_table(key: tuple[int, int, int], n: int) -> dict[tuple[int, int], int]:
+def _refined_table(p: CopartitionParams, n: int) -> dict[tuple[int, int], int]:
     """Table (w,s) -> count at n.  Each block of enumerate_copartitions is
     counted from the sizes of the iterators it would expand, without
     building its objects.  Callers must not mutate the returned dict."""
     if n > ENUM_MAX_N:
         raise DomainError(f"method 'enum' counts n <= {ENUM_MAX_N}, got {n}; use method 'series'")
     table: dict[tuple[int, int], int] = {}
-    for w, s, total in _blocks(CopartitionParams(*key), n):
+    for w, s, total in _blocks(p, n):
         count = _block_count(min(w, total), min(s, total) if s else 0, total)
         if count:
             table[(w, s)] = count
@@ -161,7 +159,7 @@ def _cells(p: CopartitionParams, n: int, method: str) -> Iterable[tuple[tuple[in
         # and s sky parts
         return (((w, s), c) for (s, w), c in gf_double_sum(p, n).coefficient(n).items())
     if method == "enum":
-        return _refined_table(p.as_tuple(), n).items()
+        return _refined_table(p, n).items()
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -177,7 +175,7 @@ def count_refined(params: ParamsLike, n: int, method: str = "auto") -> RefinedCo
     if n < 0:
         return RefinedCount(p, n, {})
     if method == "enum":  # its blocks come in (w, s) order
-        return RefinedCount(p, n, dict(_refined_table(p.as_tuple(), n)))
+        return RefinedCount(p, n, dict(_refined_table(p, n)))
     return RefinedCount(p, n, dict(sorted(_cells(p, n, method))))
 
 
@@ -211,7 +209,7 @@ def count_formula(params: ParamsLike, n: int) -> int:
     n = _as_int(n, "size", scalar=True)
     if n < 0:
         return 0
-    a, b, m = p.as_tuple()
+    a, b, m = p
     if (a, b, m) == (1, 1, 1):
         return sum(_partition_counts(n)[: n + 1])
     if a == 0 and b >= 1:
@@ -247,7 +245,7 @@ def count_copartitions(params: ParamsLike, n: int, method: str = "auto") -> int:
     if n < 0:
         return 0
     if method == "enum":
-        return sum(_refined_table(p.as_tuple(), n).values())
+        return sum(_refined_table(p, n).values())
     if method == "formula":
         return count_formula(p, n)
     raise DomainError(f"unknown method {method!r}")

@@ -61,6 +61,5 @@ class BadInputError(CopaError):
 
 
 class AttributeAccessError(CopaError, AttributeError):
-    """A name the package does not have was read, or a field of a read-only
-    value was set or deleted.  As an AttributeError, hasattr reads it as a
-    missing name."""
+    """A name the package does not have was read.  As an AttributeError,
+    hasattr reads it as a missing name."""

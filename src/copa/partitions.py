@@ -19,8 +19,6 @@ the copartition generator and the even-odd shapes all rest on it; counts
 and statistics come from tables grown once per size, not from a walk.
 """
 
-from __future__ import annotations
-
 import threading
 from operator import add
 from typing import Iterator, NamedTuple, Sequence

@@ -1,7 +1,5 @@
 """Verification report records shared by the check operations and the CLI."""
 
-from __future__ import annotations
-
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union

@@ -71,8 +71,6 @@ families asked for, not with the number of orders, and drops the least
 recently used family past a fixed number of them.
 """
 
-from __future__ import annotations
-
 import threading
 from collections import OrderedDict
 from functools import wraps
@@ -133,18 +131,21 @@ class TruncatedSeries:
     __slots__ = ("order", "rows", "family")
 
     def __init__(self, order: int, coeffs: Optional[dict[int, dict[Key, int]]] = None):
-        """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order are dropped."""
+        """Series from {n: {(x_deg, y_deg): coefficient}}; terms past the order
+        are dropped.  The order, exponents and coefficients follow the int rule."""
+        order = _as_int(order, "order", scalar=True)
         if order < 0:
             raise SeriesError(f"order must be non-negative, got {order}")
         self.order = order
         self.family = _DENSE
         rows: Rows = {}
         for n, poly in (coeffs or {}).items():
+            n = _as_int(n, "exponent", scalar=True)
             if n < 0:
                 raise SeriesError(f"negative exponent {n}")
             if n <= order:
                 for key, c in poly.items():
-                    if c:
+                    if c := _as_int(c, "coefficient", scalar=True):
                         rows.setdefault(key, [0] * (order + 1))[n] = c
         self.rows = rows
 
@@ -163,6 +164,8 @@ class TruncatedSeries:
 
     def coefficient(self, n: int) -> dict[Key, int]:
         """Copy of the coefficient polynomial of q^n."""
+        if type(n) is not int:  # store hits pass ints: no call
+            n = _as_int(n, "exponent", scalar=True)
         self._within(n)
         if n < 0:
             return {}
@@ -230,6 +233,8 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """The series through q^order, sharing this series' rows dict: O(1)."""
+        if type(order) is not int:  # store hits pass ints: no call
+            order = _as_int(order, "order", scalar=True)
         if order > self.order:
             raise SeriesError(f"cannot extend order {self.order} to {order}")
         return TruncatedSeries._of_rows(order, self.rows, self.family)
@@ -556,10 +561,10 @@ def gf_product(params: ParamsLike, order: int, markers: bool = True) -> Truncate
     Needs a >= 1 and b >= 1: the degenerate families have no product form
     here (the verify suites check the a = 0 convolution instead).
     """
-    p = coerce_params(params)
-    if p.a < 1 or p.b < 1:
-        raise SeriesError(f"product form needs a, b >= 1, got ({p.a},{p.b},{p.m})")
-    return _gf_product_cached(p.a, p.b, p.m, markers, order)
+    a, b, m = coerce_params(params)
+    if a < 1 or b < 1:
+        raise SeriesError(f"product form needs a, b >= 1, got ({a},{b},{m})")
+    return _gf_product_cached(a, b, m, markers, order)
 
 
 def _double_sum(a: int, b: int, m: int, markers: bool, order: int) -> TruncatedSeries:
@@ -604,8 +609,8 @@ def gf_double_sum(params: ParamsLike, order: int, markers: bool = True) -> Trunc
 
     Holds for every (a, b, m), the degenerate families included.
     """
-    p = coerce_params(params)
-    return _gf_double_sum_cached(p.a, p.b, p.m, markers, order)
+    a, b, m = coerce_params(params)
+    return _gf_double_sum_cached(a, b, m, markers, order)
 
 
 def count_cell(params: ParamsLike, n: int, w: int, s: int) -> int:
@@ -616,7 +621,7 @@ def count_cell(params: ParamsLike, n: int, w: int, s: int) -> int:
     n = _as_int(n, "size", scalar=True)
     w = _as_int(w, "ground count", scalar=True)
     s = _as_int(s, "sky count", scalar=True)
-    a, b, m = p.as_tuple()
+    a, b, m = p
     base = m * w * s + a * w + b * s
     if min(w, s) < 0 or not (w or b) or not (s or a) or n < base or (n - base) % m:
         return 0
@@ -632,7 +637,7 @@ def count_series(params: ParamsLike, n: int) -> int:
     n = _as_int(n, "size", scalar=True)
     if n < 0:
         return 0
-    a, b, m = p.as_tuple()
+    a, b, m = p
     if a >= 1 and b >= 1:
         build, key = _product, (a, b, m, False)
     else:

@@ -8,8 +8,6 @@ through the public counters, the enumerated side with method "enum", as the
 CLI does.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -412,6 +410,7 @@ def suite_scaling(
         if s < 1:
             raise DomainError(f"scale factor must be positive, got {s}")
     ch = Checker("scaling", f"scales {scales}, (a,b,m) in 1..{classes}^3, n <= {max_n}")
+    object_max = min(object_max, max_n)  # counts run through max_n
     for a, b, m in iproduct(range(1, classes + 1), repeat=3):
         counts = [count_copartitions((a, b, m), n, "enum") for n in range(max_n + 1)]
         for s in scales:
@@ -456,7 +455,7 @@ def suite_conjugation(
             for c in enumerate_copartitions((a, b, m), n):
                 d = conjugate_copartition(c)
                 ch.check(
-                    d.params.as_tuple() == (b, a, m)
+                    d.params == (b, a, m)
                     and d.size == c.size
                     and d.crank == -c.crank
                     and conjugate_copartition(d) == c,

@@ -48,7 +48,7 @@ from copa.verify import _eta_theta_quotient_check
 
 
 def test_params_validation():
-    assert CopartitionParams(1, 3, 4).as_tuple() == (1, 3, 4)
+    assert tuple(CopartitionParams(1, 3, 4)) == (1, 3, 4)
     assert CopartitionParams(1, 3, 4).swapped() == CopartitionParams(3, 1, 4)
     with pytest.raises(ValueError):
         CopartitionParams(1, 3, 0)
@@ -60,7 +60,7 @@ def test_params_follow_the_int_rule():
     # a field that equals an int is stored as one; anything else is a
     # DomainError, in the class, through coerce_params and in every count
     p = CopartitionParams(1.0, True, 2)
-    assert p == CopartitionParams(1, 1, 2) and {type(v) for v in p.as_tuple()} == {int}
+    assert p == CopartitionParams(1, 1, 2) and {type(v) for v in tuple(p)} == {int}
     assert coerce_params((1.0, 1, 2)) is coerce_params((1, 1, 2))
     for bad in ((1.5, 1, 2), ("1", 1, 2), ("a", 1, 2), (1, 1, None)):
         with pytest.raises(DomainError, match="is not an integer"):
@@ -87,6 +87,10 @@ def test_the_class_is_the_validating_constructor():
         c.sky = (1,)
 
 
+# A field the checked records refuse, and the error their constructor raises.
+_BAD_FIELD = {CopartitionParams: (dict(m=0), DomainError), Copartition: (dict(ground=(2,)), ResidueError)}
+
+
 @pytest.mark.parametrize(
     "record, fields, shown",
     [
@@ -103,10 +107,12 @@ def test_the_class_is_the_validating_constructor():
 )
 def test_records_are_read_only_values(record, fields, shown):
     """Each record takes its fields by keyword, refuses every write, keeps
-    no __dict__, compares by value, and survives a copy and a pickle round
-    trip (the two checked classes are rebuilt through their checks)."""
+    no __dict__, equals and hashes as the plain tuple of its fields, and
+    survives a copy and a pickle round trip.  The two checked classes are
+    rebuilt through their checks, and _make and _replace check too."""
     value = record(**fields)
     assert value == record(*fields.values()) and repr(value) == shown
+    assert value == tuple(fields.values()) and value._fields == tuple(fields)
     assert [getattr(value, name) for name in fields] == list(fields.values())
     for write in (lambda: setattr(value, next(iter(fields)), 0), lambda: delattr(value, "n")):
         with pytest.raises(AttributeError):
@@ -114,7 +120,13 @@ def test_records_are_read_only_values(record, fields, shown):
     assert not hasattr(value, "__dict__")
     assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
     if record not in (RefinedCount, CrankTally):  # those hold a dict
-        assert hash(copy.deepcopy(value)) == hash(value)
+        assert hash(copy.deepcopy(value)) == hash(value) == hash(tuple(fields.values()))
+    if record in _BAD_FIELD:
+        change, error = _BAD_FIELD[record]
+        with pytest.raises(error):
+            value._replace(**change)
+        with pytest.raises(error):
+            record._make({**fields, **change}.values())
 
 
 def test_component_validation_errors_are_specific():
@@ -348,7 +360,7 @@ def test_scale_round_trip():
     for n in range(11):
         for c in enumerate_copartitions((1, 1, 2), n):
             d = scale_copartition(c, 3)
-            assert d.params.as_tuple() == (3, 3, 6)
+            assert tuple(d.params) == (3, 3, 6)
             assert d.size == 3 * c.size
             assert unscale_copartition(d, 3) == c
     with pytest.raises(ValueError):

@@ -576,6 +576,26 @@ def test_pochhammer_factor_follows_the_int_rule():
             pochhammer_factor(**kwargs)
 
 
+def test_truncated_series_follows_the_int_rule():
+    # order, exponents and coefficient values as every other scalar: 6.0
+    # reads as 6, and anything else is a DomainError
+    s = TruncatedSeries(2.0, {1.0: {(0, 0): 3.0}})
+    assert s == TruncatedSeries(2, {1: {(0, 0): 3}}) and type(s.order) is int
+    assert [type(c) for c in s.scalar_coeffs()] == [int] * 3
+    assert s.coefficient(1.0) == {(0, 0): 3} and s.truncate(1.0).order == 1
+    for call, message in (
+        (lambda: TruncatedSeries(2.5), "order 2.5 is not an integer"),
+        (lambda: TruncatedSeries("3"), "order '3' is not an integer"),
+        (lambda: TruncatedSeries(3, {1: {(0, 0): 1.5}}), "coefficient 1.5 is not an integer"),
+        (lambda: TruncatedSeries(3, {1.5: {(0, 0): 1}}), "exponent 1.5 is not an integer"),
+        (lambda: s.coefficient(1.5), "exponent 1.5 is not an integer"),
+        (lambda: s.coefficient_int("1"), "exponent '1' is not an integer"),
+        (lambda: s.truncate(1.5), "order 1.5 is not an integer"),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
+
+
 def test_scalar_reads_raise_only_on_a_nonzero_marker_coefficient():
     s = TruncatedSeries(5, {0: {(0, 0): 1}, 2: {(0, 0): 4}, 3: {(1, 0): 2, (0, 0): 7}})
     assert [s.coefficient_int(n) for n in (0, 1, 2, 4, 5)] == [1, 0, 4, 0, 0]

@@ -95,8 +95,7 @@ def _annotation_strings(tree: ast.AST):
 
 def test_every_import_is_used():
     """An imported name is referenced as a Name (the base of an Attribute
-    included) or inside a quoted annotation; __init__.py re-exports, and
-    `from __future__ import annotations` is exempt."""
+    included) or inside a quoted annotation; __init__.py re-exports."""
     unused = []
     for path in sorted(Path(copa.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
@@ -104,9 +103,7 @@ def test_every_import_is_used():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import) or (
-                isinstance(node, ast.ImportFrom) and node.module != "__future__"
-            ):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         used = {
@@ -121,6 +118,30 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert not unused, unused
+
+
+def test_no_future_imports_and_no_hand_written_record_dunders():
+    """The annotations evaluate on every supported Python, so no module
+    imports __future__; the copartition records are named tuples, so none
+    writes its own equality, hashing, writes or pickling."""
+    found = []
+    for path in sorted(Path(copa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno} imports __future__"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ]
+        if path.name == "copartitions.py":
+            found += [
+                f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and item.name in ("__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__")
+            ]
+    assert not found, found
 
 
 def test_only_the_partition_check_raises_the_component_errors():

@@ -674,6 +674,19 @@ def test_verify_crank_takes_max_k(capsys):
     assert report["ok"] is True
 
 
+def test_verify_scaling_and_all_take_a_max_n_below_the_object_bound(capsys):
+    # the scaling suite's object loops stop at min(object_max, max_n), the
+    # last size it has counts for
+    for n in range(11):
+        assert main(["verify", "scaling", "--max-n", str(n), "--format", "json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True and report["attempted"] == report["passed"] > 0
+        if n == 0:  # 64 triples, 2 scales: a count, an enum count, one object
+            assert report["attempted"] == 64 * 2 * 3
+    assert main(["verify", "all", "--max-n", "8"]) == 0
+    assert capsys.readouterr().out.count("status=ok") == 14
+
+
 def test_verify_order_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("COPA_MAX_ORDER", "10")
     rc = main(["verify", "mock-theta", "--order", "50"])
